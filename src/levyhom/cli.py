@@ -20,11 +20,11 @@ import numpy as np
 
 from ._util import fmt, parallel_map, write_csv
 from .coefficient import (ModelParams, certify, oracle_c0, theory_constants,
-                          theta_modulus, validate_coefficient)
+                          theta_modulus)
 from .config import StudyConfig
 from .errors import LevyhomError, TruncationUnstable
 from .fiber import ModeSet, assemble_fiber_matrix, oracle_form_element
-from .homogenization import (build_xi_grid, discrepancy_study, loglog_slope,
+from .homogenization import (XiGrid, discrepancy_study, loglog_slope,
                              rate_bound, slope_widening)
 from .spectral import threshold_report
 
@@ -84,6 +84,12 @@ def _prepare(cfg: StudyConfig):
     return params, coeff, constants, modes
 
 
+def _constant_values(constants) -> dict:
+    """The constants that `validate` and `constants` both report, in print order."""
+    return {name: getattr(constants, name)
+            for name in ("c0", "mu_minus", "mu_plus", "mu_eff", "delta0", "d0")}
+
+
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
@@ -91,25 +97,16 @@ def _prepare(cfg: StudyConfig):
 def cmd_validate(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
     report = RunReport("validate", cfg.digest())
     params = ModelParams(cfg.dimension, cfg.alpha)
-    coeff = cfg.build_coefficient()
     try:
-        cert = validate_coefficient(coeff, cfg.resolved_positivity_grid)
+        coeff = certify(cfg.build_coefficient(), cfg.resolved_positivity_grid)
     except LevyhomError as exc:
         report.add("symmetry+positivity", "fail", detail=str(exc))
         return report
     report.add("symmetry", "pass")
-    report.add("positivity", "pass", margin=cert.mu_minus,
-               detail=f"certified mu_minus={cert.mu_minus:.6g}")
-    coeff = certify(coeff, cfg.resolved_positivity_grid)
+    report.add("positivity", "pass", margin=coeff.mu_minus,
+               detail=f"certified mu_minus={coeff.mu_minus:.6g}")
     constants = theory_constants(params, coeff)
-    report.values.update({
-        "c0": constants.c0,
-        "mu_minus": constants.mu_minus,
-        "mu_plus": constants.mu_plus,
-        "mu_eff": constants.mu_eff,
-        "delta0": constants.delta0,
-        "d0": constants.d0,
-    })
+    report.values.update(_constant_values(constants))
     report.add("mu_eff_within_bounds",
                "pass" if constants.mu_minus <= constants.mu_eff <= constants.mu_plus
                else "fail")
@@ -119,13 +116,8 @@ def cmd_validate(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRepo
 def cmd_constants(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
     report = RunReport("constants", cfg.digest())
     params, coeff, constants, _ = _prepare(cfg)
+    report.values.update(_constant_values(constants))
     report.values.update({
-        "c0": constants.c0,
-        "mu_minus": constants.mu_minus,
-        "mu_plus": constants.mu_plus,
-        "mu_eff": constants.mu_eff,
-        "delta0": constants.delta0,
-        "d0": constants.d0,
         "theta(1/e)": constants.theta(np.array([math.exp(-1.0)] + [0.0] * (cfg.dimension - 1))),
         "theta(1)": constants.theta(np.eye(cfg.dimension)[0]),
     })
@@ -206,10 +198,7 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
     params, coeff, constants, modes = _prepare(cfg)
     d = cfg.dimension
 
-    spec = cfg.xi_grid
-    n_rad = max(2, int(round((spec.radial_max_exp - spec.radial_min_exp)
-                             * spec.radial_per_decade)) + 1)
-    radii = np.logspace(spec.radial_min_exp, spec.radial_max_exp, n_rad)
+    radii = cfg.xi_grid.radii()
     radii = radii[radii <= constants.delta0]
     direction = np.eye(d)[0]
     xis = [np.zeros(d)] + [r * direction for r in radii]
@@ -282,14 +271,7 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
 def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
     report = RunReport("rate-study", cfg.digest())
     params, coeff, constants, modes = _prepare(cfg)
-    grid = build_xi_grid(
-        cfg.dimension,
-        points_per_dim=cfg.xi_grid.points_per_dim,
-        radial_min_exp=cfg.xi_grid.radial_min_exp,
-        radial_max_exp=cfg.xi_grid.radial_max_exp,
-        radial_per_decade=cfg.xi_grid.radial_per_decade,
-        directions=cfg.xi_grid.directions,
-    )
+    grid = XiGrid(cfg.dimension, cfg.xi_grid)
     eps = cfg.epsilons.values()
     truncation_failed = None
     try:
@@ -360,13 +342,15 @@ def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> Run
                detail=f"gamma={constants.c0:.9g} quad={c0_quad:.9g}")
 
     span = min(2, modes.truncation)
-    xis = (0.3, 1.0)
+    fibers = {xi: assemble_fiber_matrix(coeff, params, constants.c0, modes,
+                                        np.array([xi])).entries
+              for xi in (0.3, 1.0)}
     rows = []
     worst = 0.0
     for m in range(-span, span + 1):
         for n in range(-span, span + 1):
-            for xi in xis:
-                closed = _closed_entry(coeff, params, constants.c0, modes, m, n, xi)
+            for xi, entries in fibers.items():
+                closed = complex(entries[modes.index_of([m]), modes.index_of([n])])
                 orc = oracle_form_element(coeff, params, m, n, xi)
                 err = abs(orc.value - closed)
                 rel = err / abs(closed) if abs(closed) > 1e-9 else err
@@ -382,13 +366,6 @@ def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> Run
     report.add("form_elements", "pass" if worst <= tol else "fail",
                margin=tol - worst, detail=f"worst rel err {worst:.3e}")
     return report
-
-
-def _closed_entry(coeff, params, c0, modes, m, n, xi):
-    fiber = assemble_fiber_matrix(coeff, params, c0, modes, np.array([float(xi)]))
-    i = modes.index_of([m])
-    j = modes.index_of([n])
-    return complex(fiber.entries[i, j])
 
 
 # ----------------------------------------------------------------------

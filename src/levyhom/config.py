@@ -11,12 +11,16 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .coefficient import (DEFAULT_POSITIVITY_GRID, DEFAULT_TRUNCATION,
                           PeriodicCoefficient, coefficient_from_records)
 
 
 @dataclass(frozen=True)
 class XiGridSpec:
+    """Quasimomentum grid: a uniform cell lattice plus log-spaced radii."""
+
     points_per_dim: int = 16
     radial_min_exp: float = -4.0
     radial_max_exp: float = -0.5
@@ -32,6 +36,12 @@ class XiGridSpec:
             raise ValueError("xi_grid.radial_per_decade must be >= 1")
         if self.directions not in ("axes", "axes+diagonals"):
             raise ValueError("xi_grid.directions must be 'axes' or 'axes+diagonals'")
+
+    def radii(self) -> np.ndarray:
+        """Ascending radial ladder 10^radial_min_exp .. 10^radial_max_exp."""
+        n_rad = max(2, int(round((self.radial_max_exp - self.radial_min_exp)
+                                 * self.radial_per_decade)) + 1)
+        return np.logspace(self.radial_min_exp, self.radial_max_exp, n_rad)
 
 
 @dataclass(frozen=True)
@@ -49,8 +59,6 @@ class EpsilonSpec:
             raise ValueError("epsilon count must be >= 8")
 
     def values(self):
-        import numpy as np
-
         return np.geomspace(self.max, self.min, self.count)
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._util import hermitian_norm, parallel_map
 from .coefficient import (ModelParams, PeriodicCoefficient, compute_c0,
                           effective_mu)
+from .config import XiGridSpec
 from .errors import DegenerateFit, TruncationUnstable
 from .fiber import (ModeSet, assemble_effective_fiber, assemble_fiber_matrix)
 from .spectral import eig_hermitian
@@ -53,109 +54,106 @@ def rate_bound(alpha: float, eps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class XiGrid:
-    """Deterministic cell covering: uniform lattice plus radial refinement."""
+    """Deterministic cell covering: uniform lattice plus radial refinement.
+
+    The points are built from the validated spec.  They always contain
+    xi = 0 and are ordered deterministically: origin, uniform points in
+    lexicographic order, then radial points by (radius, direction).
+    """
 
     dimension: int
-    points: tuple
-    points_per_dim: int
-    radial_min_exp: float
-    radial_max_exp: float
-    radial_per_decade: int
-    directions: str
+    spec: XiGridSpec
+    points: tuple = field(init=False)
+
+    def __post_init__(self):
+        spec = self.spec
+        spec.validate()
+        dimension = self.dimension
+        pts: list[np.ndarray] = [np.zeros(dimension)]
+        seen = {tuple(pts[0])}
+
+        n = spec.points_per_dim
+        axis = -math.pi + 2.0 * math.pi * np.arange(n) / n
+        mesh = np.stack(np.meshgrid(*([axis] * dimension), indexing="ij"), axis=-1)
+        for row in mesh.reshape(-1, dimension):
+            key = tuple(float(v) for v in row)
+            if key not in seen:
+                seen.add(key)
+                pts.append(np.asarray(row, dtype=float))
+
+        dirs = _grid_directions(dimension, spec.directions)
+        for r in spec.radii():
+            for v in dirs:
+                xi = r * v
+                if np.max(np.abs(xi)) >= math.pi:
+                    continue
+                key = tuple(float(x) for x in xi)
+                if key not in seen:
+                    seen.add(key)
+                    pts.append(xi)
+        object.__setattr__(self, "points", tuple(pts))
 
     def __len__(self) -> int:
         return len(self.points)
 
     def doubled(self) -> "XiGrid":
-        return build_xi_grid(
-            self.dimension,
-            points_per_dim=2 * self.points_per_dim,
-            radial_min_exp=self.radial_min_exp,
-            radial_max_exp=self.radial_max_exp,
-            radial_per_decade=2 * self.radial_per_decade,
-            directions=self.directions,
-        )
+        spec = replace(self.spec, points_per_dim=2 * self.spec.points_per_dim,
+                       radial_per_decade=2 * self.spec.radial_per_decade)
+        return replace(self, spec=spec)
 
 
 def _grid_directions(dimension: int, directions: str) -> list[np.ndarray]:
-    axes = [np.eye(dimension)[j] for j in range(dimension)]
-    if directions == "axes":
-        dirs = axes
-    elif directions == "axes+diagonals":
-        dirs = list(axes)
-        if dimension > 1:
-            dirs.append(np.ones(dimension) / math.sqrt(dimension))
-    else:
-        raise ValueError(f"unknown direction set {directions!r}")
-    out = []
-    for v in dirs:
-        out.append(v)
-        out.append(-v)
-    return out
+    dirs = [np.eye(dimension)[j] for j in range(dimension)]
+    if directions == "axes+diagonals" and dimension > 1:
+        dirs.append(np.ones(dimension) / math.sqrt(dimension))
+    return [w for v in dirs for w in (v, -v)]
 
 
-def build_xi_grid(
-    dimension: int,
-    points_per_dim: int = 16,
-    radial_min_exp: float = -4.0,
-    radial_max_exp: float = -0.5,
-    radial_per_decade: int = 4,
-    directions: str = "axes+diagonals",
-) -> XiGrid:
-    """Uniform cell grid plus log-spaced radii near the origin.
-
-    Always contains xi = 0; ordering is deterministic: origin, uniform points
-    in lexicographic order, then radial points by (radius, direction).
-    """
-    if points_per_dim < 1:
-        raise ValueError("points_per_dim must be >= 1")
-    pts: list[np.ndarray] = [np.zeros(dimension)]
-    seen = {tuple(pts[0])}
-
-    axis = -math.pi + 2.0 * math.pi * np.arange(points_per_dim) / points_per_dim
-    mesh = np.stack(np.meshgrid(*([axis] * dimension), indexing="ij"), axis=-1)
-    for row in mesh.reshape(-1, dimension):
-        key = tuple(float(v) for v in row)
-        if key not in seen:
-            seen.add(key)
-            pts.append(np.asarray(row, dtype=float))
-
-    n_rad = max(2, int(round((radial_max_exp - radial_min_exp) * radial_per_decade)) + 1)
-    radii = np.logspace(radial_min_exp, radial_max_exp, n_rad)
-    dirs = _grid_directions(dimension, directions)
-    for r in radii:
-        for v in dirs:
-            xi = r * v
-            if np.max(np.abs(xi)) >= math.pi:
-                continue
-            key = tuple(float(x) for x in xi)
-            if key not in seen:
-                seen.add(key)
-                pts.append(xi)
-    return XiGrid(
-        dimension=dimension,
-        points=tuple(pts),
-        points_per_dim=points_per_dim,
-        radial_min_exp=radial_min_exp,
-        radial_max_exp=radial_max_exp,
-        radial_per_decade=radial_per_decade,
-        directions=directions,
-    )
+def build_xi_grid(dimension: int, **spec_fields) -> XiGrid:
+    """Grid of ``XiGridSpec(**spec_fields)``; ValueError if the spec is invalid."""
+    return XiGrid(dimension, XiGridSpec(**spec_fields))
 
 
 # ----------------------------------------------------------------------
 # Resolvent differences
 # ----------------------------------------------------------------------
 
-def _resolvent_diff_shifted(coeff, params, c0, mu0, modes, xi, shift: float) -> float:
-    """||(A(xi) + s I)^-1 - (A0(xi) + s I)^-1|| at spectral shift s."""
-    fiber = assemble_fiber_matrix(coeff, params, c0, modes, xi)
-    spectral = eig_hermitian(fiber)
+def _resolvent_diffs(coeff, params, c0, modes, xi, symbol, shifts) -> np.ndarray:
+    """||(A(xi) + s)^-1 - diag(1 / (symbol + s))|| for each shift s.
+
+    `symbol` is the comparator's diagonal; an entry of inf removes that mode
+    from the comparator, since 1 / (inf + s) is exactly 0.  One
+    eigendecomposition of A(xi) serves every shift.
+
+    At xi = 0 the zero mode's row and column of A vanish exactly, and with a
+    zero symbol the mode's exact contribution is 1/s - 1/s = 0.  It is
+    dropped before the eigensolve, which would otherwise leave a rounding
+    error of about u ||A|| / s^2 on it (u the unit roundoff).
+    """
+    entries = assemble_fiber_matrix(coeff, params, c0, modes, xi).entries
+    z = modes.zero_index
+    if symbol[z] == 0.0 and not entries[z].any() and not entries[:, z].any():
+        keep = np.arange(modes.size) != z
+        entries, symbol = entries[np.ix_(keep, keep)], symbol[keep]
+    spectral = eig_hermitian(entries)
     lam, vec = spectral.eigenvalues, spectral.eigenvectors
-    res = (vec * (1.0 / (lam + shift))) @ vec.conj().T
-    diag = assemble_effective_fiber(params, c0, mu0, modes, xi).diagonal
-    res0 = np.diag(1.0 / (diag + shift))
-    return hermitian_norm(res - res0)
+    out = np.empty(len(shifts))
+    for i, s in enumerate(shifts):
+        res = (vec * (1.0 / (lam + s))) @ vec.conj().T
+        res[np.diag_indices_from(res)] -= 1.0 / (symbol + s)
+        out[i] = hermitian_norm(res)
+    return out
+
+
+def _effective_symbol(coeff, params, modes, xi, epsilon, c0, mu_eff):
+    """Checked inputs of the public differences: c0 and the effective symbol."""
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    if c0 is None:
+        c0 = compute_c0(params)
+    if mu_eff is None:
+        mu_eff = effective_mu(coeff)
+    return c0, assemble_effective_fiber(params, c0, mu_eff, modes, xi).diagonal
 
 
 def fiber_resolvent_diff(
@@ -172,14 +170,9 @@ def fiber_resolvent_diff(
     The full-operator inverse comes from the eigendecomposition, the
     effective one from the diagonal reciprocal.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if c0 is None:
-        c0 = compute_c0(params)
-    if mu_eff is None:
-        mu_eff = effective_mu(coeff)
-    return _resolvent_diff_shifted(coeff, params, c0, mu_eff, modes, xi,
-                                   epsilon ** params.alpha)
+    c0, symbol = _effective_symbol(coeff, params, modes, xi, epsilon, c0, mu_eff)
+    return float(_resolvent_diffs(coeff, params, c0, modes, xi, symbol,
+                                  [epsilon ** params.alpha])[0])
 
 
 def threshold_resolvent_diff(
@@ -192,22 +185,11 @@ def threshold_resolvent_diff(
     mu_eff: float | None = None,
 ) -> float:
     """||(A(xi) + eps^a I)^-1 - (mu0 V(xi) + eps^a)^-1 P|| (rank-1 comparator)."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if c0 is None:
-        c0 = compute_c0(params)
-    if mu_eff is None:
-        mu_eff = effective_mu(coeff)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    shift = epsilon ** params.alpha
-    fiber = assemble_fiber_matrix(coeff, params, c0, modes, xi)
-    spectral = eig_hermitian(fiber)
-    lam, vec = spectral.eigenvalues, spectral.eigenvectors
-    res = (vec * (1.0 / (lam + shift))) @ vec.conj().T
-    r = float(np.linalg.norm(xi))
-    scale = 1.0 / (mu_eff * c0 * r ** params.alpha + shift)
-    res[modes.zero_index, modes.zero_index] -= scale
-    return hermitian_norm(res)
+    c0, effective = _effective_symbol(coeff, params, modes, xi, epsilon, c0, mu_eff)
+    symbol = np.full(modes.size, np.inf)
+    symbol[modes.zero_index] = effective[modes.zero_index]
+    return float(_resolvent_diffs(coeff, params, c0, modes, xi, symbol,
+                                  [epsilon ** params.alpha])[0])
 
 
 # ----------------------------------------------------------------------
@@ -296,16 +278,8 @@ def _sup_over_grid(coeff, params, c0, mu0, modes, grid, shifts, workers):
     """
 
     def per_xi(xi):
-        fiber = assemble_fiber_matrix(coeff, params, c0, modes, xi)
-        spectral = eig_hermitian(fiber)
-        lam, vec = spectral.eigenvalues, spectral.eigenvectors
-        diag = assemble_effective_fiber(params, c0, mu0, modes, xi).diagonal
-        out = np.empty(len(shifts))
-        for i, s in enumerate(shifts):
-            res = (vec * (1.0 / (lam + s))) @ vec.conj().T
-            res[np.diag_indices_from(res)] -= 1.0 / (diag + s)
-            out[i] = hermitian_norm(res)
-        return out
+        symbol = assemble_effective_fiber(params, c0, mu0, modes, xi).diagonal
+        return _resolvent_diffs(coeff, params, c0, modes, xi, symbol, shifts)
 
     table = np.array(parallel_map(per_xi, grid.points, workers))  # (nxi, nshift)
     return table.max(axis=0), table.argmax(axis=0)

@@ -237,9 +237,9 @@ class TestFormDifference:
             params = ModelParams(1, alpha)
             assert c1_constant(params) > compute_c0(params)
 
-    def test_c1_against_crude_riemann_sum(self):
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.5])
+    def test_c1_against_crude_riemann_sum(self, alpha):
         # independent low-tech check: midpoint sum of the defining integral
-        alpha = 0.5
         z = np.linspace(1e-6, 400.0, 4_000_000)
         dz = z[1] - z[0]
         crude = 2.0 * np.sum(2.0 * np.abs(np.sin(z / 2.0)) / z ** (1 + alpha)) * dz

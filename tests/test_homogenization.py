@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from levyhom import (DegenerateFit, ModeSet, ModelParams, build_xi_grid,
-                     compute_c0, discrepancy_study, fiber_resolvent_diff,
-                     fit_rate, rate_bound, threshold_resolvent_diff,
-                     theory_constants)
-from levyhom.homogenization import _resolvent_diff_shifted
+from levyhom import (DegenerateFit, ModeSet, ModelParams,
+                     assemble_effective_fiber, assemble_fiber_matrix,
+                     build_xi_grid, certify, compute_c0, discrepancy_study,
+                     fiber_resolvent_diff, fit_rate, rate_bound,
+                     threshold_resolvent_diff, theory_constants)
+from levyhom.homogenization import _resolvent_diffs
+
+from conftest import random_band_limited
 
 
 class TestXiGrid:
@@ -35,6 +38,10 @@ class TestXiGrid:
         norms = sorted(float(np.linalg.norm(p)) for p in grid.points)
         assert norms[1] == pytest.approx(1e-4)   # smallest nonzero radius
 
+    def test_rejects_decreasing_radial_exponents(self):
+        with pytest.raises(ValueError):
+            build_xi_grid(1, radial_min_exp=-0.5, radial_max_exp=-4.0)
+
 
 class TestResolventDiff:
     def test_constant_coefficient_zero(self, t0, params_half):
@@ -56,9 +63,11 @@ class TestResolventDiff:
         assert a == b
         # epsilon enters only through the spectral shift eps^alpha
         c0 = compute_c0(params_three_halves)
-        shifted = _resolvent_diff_shifted(t2, params_three_halves, c0, 1.0,
-                                          modes, [0.3], 0.01 ** 1.5)
-        assert a == shifted
+        symbol = assemble_effective_fiber(params_three_halves, c0, 1.0, modes,
+                                          [0.3]).diagonal
+        shifted = _resolvent_diffs(t2, params_three_halves, c0, modes, [0.3],
+                                   symbol, [0.01 ** 1.5])
+        assert a == shifted[0]
 
     def test_threshold_diff_constant_diagonal(self, t0, params_half):
         modes = ModeSet(1, 6)
@@ -76,6 +85,27 @@ class TestResolventDiff:
     def test_rejects_nonpositive_epsilon(self, t0, params_half):
         with pytest.raises(ValueError):
             fiber_resolvent_diff(t0, params_half, ModeSet(1, 4), [0.1], 0.0)
+
+    @pytest.mark.parametrize("dimension,truncation", [(1, 16), (2, 4)])
+    def test_zero_xi_matches_direct_inverse(self, dimension, truncation):
+        # at xi = 0 the zero mode decouples; its exact share of the difference
+        # is 1/s - 1/s = 0, which the eigensolve alone rounds to u ||A|| / s^2
+        coeff = certify(random_band_limited(np.random.default_rng(0), dimension))
+        params = ModelParams(dimension, 1.9)
+        modes = ModeSet(dimension, truncation)
+        xi, eps = np.zeros(dimension), 1e-3
+        c0 = compute_c0(params)
+        shift = eps ** params.alpha
+        a = assemble_fiber_matrix(coeff, params, c0, modes, xi).entries
+        res = np.linalg.inv(a + shift * np.eye(modes.size))
+        diag = assemble_effective_fiber(params, c0, 1.0, modes, xi).diagonal
+        effective = np.linalg.norm(res - np.diag(1.0 / (diag + shift)), 2)
+        res[modes.zero_index, modes.zero_index] -= 1.0 / shift
+        rank_one = np.linalg.norm(res, 2)
+        assert fiber_resolvent_diff(coeff, params, modes, xi, eps) == \
+            pytest.approx(effective, rel=1e-10)
+        assert threshold_resolvent_diff(coeff, params, modes, xi, eps) == \
+            pytest.approx(rank_one, rel=1e-10)
 
 
 class TestFitRate:
