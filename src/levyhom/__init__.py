@@ -16,10 +16,9 @@ from .errors import (BoundViolated, ContourTooClose, ConvergenceFailure,
                      PositivityUncertified, QuadratureNotConverged,
                      SymmetryViolation, TruncationTooSmall,
                      TruncationUnstable)
-from .fiber import (EffectiveFiberMatrix, FiberMatrix, ModeSet, OracleValue,
-                    QuadConfig, assemble_effective_fiber,
-                    assemble_fiber_matrix, c1_constant,
-                    form_difference_checks, oracle_form_element,
+from .fiber import (FiberMatrix, ModeSet, OracleValue, QuadConfig,
+                    assemble_effective_fiber, assemble_fiber_matrix,
+                    c1_constant, form_difference_checks, oracle_form_element,
                     rho_and_rho_star)
 from .homogenization import (RateFit, RateStudyResult, XiGrid, build_xi_grid,
                              discrepancy_study, fiber_resolvent_diff,

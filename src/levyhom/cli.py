@@ -118,8 +118,8 @@ def cmd_constants(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRep
     params, coeff, constants, _ = _prepare(cfg)
     report.values.update(_constant_values(constants))
     report.values.update({
-        "theta(1/e)": constants.theta(np.array([math.exp(-1.0)] + [0.0] * (cfg.dimension - 1))),
-        "theta(1)": constants.theta(np.eye(cfg.dimension)[0]),
+        "theta(1/e)": theta_modulus(params.alpha, math.exp(-1.0)),
+        "theta(1)": theta_modulus(params.alpha, 1.0),
     })
     report.add("delta0_below_pi", "pass" if constants.delta0 < math.pi else "fail",
                margin=math.pi - constants.delta0)
@@ -137,7 +137,7 @@ def cmd_fiber(cfg: StudyConfig, out_dir: str, workers: int | None,
         xi = np.array([float(v) for v in str(xi_spec).split(",")], dtype=float)
         if xi.size == 1 and cfg.dimension > 1:
             xi = np.concatenate([xi, np.zeros(cfg.dimension - 1)])
-        fiber = assemble_fiber_matrix(coeff, params, constants.c0, modes, xi)
+        fiber = assemble_fiber_matrix(coeff, params, modes, xi)
         header = []
         for j in range(modes.size):
             header += [f"re_{j}", f"im_{j}"]
@@ -205,7 +205,7 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
 
     def one_report(xi):
         try:
-            return threshold_report(coeff, params, modes, xi, constants,
+            return threshold_report(coeff, params, modes, xi,
                                     projector_tol=cfg.tolerances.projector_abs)
         except LevyhomError as exc:
             return exc
@@ -237,6 +237,7 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
 
     arr = np.array(rows)
     norms = arr[:, d]
+    ladder = norms > 0.0
     lam1, lam2 = arr[:, d + 1], arr[:, d + 2]
     lower = constants.mu_minus * constants.c0 * norms ** params.alpha
     upper = constants.mu_plus * constants.c0 * norms ** params.alpha
@@ -250,8 +251,12 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
     quantities = {"f_minus_p": arr[:, d + 3], "phi": arr[:, d + 4],
                   "rho_star": np.abs(arr[:, d + 7])}
     for name, vals in quantities.items():
-        sel = norms > 0.0
-        r, v = norms[sel], vals[sel]
+        r, v = norms[ladder], vals[ladder]
+        if r.size == 0:
+            report.add(f"slope_{name}", "fail",
+                       detail=f"empty ladder: no xi_grid radius in "
+                              f"(0, delta0={constants.delta0:.6g}]")
+            continue
         if np.all(v <= 1e-12):
             report.add(f"slope_{name}", "pass", detail="identically zero")
             continue
@@ -342,8 +347,7 @@ def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> Run
                detail=f"gamma={constants.c0:.9g} quad={c0_quad:.9g}")
 
     span = min(2, modes.truncation)
-    fibers = {xi: assemble_fiber_matrix(coeff, params, constants.c0, modes,
-                                        np.array([xi])).entries
+    fibers = {xi: assemble_fiber_matrix(coeff, params, modes, np.array([xi])).entries
               for xi in (0.3, 1.0)}
     rows = []
     worst = 0.0
@@ -417,6 +421,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers is not None and args.workers < 1:
+            parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     except SystemExit as exc:
         return int(exc.code or 0)
 

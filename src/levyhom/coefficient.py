@@ -11,8 +11,8 @@ the threshold radius delta0) is a certified bound rather than an assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 from scipy.integrate import quad
@@ -45,6 +45,11 @@ class ModelParams:
     @property
     def gamma(self) -> float:
         return self.alpha / 2.0
+
+    @property
+    def c0(self) -> float:
+        """Normalization constant of (-Delta)^(alpha/2); see :func:`compute_c0`."""
+        return compute_c0(self)
 
 
 @dataclass(frozen=True)
@@ -169,10 +174,10 @@ def oracle_c0(params: ModelParams) -> tuple[float, float]:
     return val, 4.0 * math.pi * (e1 + e2 + e3)
 
 
-def v_alpha(params: ModelParams, c0: float, xi) -> float:
+def v_alpha(params: ModelParams, xi) -> float:
     """Symbol of the constant-coefficient operator: c0 |xi|^alpha."""
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
-    return c0 * r ** params.alpha
+    return params.c0 * r ** params.alpha
 
 
 def theta_modulus(alpha: float, r: float) -> float:
@@ -321,7 +326,7 @@ def certify(
 
 
 def delta0_and_d0(
-    params: ModelParams, c0: float, coeff: PeriodicCoefficient
+    params: ModelParams, coeff: PeriodicCoefficient
 ) -> tuple[float, float]:
     """Threshold radius delta0 = pi (mu-/(3 mu+))^(1/alpha) and gap floor d0."""
     if not coeff.certified:
@@ -329,7 +334,7 @@ def delta0_and_d0(
     if coeff.mu_minus <= 0.0:
         raise PositivityUncertified("certified mu_minus must be positive")
     delta0 = math.pi * (coeff.mu_minus / (3.0 * coeff.mu_plus)) ** (1.0 / params.alpha)
-    d0 = coeff.mu_minus * c0 * math.pi ** params.alpha
+    d0 = coeff.mu_minus * params.c0 * math.pi ** params.alpha
     assert delta0 < math.pi
     return delta0, d0
 
@@ -344,26 +349,16 @@ class TheoryConstants:
     mu_plus: float
     d0: float
     delta0: float
-    theta: Callable[[np.ndarray], float] = field(repr=False, compare=False, default=None)
 
 
 def theory_constants(params: ModelParams, coeff: PeriodicCoefficient) -> TheoryConstants:
     """Compute all scalar constants for a certified coefficient."""
-    c0 = compute_c0(params)
-    mu0 = effective_mu(coeff)
-    delta0, d0 = delta0_and_d0(params, c0, coeff)
-    alpha = params.alpha
-
-    def theta(xi) -> float:
-        r = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
-        return theta_modulus(alpha, r)
-
+    delta0, d0 = delta0_and_d0(params, coeff)
     return TheoryConstants(
-        c0=c0,
-        mu_eff=mu0,
+        c0=params.c0,
+        mu_eff=effective_mu(coeff),
         mu_minus=coeff.mu_minus,
         mu_plus=coeff.mu_plus,
         d0=d0,
         delta0=delta0,
-        theta=theta,
     )

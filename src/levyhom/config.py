@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -44,6 +45,25 @@ class XiGridSpec:
         return np.logspace(self.radial_min_exp, self.radial_max_exp, n_rad)
 
 
+def _validate_epsilons(epsilons) -> np.ndarray:
+    """Descending copy of `epsilons`; ValueError unless the set is a valid study.
+
+    A valid set has at least 8 positive, log-spaced points spanning at least
+    1.5 decades.
+    """
+    eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
+    if eps.size < 8:
+        raise ValueError("need at least 8 epsilon points")
+    if np.any(eps <= 0.0):
+        raise ValueError("epsilons must be positive")
+    if math.log10(eps[0] / eps[-1]) < 1.5 - 1e-9:
+        raise ValueError("epsilons must span at least 1.5 decades")
+    ratios = eps[:-1] / eps[1:]
+    if np.max(np.abs(ratios / ratios[0] - 1.0)) > 1e-6:
+        raise ValueError("epsilons must be log-spaced")
+    return eps
+
+
 @dataclass(frozen=True)
 class EpsilonSpec:
     """Log-spaced scale parameters for rate studies."""
@@ -55,8 +75,7 @@ class EpsilonSpec:
     def validate(self):
         if not 0.0 < self.min < self.max:
             raise ValueError("epsilons must satisfy 0 < min < max")
-        if self.count < 8:
-            raise ValueError("epsilon count must be >= 8")
+        _validate_epsilons(self.values())
 
     def values(self):
         return np.geomspace(self.max, self.min, self.count)

@@ -25,8 +25,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as _gamma, zeta as _zeta
 
 from ._util import hermitian_norm
-from .coefficient import (ModelParams, PeriodicCoefficient, compute_c0,
-                          theta_modulus)
+from .coefficient import ModelParams, PeriodicCoefficient, theta_modulus
 from .errors import BoundViolated, QuadratureNotConverged, TruncationTooSmall
 
 
@@ -61,29 +60,13 @@ class ModeSet:
 
 @dataclass(frozen=True, eq=False)
 class FiberMatrix:
-    """Hermitian Galerkin matrix of the fiber operator at one quasimomentum."""
+    """Hermitian Galerkin matrix of the fiber operator at one quasimomentum.
 
-    xi: np.ndarray
+    A wrapper rather than a bare array because ``bench/traced.py`` counts
+    the assembled bytes as ``entries.nbytes`` of the returned object.
+    """
+
     entries: np.ndarray
-    alpha: float
-    c0: float
-    truncation: int
-
-
-@dataclass(frozen=True, eq=False)
-class EffectiveFiberMatrix:
-    """Diagonal fiber of the constant-coefficient limit operator."""
-
-    xi: np.ndarray
-    diagonal: np.ndarray
-    alpha: float
-    c0: float
-    mu_eff: float
-    truncation: int
-
-    @property
-    def entries(self) -> np.ndarray:
-        return np.diag(self.diagonal.astype(complex))
 
 
 def _sym_pow(vecs: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
@@ -99,7 +82,6 @@ def _sym_pow(vecs: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
 def assemble_fiber_matrix(
     coeff: PeriodicCoefficient,
     params: ModelParams,
-    c0: float,
     modes: ModeSet,
     xi,
 ) -> FiberMatrix:
@@ -114,7 +96,7 @@ def assemble_fiber_matrix(
             f"|k+l|_inf={span}; increase N to at least {span}"
         )
 
-    alpha = params.alpha
+    alpha, c0 = params.alpha, params.c0
     n_trunc = modes.truncation
     mvec = modes.modes
     size = modes.size
@@ -139,22 +121,19 @@ def assemble_fiber_matrix(
         # cancel exactly instead of to rounding
         entries[rows, cols] += (0.5 * c0 * amp) * ((a - c4) + (b - c3))
 
-    return FiberMatrix(xi=xi, entries=entries, alpha=alpha, c0=c0,
-                       truncation=n_trunc)
+    return FiberMatrix(entries=entries)
 
 
 def assemble_effective_fiber(
-    params: ModelParams, c0: float, mu_eff: float, modes: ModeSet, xi
-) -> EffectiveFiberMatrix:
-    """Diagonal fiber of the effective operator: mu0 c0 |2 pi n + xi|^alpha."""
+    params: ModelParams, mu_eff: float, modes: ModeSet, xi
+) -> np.ndarray:
+    """Diagonal of the effective operator's fiber: mu0 c0 |2 pi n + xi|^alpha."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    diag = mu_eff * c0 * _sym_pow(modes.modes, xi, params.alpha)
-    return EffectiveFiberMatrix(xi=xi, diagonal=diag, alpha=params.alpha,
-                                c0=c0, mu_eff=mu_eff, truncation=modes.truncation)
+    return mu_eff * params.c0 * _sym_pow(modes.modes, xi, params.alpha)
 
 
 def rho_and_rho_star(
-    coeff: PeriodicCoefficient, params: ModelParams, c0: float, xi
+    coeff: PeriodicCoefficient, params: ModelParams, xi
 ) -> tuple[float, float]:
     """Value of the fiber form on the constant function, and its remainder.
 
@@ -179,6 +158,7 @@ def rho_and_rho_star(
         rho += amp.real * ((vm - v0) + (vp - v0))
         if all(v == 0 for v in l):
             mu0 = amp.real
+    c0 = params.c0
     rho *= 0.5 * c0
     r = float(np.linalg.norm(xi))
     rho_star = rho - mu0 * c0 * r ** alpha
@@ -375,10 +355,9 @@ def form_difference_checks(
     """
     if not coeff.certified:
         raise ValueError("coefficient must be certified")
-    c0 = compute_c0(params)
     alpha = params.alpha
     zero = np.zeros(params.dimension)
-    a_zero = assemble_fiber_matrix(coeff, params, c0, modes, zero).entries
+    a_zero = assemble_fiber_matrix(coeff, params, modes, zero).entries
 
     entries = []
     if alpha < 1.0:
@@ -386,7 +365,7 @@ def form_difference_checks(
         for xi in xi_list:
             xi = np.atleast_1d(np.asarray(xi, dtype=float))
             r = float(np.linalg.norm(xi))
-            diff = assemble_fiber_matrix(coeff, params, c0, modes, xi).entries - a_zero
+            diff = assemble_fiber_matrix(coeff, params, modes, xi).entries - a_zero
             lhs = hermitian_norm(diff)
             bound = coeff.mu_plus * c1 * r ** alpha
             entries.append(FormDifferenceEntry(xi_norm=r, lhs=lhs, reference=bound))
@@ -408,7 +387,7 @@ def form_difference_checks(
         r = float(np.linalg.norm(xi))
         if r == 0.0:
             continue
-        diff = assemble_fiber_matrix(coeff, params, c0, modes, xi).entries - a_zero
+        diff = assemble_fiber_matrix(coeff, params, modes, xi).entries - a_zero
         best = 0.0
         for u in probes:
             num = abs(np.vdot(u, diff @ u))

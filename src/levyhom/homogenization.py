@@ -17,9 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._util import hermitian_norm, parallel_map
-from .coefficient import (ModelParams, PeriodicCoefficient, compute_c0,
-                          effective_mu)
-from .config import XiGridSpec
+from .coefficient import ModelParams, PeriodicCoefficient, effective_mu
+from .config import XiGridSpec, _validate_epsilons
 from .errors import DegenerateFit, TruncationUnstable
 from .fiber import (ModeSet, assemble_effective_fiber, assemble_fiber_matrix)
 from .spectral import eig_hermitian
@@ -118,7 +117,7 @@ def build_xi_grid(dimension: int, **spec_fields) -> XiGrid:
 # Resolvent differences
 # ----------------------------------------------------------------------
 
-def _resolvent_diffs(coeff, params, c0, modes, xi, symbol, shifts) -> np.ndarray:
+def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts) -> np.ndarray:
     """||(A(xi) + s)^-1 - diag(1 / (symbol + s))|| for each shift s.
 
     `symbol` is the comparator's diagonal; an entry of inf removes that mode
@@ -130,7 +129,7 @@ def _resolvent_diffs(coeff, params, c0, modes, xi, symbol, shifts) -> np.ndarray
     dropped before the eigensolve, which would otherwise leave a rounding
     error of about u ||A|| / s^2 on it (u the unit roundoff).
     """
-    entries = assemble_fiber_matrix(coeff, params, c0, modes, xi).entries
+    entries = assemble_fiber_matrix(coeff, params, modes, xi).entries
     z = modes.zero_index
     if symbol[z] == 0.0 and not entries[z].any() and not entries[:, z].any():
         keep = np.arange(modes.size) != z
@@ -145,15 +144,11 @@ def _resolvent_diffs(coeff, params, c0, modes, xi, symbol, shifts) -> np.ndarray
     return out
 
 
-def _effective_symbol(coeff, params, modes, xi, epsilon, c0, mu_eff):
-    """Checked inputs of the public differences: c0 and the effective symbol."""
+def _effective_symbol(coeff, params, modes, xi, epsilon):
+    """Checked input of the public differences: the effective fiber's symbol."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if c0 is None:
-        c0 = compute_c0(params)
-    if mu_eff is None:
-        mu_eff = effective_mu(coeff)
-    return c0, assemble_effective_fiber(params, c0, mu_eff, modes, xi).diagonal
+    return assemble_effective_fiber(params, effective_mu(coeff), modes, xi)
 
 
 def fiber_resolvent_diff(
@@ -162,16 +157,14 @@ def fiber_resolvent_diff(
     modes: ModeSet,
     xi,
     epsilon: float,
-    c0: float | None = None,
-    mu_eff: float | None = None,
 ) -> float:
     """Fiber resolvent difference against the effective fiber at shift eps^alpha.
 
     The full-operator inverse comes from the eigendecomposition, the
     effective one from the diagonal reciprocal.
     """
-    c0, symbol = _effective_symbol(coeff, params, modes, xi, epsilon, c0, mu_eff)
-    return float(_resolvent_diffs(coeff, params, c0, modes, xi, symbol,
+    symbol = _effective_symbol(coeff, params, modes, xi, epsilon)
+    return float(_resolvent_diffs(coeff, params, modes, xi, symbol,
                                   [epsilon ** params.alpha])[0])
 
 
@@ -181,14 +174,12 @@ def threshold_resolvent_diff(
     modes: ModeSet,
     xi,
     epsilon: float,
-    c0: float | None = None,
-    mu_eff: float | None = None,
 ) -> float:
     """||(A(xi) + eps^a I)^-1 - (mu0 V(xi) + eps^a)^-1 P|| (rank-1 comparator)."""
-    c0, effective = _effective_symbol(coeff, params, modes, xi, epsilon, c0, mu_eff)
+    effective = _effective_symbol(coeff, params, modes, xi, epsilon)
     symbol = np.full(modes.size, np.inf)
     symbol[modes.zero_index] = effective[modes.zero_index]
-    return float(_resolvent_diffs(coeff, params, c0, modes, xi, symbol,
+    return float(_resolvent_diffs(coeff, params, modes, xi, symbol,
                                   [epsilon ** params.alpha])[0])
 
 
@@ -255,31 +246,18 @@ class RateStudyResult:
     warnings: tuple
 
 
-def _validate_epsilons(epsilons: np.ndarray) -> np.ndarray:
-    eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    if eps.size < 8:
-        raise ValueError("need at least 8 epsilon points")
-    if np.any(eps <= 0.0):
-        raise ValueError("epsilons must be positive")
-    if math.log10(eps[0] / eps[-1]) < 1.5 - 1e-9:
-        raise ValueError("epsilons must span at least 1.5 decades")
-    ratios = eps[:-1] / eps[1:]
-    if np.max(np.abs(ratios / ratios[0] - 1.0)) > 1e-6:
-        raise ValueError("epsilons must be log-spaced")
-    return eps
-
-
-def _sup_over_grid(coeff, params, c0, mu0, modes, grid, shifts, workers):
+def _sup_over_grid(coeff, params, modes, grid, shifts, workers):
     """Per-shift max of the fiber resolvent difference over the grid.
 
     Returns (values[n_shift], argmax_index[n_shift]); the eigendecomposition
     at each xi is shared across shifts, and the max over the grid-ordered
     array is scheduling-independent.
     """
+    mu0 = effective_mu(coeff)
 
     def per_xi(xi):
-        symbol = assemble_effective_fiber(params, c0, mu0, modes, xi).diagonal
-        return _resolvent_diffs(coeff, params, c0, modes, xi, symbol, shifts)
+        symbol = assemble_effective_fiber(params, mu0, modes, xi)
+        return _resolvent_diffs(coeff, params, modes, xi, symbol, shifts)
 
     table = np.array(parallel_map(per_xi, grid.points, workers))  # (nxi, nshift)
     return table.max(axis=0), table.argmax(axis=0)
@@ -303,8 +281,6 @@ def discrepancy_study(
     """
     eps = _validate_epsilons(epsilons)
     alpha = params.alpha
-    c0 = compute_c0(params)
-    mu0 = effective_mu(coeff)
     shifts = eps ** alpha
 
     warnings: list[str] = []
@@ -314,8 +290,7 @@ def discrepancy_study(
         warnings.append(msg)
         log.warning(msg)
 
-    sup_vals, arg_idx = _sup_over_grid(coeff, params, c0, mu0, modes, grid,
-                                       shifts, workers)
+    sup_vals, arg_idx = _sup_over_grid(coeff, params, modes, grid, shifts, workers)
     disc = shifts * sup_vals
     argmax_xi = tuple(grid.points[int(i)] for i in arg_idx)
     argmax_norm = np.array([float(np.linalg.norm(x)) for x in argmax_xi])
@@ -331,13 +306,13 @@ def discrepancy_study(
 
     grid_stability = None
     if check_grid:
-        sup2, _ = _sup_over_grid(coeff, params, c0, mu0, modes, grid.doubled(),
-                                 shifts, workers)
+        sup2, _ = _sup_over_grid(coeff, params, modes, grid.doubled(), shifts,
+                                 workers)
         disc2 = shifts * sup2
         grid_stability = _relative_change(disc, disc2)
 
     double = ModeSet(params.dimension, 2 * modes.truncation)
-    sup_d, _ = _sup_over_grid(coeff, params, c0, mu0, double, grid, shifts, workers)
+    sup_d, _ = _sup_over_grid(coeff, params, double, grid, shifts, workers)
     disc_d = shifts * sup_d
     stability = _relative_change(disc, disc_d)
 

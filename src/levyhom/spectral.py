@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import hermitian_norm, spectral_norm
-from .coefficient import (ModelParams, PeriodicCoefficient, TheoryConstants,
-                          theory_constants, v_alpha)
+from .coefficient import (ModelParams, PeriodicCoefficient, theory_constants,
+                          v_alpha)
 from .errors import (ContourTooClose, ConvergenceFailure, GapViolation,
                      QuadratureNotConverged)
 from .fiber import ModeSet, assemble_fiber_matrix, rho_and_rho_star
@@ -36,17 +36,13 @@ class SpectralData:
     eigenvectors: np.ndarray
 
 
-def _entries_of(matrix) -> np.ndarray:
-    return np.asarray(getattr(matrix, "entries", matrix))
-
-
-def eig_hermitian(matrix) -> SpectralData:
+def eig_hermitian(matrix: np.ndarray) -> SpectralData:
     """Full eigendecomposition of a Hermitian matrix, validated.
 
     Residuals are required to be <= 1e-9 ||A|| and the orthonormality defect
     <= 1e-10; LAPACK failures surface as ConvergenceFailure.
     """
-    a = _entries_of(matrix)
+    a = np.asarray(matrix)
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     herm_defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if herm_defect > 1e-12 * scale:
@@ -97,6 +93,11 @@ def projector_by_eig(spectral: SpectralData, cutoff: float) -> np.ndarray:
 # the joins restores super-algebraic convergence of the periodic trapezoid.
 GRADING_ORDER = 6
 
+# Riesz node doubling stops once a doubling moves the projector by less than
+# RIESZ_TOL in the 2-norm, and fails past RIESZ_MAX_NODES nodes.
+RIESZ_TOL = 1e-9
+RIESZ_MAX_NODES = 1 << 16
+
 
 def _grading(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Kress-style window w(u) = u^p / (u^p + (1-u)^p) and its derivative."""
@@ -119,7 +120,7 @@ class StadiumContour:
     exact value d0 (2 pi + 2) / 3.
     """
 
-    def __init__(self, d0: float, num_nodes: int = 256, grading: int = GRADING_ORDER):
+    def __init__(self, d0: float, num_nodes: int = 256):
         if d0 <= 0.0:
             raise ValueError("d0 must be positive")
         if num_nodes < 8:
@@ -135,7 +136,7 @@ class StadiumContour:
         tau = np.arange(self.num_nodes) / self.num_nodes
         piece = np.clip(np.searchsorted(cuts, tau, side="right") - 1, 0, 4)
         u = (tau - cuts[piece]) / (cuts[piece + 1] - cuts[piece])
-        w, dw = _grading(u, grading)
+        w, dw = _grading(u, GRADING_ORDER)
         arc = w * lens[piece]
         speed = dw * lens[piece] / (cuts[piece + 1] - cuts[piece])
 
@@ -201,20 +202,15 @@ def _riesz_sums(a: np.ndarray, contour: StadiumContour) -> tuple[np.ndarray, np.
     return factor * f_acc, factor * af_acc
 
 
-def projector_by_riesz(
-    matrix,
-    contour: StadiumContour,
-    nodes: int | None = None,
-    tol: float = 1e-9,
-    max_nodes: int = 1 << 16,
-) -> RieszProjection:
+def projector_by_riesz(matrix: np.ndarray, contour: StadiumContour) -> RieszProjection:
     """Riesz projector by trapezoidal contour quadrature with node doubling.
 
-    Stops once a doubling changes the projector by less than `tol` in the
-    2-norm (minimum 128 nodes).  Raises ContourTooClose if any eigenvalue
-    sits within d0/30 of the curve, QuadratureNotConverged past `max_nodes`.
+    Starts from the contour's node count (minimum 128) and stops once a
+    doubling changes the projector by less than RIESZ_TOL in the 2-norm.
+    Raises ContourTooClose if any eigenvalue sits within d0/30 of the curve,
+    QuadratureNotConverged past RIESZ_MAX_NODES.
     """
-    a = _entries_of(matrix)
+    a = np.asarray(matrix)
     d0 = contour.d0
     lam = np.linalg.eigvalsh(a)
     min_dist = min(contour.distance_to_real(float(v)) for v in lam)
@@ -223,19 +219,20 @@ def projector_by_riesz(
             f"eigenvalue within {min_dist:.3e} of contour (< d0/30 = {d0/30:.3e})"
         )
 
-    n = max(128, nodes if nodes is not None else contour.num_nodes)
+    n = max(128, contour.num_nodes)
     current = contour if contour.num_nodes == n else StadiumContour(d0, n)
     f_prev, _ = _riesz_sums(a, current)
-    while n <= max_nodes:
+    while n <= RIESZ_MAX_NODES:
         n *= 2
         f_next, af_next = _riesz_sums(a, StadiumContour(d0, n))
         change = spectral_norm(f_next - f_prev)
-        if change < tol:
+        if change < RIESZ_TOL:
             return RieszProjection(projector=f_next, operator_projector=af_next,
                                    nodes=n, change=change)
         f_prev = f_next
     raise QuadratureNotConverged(
-        f"contour quadrature did not stabilize below {tol} within {max_nodes} nodes"
+        f"contour quadrature did not stabilize below {RIESZ_TOL} within "
+        f"{RIESZ_MAX_NODES} nodes"
     )
 
 
@@ -265,17 +262,16 @@ def threshold_report(
     params: ModelParams,
     modes: ModeSet,
     xi,
-    constants: TheoryConstants | None = None,
     projector_tol: float = 1e-8,
-    riesz_nodes: int = 256,
 ) -> ThresholdReport:
     """Assemble, diagonalize, and measure all threshold quantities at xi.
 
-    The projector is built by both routes and the report fails with
-    QuadratureNotConverged if they disagree beyond `projector_tol`.
+    The coefficient must be certified (see :func:`certify`): the contour and
+    the gap cutoff come from its certified constants.  The projector is built
+    by both routes and the report fails with QuadratureNotConverged if they
+    disagree beyond `projector_tol`.
     """
-    if constants is None:
-        constants = theory_constants(params, coeff)
+    constants = theory_constants(params, coeff)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     r = float(np.linalg.norm(xi))
     if r > constants.delta0 * (1.0 + 1e-12):
@@ -284,13 +280,13 @@ def threshold_report(
         log.warning("|xi| = %.6g outside certified ball delta0 = %.6g; "
                     "relying on the explicit spectrum check", r, constants.delta0)
 
-    fiber = assemble_fiber_matrix(coeff, params, constants.c0, modes, xi)
+    fiber = assemble_fiber_matrix(coeff, params, modes, xi).entries
     spectral = eig_hermitian(fiber)
     lam = spectral.eigenvalues
     cutoff = constants.d0 / 3.0
     f_eig = projector_by_eig(spectral, cutoff)
 
-    contour = StadiumContour(constants.d0, riesz_nodes)
+    contour = StadiumContour(constants.d0)
     riesz = projector_by_riesz(fiber, contour)
     mismatch = spectral_norm(riesz.projector - f_eig)
     if mismatch > projector_tol:
@@ -303,12 +299,11 @@ def threshold_report(
     proj_const = np.zeros((size, size), dtype=complex)
     proj_const[modes.zero_index, modes.zero_index] = 1.0
 
-    rho, rho_star = rho_and_rho_star(coeff, params, constants.c0, xi)
+    rho, rho_star = rho_and_rho_star(coeff, params, xi)
     af = lam[0] * f_eig
     f_minus_p = spectral_norm(f_eig - proj_const)
     phi_norm = hermitian_norm(af - rho * proj_const)
-    af_eff = hermitian_norm(af - constants.mu_eff * v_alpha(params, constants.c0, xi)
-                            * proj_const)
+    af_eff = hermitian_norm(af - constants.mu_eff * v_alpha(params, xi) * proj_const)
 
     return ThresholdReport(
         xi=xi,

@@ -56,12 +56,11 @@ def test_criterion_2_assembly_exactness():
     for _ in range(10):
         alpha = float(rng.uniform(0.25, 1.75))
         params = ModelParams(1, alpha)
-        c0 = compute_c0(params)
         xi = rng.uniform(-math.pi, math.pi, size=1)
-        fiber = assemble_fiber_matrix(t0, params, c0, modes, xi)
-        eff = assemble_effective_fiber(params, c0, 1.0, modes, xi)
-        off = np.abs(fiber.entries - np.diag(eff.diagonal.astype(complex)))
-        scale = float(np.max(eff.diagonal))
+        fiber = assemble_fiber_matrix(t0, params, modes, xi)
+        eff = assemble_effective_fiber(params, 1.0, modes, xi)
+        off = np.abs(fiber.entries - np.diag(eff.astype(complex)))
+        scale = float(np.max(eff))
         worst = max(worst, float(np.max(off)) / scale)
     _verdict(2, worst <= 1e-12, f"worst relative deviation from diagonal {worst:.3e}")
 
@@ -74,9 +73,8 @@ def test_criterion_3_oracle_equivalence():
     for coeff in (certify(make_t1()), certify(make_t2())):
         for alpha in (0.5, 1.0, 1.5):
             params = ModelParams(1, alpha)
-            c0 = compute_c0(params)
             for xi in (0.3, 1.0):
-                fiber = assemble_fiber_matrix(coeff, params, c0, modes, [xi])
+                fiber = assemble_fiber_matrix(coeff, params, modes, [xi])
                 for m in range(-2, 3):
                     for n in range(-2, 3):
                         closed = fiber.entries[modes.index_of([m]),
@@ -99,10 +97,9 @@ def test_criterion_4_structure_suite():
         coeff = certify(random_band_limited(rng))
         alpha = float(rng.uniform(0.25, 1.75))
         params = ModelParams(1, alpha)
-        c0 = compute_c0(params)
         xi = rng.uniform(-math.pi, math.pi, size=1)
 
-        a = assemble_fiber_matrix(coeff, params, c0, modes, xi).entries
+        a = assemble_fiber_matrix(coeff, params, modes, xi).entries
         scale = max(1.0, float(np.max(np.abs(a))))
         worst["herm"] = max(worst["herm"],
                             float(np.max(np.abs(a - a.conj().T))) / scale)
@@ -111,19 +108,19 @@ def test_criterion_4_structure_suite():
         norm = max(1.0, float(np.max(np.abs(lam))))
         worst["psd"] = max(worst["psd"], -float(lam.min()) / norm)
 
-        diag = assemble_effective_fiber(params, c0, 1.0, modes, xi).diagonal
+        diag = assemble_effective_fiber(params, 1.0, modes, xi)
         low = float(np.linalg.eigvalsh(a - coeff.mu_minus * np.diag(diag)).min())
         high = float(np.linalg.eigvalsh(coeff.mu_plus * np.diag(diag) - a).min())
         worst["sandwich"] = max(worst["sandwich"], -min(low, high) / norm)
 
-        a0 = assemble_fiber_matrix(coeff, params, c0, modes, [0.0]).entries
+        a0 = assemble_fiber_matrix(coeff, params, modes, [0.0]).entries
         z = modes.zero_index
         worst["kernel"] = max(worst["kernel"],
                               float(np.max(np.abs(a0[:, z]))),
                               float(np.max(np.abs(a0[z, :]))))
 
         lam_neg = np.linalg.eigvalsh(
-            assemble_fiber_matrix(coeff, params, c0, modes, -xi).entries)
+            assemble_fiber_matrix(coeff, params, modes, -xi).entries)
         worst["reflect"] = max(worst["reflect"],
                                float(np.max(np.abs(lam - lam_neg))) / norm)
 
@@ -146,7 +143,7 @@ def test_criterion_5_eigenvalue_bounds():
             const = theory_constants(params, coeff)
             for xi in grid:
                 lam = eig_hermitian(
-                    assemble_fiber_matrix(coeff, params, const.c0, modes, [xi])
+                    assemble_fiber_matrix(coeff, params, modes, [xi]).entries
                 ).eigenvalues
                 r = abs(xi)
                 lo = const.mu_minus * const.c0 * r ** alpha
@@ -159,7 +156,7 @@ def test_criterion_5_eigenvalue_bounds():
                     ok = False
                     details.append(f"lambda2 below d0 at xi={xi:.3f} a={alpha}")
             lam0 = eig_hermitian(
-                assemble_fiber_matrix(coeff, params, const.c0, modes, [0.0])
+                assemble_fiber_matrix(coeff, params, modes, [0.0]).entries
             ).eigenvalues
             if lam0[1] < 2 ** alpha * const.d0 - 1e-10:
                 ok = False
@@ -182,7 +179,7 @@ def test_criterion_6_projector_agreement():
     worst = 0.0
     min_nodes = 10 ** 9
     for r in (1e-3, 0.01, const.delta0 * 0.9):
-        fiber = assemble_fiber_matrix(t2, params, const.c0, modes, [r])
+        fiber = assemble_fiber_matrix(t2, params, modes, [r]).entries
         f_eig = projector_by_eig(eig_hermitian(fiber), const.d0 / 3)
         proj = projector_by_riesz(fiber, StadiumContour(const.d0, 256))
         worst = max(worst, float(np.linalg.norm(proj.projector - f_eig, 2)))
@@ -204,7 +201,7 @@ def test_criterion_7_threshold_slopes():
         params = ModelParams(1, alpha)
         const = theory_constants(params, t2)
         radii = ladder[ladder <= const.delta0]
-        reports = [threshold_report(t2, params, modes, [r], const) for r in radii]
+        reports = [threshold_report(t2, params, modes, [r]) for r in radii]
         fmp = [rep.f_minus_p_norm for rep in reports]
         slope_fmp, _ = loglog_slope(radii, fmp)
         ok &= slope_fmp >= fmp_floor
@@ -223,8 +220,7 @@ def test_criterion_7_threshold_slopes():
     # T1 at alpha = 1: the remainder vanishes identically out to |xi| = 2 pi
     t1 = certify(make_t1())
     params = ModelParams(1, 1.0)
-    c0 = compute_c0(params)
-    worst_t1 = max(abs(rho_and_rho_star(t1, params, c0, [r])[1])
+    worst_t1 = max(abs(rho_and_rho_star(t1, params, [r])[1])
                    for r in np.linspace(1e-3, 2 * math.pi, 40))
     ok &= worst_t1 <= 1e-12
     results.append(f"T1 a=1: max|rho*|={worst_t1:.1e}")
@@ -241,9 +237,7 @@ def test_criterion_8_threshold_resolvent_boundedness():
     xis = [np.zeros(1)] + [np.array([r]) for r in radii]
     sups = []
     for eps in np.geomspace(1e-3, 1e-1, 7):
-        sups.append(max(threshold_resolvent_diff(t2, params, modes, xi, eps,
-                                                 c0=const.c0,
-                                                 mu_eff=const.mu_eff)
+        sups.append(max(threshold_resolvent_diff(t2, params, modes, xi, eps)
                         for xi in xis))
     spread = max(sups) / min(sups)
     _verdict(8, spread <= 3.0,

@@ -122,6 +122,22 @@ def test_thresholds(tmp_path, capsys):
     assert len(lines) > 10
 
 
+def test_thresholds_empty_ladder_fails(tmp_path, capsys):
+    # delta0 is about 0.035 here, so no radius of 10^-1 .. 10^-0.5 lies inside
+    # the certified ball and the CSV holds only xi = 0: no slope evidence
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, xi_grid={"points_per_dim": 8, "radial_min_exp": -1.0,
+                                    "radial_max_exp": -0.5,
+                                    "radial_per_decade": 4,
+                                    "directions": "axes+diagonals"})
+    out_dir = tmp_path / "art"
+    assert main(["thresholds", "--config", str(cfg_path),
+                 "--out", str(out_dir)]) == 2
+    out = capsys.readouterr().out
+    for name in ("f_minus_p", "phi", "rho_star"):
+        assert f"slope_{name}: fail [empty ladder" in out
+
+
 def test_rate_study_and_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -180,6 +196,21 @@ def test_rate_study_alpha_one_log_footer(tmp_path):
                  "--out", str(out_dir)]) == 0
     lines = (out_dir / "rate_study.csv").read_text().splitlines()
     assert any(line.startswith("log_corrected_slope,") for line in lines)
+
+
+def test_validate_rejects_short_epsilon_span(tmp_path):
+    # one decade is below the 1.5 decades a rate study needs
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, epsilons={"min": 0.01, "max": 0.1, "count": 8})
+    assert main(["validate", "--config", str(cfg_path)]) == 1
+
+
+def test_rejects_workers_below_one(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    for workers in ("0", "-3"):
+        assert main(["validate", "--config", str(cfg_path),
+                     "--workers", workers]) == 1
 
 
 def test_oracle_check_requires_d1(tmp_path):

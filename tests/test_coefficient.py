@@ -46,19 +46,17 @@ class TestC0:
 
 class TestVAlpha:
     def test_zero(self):
-        assert v_alpha(ModelParams(1, 1.0), math.pi, [0.0]) == 0.0
+        assert v_alpha(ModelParams(1, 1.0), [0.0]) == 0.0
 
     def test_value(self):
         # c0(1,1) = pi, so V(pi/2) = pi^2/2
         params = ModelParams(1, 1.0)
-        c0 = compute_c0(params)
-        assert v_alpha(params, c0, [math.pi / 2]) == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
+        assert v_alpha(params, [math.pi / 2]) == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
 
     def test_even(self):
         params = ModelParams(2, 0.7)
-        c0 = compute_c0(params)
         xi = np.array([0.3, -1.1])
-        assert v_alpha(params, c0, xi) == v_alpha(params, c0, -xi)
+        assert v_alpha(params, xi) == v_alpha(params, -xi)
 
 
 class TestEffectiveMu:
@@ -147,7 +145,7 @@ class TestGapConstants:
         from dataclasses import replace
         coeff = replace(constant_coefficient(1, 1.0), mu_minus=0.5, mu_plus=1.5)
         params = ModelParams(1, 1.0)
-        delta0, d0 = delta0_and_d0(params, compute_c0(params), coeff)
+        delta0, d0 = delta0_and_d0(params, coeff)
         assert delta0 == pytest.approx(math.pi / 9, rel=1e-12)
         assert d0 == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
 
@@ -155,14 +153,14 @@ class TestGapConstants:
         for alpha in (0.5, 1.0, 1.5):
             params = ModelParams(1, alpha)
             coeff = certify(constant_coefficient(1, 1.0))
-            delta0, _ = delta0_and_d0(params, compute_c0(params), coeff)
+            delta0, _ = delta0_and_d0(params, coeff)
             assert delta0 == pytest.approx(math.pi * 3 ** (-1 / alpha), rel=1e-12)
             assert delta0 < math.pi
 
     def test_requires_certification(self):
         params = ModelParams(1, 1.0)
         with pytest.raises(ValueError):
-            delta0_and_d0(params, compute_c0(params), constant_coefficient(1, 1.0))
+            delta0_and_d0(params, constant_coefficient(1, 1.0))
 
 
 class TestTheta:
@@ -184,7 +182,6 @@ class TestTheta:
 
     def test_theory_constants_bundle(self, t2, params_half):
         const = theory_constants(params_half, t2)
-        assert const.theta(np.zeros(1)) == 0.0
         assert 0.0 < const.delta0 < math.pi
         assert const.d0 == pytest.approx(
             const.mu_minus * const.c0 * math.pi ** 0.5, rel=1e-12)

@@ -34,98 +34,86 @@ class TestModeSet:
 
 class TestAssembly:
     def test_constant_is_diagonal(self, t0, params_half):
-        c0 = compute_c0(params_half)
         modes = ModeSet(1, 8)
         rng = np.random.default_rng(3)
         for _ in range(5):
             xi = rng.uniform(-math.pi, math.pi, size=1)
-            fiber = assemble_fiber_matrix(t0, params_half, c0, modes, xi)
-            eff = assemble_effective_fiber(params_half, c0, 1.0, modes, xi)
+            fiber = assemble_fiber_matrix(t0, params_half, modes, xi)
+            eff = assemble_effective_fiber(params_half, 1.0, modes, xi)
             off = fiber.entries - np.diag(np.diag(fiber.entries))
             assert np.max(np.abs(off)) == 0.0
             diag = np.diag(fiber.entries).real
-            assert np.allclose(diag, eff.diagonal, rtol=1e-12, atol=0.0)
+            assert np.allclose(diag, eff, rtol=1e-12, atol=0.0)
 
     def test_t2_entry_value(self, t2, params_one):
         # closed form at (m, n) = (1, -1), xi = 1: (pi/16)(2 - 4 pi)
-        c0 = compute_c0(params_one)
         modes = ModeSet(1, 4)
-        fiber = assemble_fiber_matrix(t2, params_one, c0, modes, [1.0])
+        fiber = assemble_fiber_matrix(t2, params_one, modes, [1.0])
         got = fiber.entries[modes.index_of([1]), modes.index_of([-1])]
         assert got == pytest.approx((math.pi / 16) * (2 - 4 * math.pi), rel=1e-12)
 
     def test_zero_mode_column_exact_at_zero(self, t2, params_three_halves):
-        c0 = compute_c0(params_three_halves)
         modes = ModeSet(1, 16)
-        fiber = assemble_fiber_matrix(t2, params_three_halves, c0, modes, [0.0])
+        fiber = assemble_fiber_matrix(t2, params_three_halves, modes, [0.0])
         z = modes.zero_index
         assert np.max(np.abs(fiber.entries[:, z])) == 0.0
         assert np.max(np.abs(fiber.entries[z, :])) == 0.0
 
     def test_truncation_too_small(self, t2, params_one):
-        c0 = compute_c0(params_one)
         with pytest.raises(TruncationTooSmall):
-            assemble_fiber_matrix(t2, params_one, c0, ModeSet(1, 1), [0.0])
+            assemble_fiber_matrix(t2, params_one, ModeSet(1, 1), [0.0])
 
     def test_effective_example(self, params_one):
         # mu0=1, d=1, alpha=1, xi=0, N=1 -> diag(2 pi^2, 0, 2 pi^2)
-        c0 = compute_c0(params_one)
-        eff = assemble_effective_fiber(params_one, c0, 1.0, ModeSet(1, 1), [0.0])
-        assert eff.diagonal == pytest.approx(
+        eff = assemble_effective_fiber(params_one, 1.0, ModeSet(1, 1), [0.0])
+        assert eff == pytest.approx(
             [2 * math.pi ** 2, 0.0, 2 * math.pi ** 2], rel=1e-12)
 
     def test_effective_matches_constant_assembly(self, t0, params_three_halves):
-        c0 = compute_c0(params_three_halves)
         modes = ModeSet(1, 6)
         xi = np.array([0.7])
-        fiber = assemble_fiber_matrix(t0, params_three_halves, c0, modes, xi)
-        eff = assemble_effective_fiber(params_three_halves, c0, 1.0, modes, xi)
-        assert np.allclose(fiber.entries, eff.entries, rtol=1e-13, atol=0.0)
+        fiber = assemble_fiber_matrix(t0, params_three_halves, modes, xi)
+        eff = assemble_effective_fiber(params_three_halves, 1.0, modes, xi)
+        assert np.allclose(fiber.entries, np.diag(eff), rtol=1e-13, atol=0.0)
 
 
 class TestRho:
     def test_constant_at_half_pi(self, t0, params_one):
-        c0 = compute_c0(params_one)
-        rho, rho_star = rho_and_rho_star(t0, params_one, c0, [math.pi / 2])
+        rho, rho_star = rho_and_rho_star(t0, params_one, [math.pi / 2])
         assert rho == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
         assert rho_star == 0.0
 
     def test_zero_xi(self, t2, params_half):
-        c0 = compute_c0(params_half)
-        rho, rho_star = rho_and_rho_star(t2, params_half, c0, [0.0])
+        rho, rho_star = rho_and_rho_star(t2, params_half, [0.0])
         assert rho == 0.0
         assert rho_star == 0.0
 
     def test_t1_rho_star_vanishes_alpha_one(self, t1, params_one):
         # |2 pi - xi| + |2 pi + xi| - 4 pi = 0 for |xi| <= 2 pi at alpha = 1
-        c0 = compute_c0(params_one)
         for r in np.linspace(0.1, 2 * math.pi, 17):
-            _, rho_star = rho_and_rho_star(t1, params_one, c0, [r])
+            _, rho_star = rho_and_rho_star(t1, params_one, [r])
             assert abs(rho_star) <= 1e-12
 
     def test_matches_zero_mode_diagonal(self, t2, params_three_halves):
-        c0 = compute_c0(params_three_halves)
         modes = ModeSet(1, 8)
         for r in (0.01, 0.3, 1.0):
-            rho, _ = rho_and_rho_star(t2, params_three_halves, c0, [r])
-            fiber = assemble_fiber_matrix(t2, params_three_halves, c0, modes, [r])
+            rho, _ = rho_and_rho_star(t2, params_three_halves, [r])
+            fiber = assemble_fiber_matrix(t2, params_three_halves, modes, [r])
             diag = fiber.entries[modes.zero_index, modes.zero_index].real
             assert rho == pytest.approx(diag, rel=1e-12)
 
     def test_rho_nonnegative(self, t2):
         for alpha in (0.5, 1.0, 1.5):
             params = ModelParams(1, alpha)
-            c0 = compute_c0(params)
             for r in np.geomspace(1e-4, 3.0, 12):
-                rho, _ = rho_and_rho_star(t2, params, c0, [r])
+                rho, _ = rho_and_rho_star(t2, params, [r])
                 assert rho >= -1e-15
 
     def test_rho_star_slope_above_one(self, t2, params_three_halves):
         # remainder bound |rho*| <= C |xi|^2 for alpha > 1: slope >= 2 - 0.1
         from levyhom import loglog_slope
-        c0 = compute_c0(params_three_halves)
         radii = np.geomspace(1e-3, 1e-1, 12)
-        vals = [abs(rho_and_rho_star(t2, params_three_halves, c0, [r])[1])
+        vals = [abs(rho_and_rho_star(t2, params_three_halves, [r])[1])
                 for r in radii]
         slope, _ = loglog_slope(radii, vals)
         assert slope >= 2.0 - 0.1
@@ -137,7 +125,7 @@ class TestRho:
         c0 = compute_c0(params)
         modes = ModeSet(2, 4)
         xi = np.array([0.4, -0.9])
-        fiber = assemble_fiber_matrix(coeff, params, c0, modes, xi)
+        fiber = assemble_fiber_matrix(coeff, params, modes, xi)
         a = fiber.entries
         assert a.shape == (81, 81)
         assert _herm_defect(a) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
@@ -145,7 +133,7 @@ class TestRho:
         r = float(np.linalg.norm(xi))
         assert coeff.mu_minus * c0 * r ** 0.8 - 1e-10 <= lam[0]
         assert lam[0] <= coeff.mu_plus * c0 * r ** 0.8 + 1e-10
-        rho, _ = rho_and_rho_star(coeff, params, c0, xi)
+        rho, _ = rho_and_rho_star(coeff, params, xi)
         z = modes.zero_index
         assert rho == pytest.approx(a[z, z].real, rel=1e-12)
 
@@ -170,9 +158,8 @@ class TestOracle:
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_matches_closed_form(self, t2, alpha):
         params = ModelParams(1, alpha)
-        c0 = compute_c0(params)
         modes = ModeSet(1, 2)
-        fiber = assemble_fiber_matrix(t2, params, c0, modes, [0.3])
+        fiber = assemble_fiber_matrix(t2, params, modes, [0.3])
         for m, n in ((0, 0), (1, -1), (2, 0), (-1, 1), (1, 1)):
             closed = fiber.entries[modes.index_of([m]), modes.index_of([n])]
             if closed == 0:
@@ -200,9 +187,8 @@ class TestStructure:
             coeff = certify(random_band_limited(rng))
             alpha = float(rng.uniform(0.2, 1.8))
             params = ModelParams(1, alpha)
-            c0 = compute_c0(params)
             xi = rng.uniform(-math.pi, math.pi, size=1)
-            fiber = assemble_fiber_matrix(coeff, params, c0, modes, xi)
+            fiber = assemble_fiber_matrix(coeff, params, modes, xi)
             a = fiber.entries
             scale = max(1.0, float(np.max(np.abs(a))))
             assert _herm_defect(a) <= 1e-12 * scale
@@ -211,7 +197,7 @@ class TestStructure:
             norm = max(1.0, float(np.max(np.abs(lam))))
             assert lam.min() >= -1e-10 * norm
 
-            a0 = assemble_effective_fiber(params, c0, 1.0, modes, xi).diagonal
+            a0 = assemble_effective_fiber(params, 1.0, modes, xi)
             low = np.linalg.eigvalsh(a - coeff.mu_minus * np.diag(a0))
             high = np.linalg.eigvalsh(coeff.mu_plus * np.diag(a0) - a)
             assert low.min() >= -1e-10 * norm
@@ -219,16 +205,15 @@ class TestStructure:
 
             # xi -> -xi conjugates the matrix under n -> -n: same spectrum
             lam_neg = np.linalg.eigvalsh(
-                assemble_fiber_matrix(coeff, params, c0, modes, -xi).entries)
+                assemble_fiber_matrix(coeff, params, modes, -xi).entries)
             assert np.max(np.abs(lam - lam_neg)) <= 1e-10 * norm
 
 
 class TestFormDifference:
     def test_zero_at_zero(self, t2, params_half):
-        c0 = compute_c0(params_half)
         modes = ModeSet(1, 6)
-        a0 = assemble_fiber_matrix(t2, params_half, c0, modes, [0.0]).entries
-        again = assemble_fiber_matrix(t2, params_half, c0, modes, [0.0]).entries
+        a0 = assemble_fiber_matrix(t2, params_half, modes, [0.0]).entries
+        again = assemble_fiber_matrix(t2, params_half, modes, [0.0]).entries
         assert np.max(np.abs(a0 - again)) == 0.0
 
     def test_c1_exceeds_c0_below_one(self):
@@ -237,15 +222,20 @@ class TestFormDifference:
             params = ModelParams(1, alpha)
             assert c1_constant(params) > compute_c0(params)
 
-    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.5])
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.5, 0.7, 0.9])
     def test_c1_against_crude_riemann_sum(self, alpha):
-        # independent low-tech check: midpoint sum of the defining integral
-        z = np.linspace(1e-6, 400.0, 4_000_000)
-        dz = z[1] - z[0]
-        crude = 2.0 * np.sum(2.0 * np.abs(np.sin(z / 2.0)) / z ** (1 + alpha)) * dz
-        tail = 4.0 * (2.0 / math.pi) * 400.0 ** (-alpha) / alpha
+        # independent low-tech check of the defining integral over z > 0,
+        # doubled: on [0, h] the series 2 sin(z/2) = z - z^3/24 + ... integrates
+        # in closed form against the z^(-1-a) singularity, a midpoint sum covers
+        # [h, 400], and |sin| averages 2/pi over the tail
+        h, top, n = 1e-2, 400.0, 4_000_000
+        head = h ** (1 - alpha) / (1 - alpha) - h ** (3 - alpha) / (24 * (3 - alpha))
+        dz = (top - h) / n
+        z = h + dz * (np.arange(n) + 0.5)
+        body = np.sum(2.0 * np.abs(np.sin(z / 2.0)) / z ** (1 + alpha)) * dz
+        tail = 4.0 * (2.0 / math.pi) * top ** (-alpha) / alpha
         got = c1_constant(ModelParams(1, alpha))
-        assert got == pytest.approx(crude + tail, rel=2e-2)
+        assert got == pytest.approx(2.0 * (head + body) + tail, rel=1e-3)
 
     def test_subcritical_bound_constant_coeff(self, t0, params_half):
         modes = ModeSet(1, 8)

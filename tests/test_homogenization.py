@@ -62,10 +62,8 @@ class TestResolventDiff:
         b = fiber_resolvent_diff(t2, params_three_halves, modes, [0.3], 0.01)
         assert a == b
         # epsilon enters only through the spectral shift eps^alpha
-        c0 = compute_c0(params_three_halves)
-        symbol = assemble_effective_fiber(params_three_halves, c0, 1.0, modes,
-                                          [0.3]).diagonal
-        shifted = _resolvent_diffs(t2, params_three_halves, c0, modes, [0.3],
+        symbol = assemble_effective_fiber(params_three_halves, 1.0, modes, [0.3])
+        shifted = _resolvent_diffs(t2, params_three_halves, modes, [0.3],
                                    symbol, [0.01 ** 1.5])
         assert a == shifted[0]
 
@@ -94,11 +92,10 @@ class TestResolventDiff:
         params = ModelParams(dimension, 1.9)
         modes = ModeSet(dimension, truncation)
         xi, eps = np.zeros(dimension), 1e-3
-        c0 = compute_c0(params)
         shift = eps ** params.alpha
-        a = assemble_fiber_matrix(coeff, params, c0, modes, xi).entries
+        a = assemble_fiber_matrix(coeff, params, modes, xi).entries
         res = np.linalg.inv(a + shift * np.eye(modes.size))
-        diag = assemble_effective_fiber(params, c0, 1.0, modes, xi).diagonal
+        diag = assemble_effective_fiber(params, 1.0, modes, xi)
         effective = np.linalg.norm(res - np.diag(1.0 / (diag + shift)), 2)
         res[modes.zero_index, modes.zero_index] -= 1.0 / shift
         rank_one = np.linalg.norm(res, 2)
@@ -222,8 +219,8 @@ class TestDiscrepancyStudy:
         import levyhom.homogenization as hom
         real = hom._sup_over_grid
 
-        def skewed(coeff, params, c0, mu0, modes, grid, shifts, workers):
-            vals, idx = real(coeff, params, c0, mu0, modes, grid, shifts, workers)
+        def skewed(coeff, params, modes, grid, shifts, workers):
+            vals, idx = real(coeff, params, modes, grid, shifts, workers)
             if modes.truncation > 8:
                 vals = vals * 1.2
             return vals, idx

@@ -16,15 +16,14 @@ class TestEig:
         c0 = compute_c0(params_half)
         modes = ModeSet(1, 6)
         xi = np.array([0.4])
-        fiber = assemble_fiber_matrix(t0, params_half, c0, modes, xi)
+        fiber = assemble_fiber_matrix(t0, params_half, modes, xi).entries
         got = eig_hermitian(fiber).eigenvalues
         expect = np.sort(c0 * np.abs(2 * np.pi * np.arange(-6, 7) + 0.4) ** 0.5)
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
 
     def test_zero_xi_kernel(self, t2, params_one):
-        c0 = compute_c0(params_one)
         modes = ModeSet(1, 8)
-        fiber = assemble_fiber_matrix(t2, params_one, c0, modes, [0.0])
+        fiber = assemble_fiber_matrix(t2, params_one, modes, [0.0]).entries
         data = eig_hermitian(fiber)
         assert abs(data.eigenvalues[0]) <= 1e-13
         v = data.eigenvectors[:, 0]
@@ -48,19 +47,17 @@ class TestEig:
 
 class TestProjectorByEig:
     def test_zero_xi_is_zero_mode_projector(self, t2, params_one):
-        c0 = compute_c0(params_one)
         modes = ModeSet(1, 8)
         const = theory_constants(params_one, t2)
-        fiber = assemble_fiber_matrix(t2, params_one, c0, modes, [0.0])
+        fiber = assemble_fiber_matrix(t2, params_one, modes, [0.0]).entries
         f = projector_by_eig(eig_hermitian(fiber), const.d0 / 3)
         p = np.zeros_like(f)
         p[modes.zero_index, modes.zero_index] = 1.0
         assert np.max(np.abs(f - p)) <= 1e-12
 
     def test_gap_violation_counts(self, t0, params_one):
-        c0 = compute_c0(params_one)
         modes = ModeSet(1, 4)
-        fiber = assemble_fiber_matrix(t0, params_one, c0, modes, [0.3])
+        fiber = assemble_fiber_matrix(t0, params_one, modes, [0.3]).entries
         data = eig_hermitian(fiber)
         with pytest.raises(GapViolation):
             projector_by_eig(data, cutoff=1e-6)      # zero below
@@ -70,10 +67,9 @@ class TestProjectorByEig:
     def test_rank_one_slightly_outside_ball(self, t2, params_one):
         # separation, not the certified radius, is what the projector needs
         const = theory_constants(params_one, t2)
-        c0 = const.c0
         modes = ModeSet(1, 8)
         xi = np.array([const.delta0 * 1.05])
-        fiber = assemble_fiber_matrix(t2, params_one, c0, modes, xi)
+        fiber = assemble_fiber_matrix(t2, params_one, modes, xi).entries
         data = eig_hermitian(fiber)
         assert data.eigenvalues[1] >= const.d0
         f = projector_by_eig(data, const.d0 / 3)
@@ -112,7 +108,7 @@ class TestRiesz:
     def test_constant_zero_xi(self, t0, params_one):
         const = theory_constants(params_one, t0)
         modes = ModeSet(1, 6)
-        fiber = assemble_fiber_matrix(t0, params_one, const.c0, modes, [0.0])
+        fiber = assemble_fiber_matrix(t0, params_one, modes, [0.0]).entries
         proj = projector_by_riesz(fiber, StadiumContour(const.d0, 256))
         assert proj.nodes >= 256
         p = np.zeros((modes.size, modes.size))
@@ -123,7 +119,7 @@ class TestRiesz:
     def test_agreement_and_projector_axioms(self, t2, params_half):
         const = theory_constants(params_half, t2)
         modes = ModeSet(1, 8)
-        fiber = assemble_fiber_matrix(t2, params_half, const.c0, modes, [0.02])
+        fiber = assemble_fiber_matrix(t2, params_half, modes, [0.02]).entries
         data = eig_hermitian(fiber)
         f_eig = projector_by_eig(data, const.d0 / 3)
         proj = projector_by_riesz(fiber, StadiumContour(const.d0, 256))
@@ -145,9 +141,8 @@ class TestRiesz:
 
 class TestThresholdReport:
     def test_zero_xi_all_zero(self, t2, params_half):
-        const = theory_constants(params_half, t2)
         modes = ModeSet(1, 8)
-        rep = threshold_report(t2, params_half, modes, [0.0], const)
+        rep = threshold_report(t2, params_half, modes, [0.0])
         assert rep.lambda1 == pytest.approx(0.0, abs=1e-12)
         assert rep.f_minus_p_norm <= 1e-10
         assert rep.phi_norm <= 1e-10
@@ -158,7 +153,7 @@ class TestThresholdReport:
         const = theory_constants(params_half, t0)
         modes = ModeSet(1, 8)
         for r in (0.01, 0.1, const.delta0 * 0.9):
-            rep = threshold_report(t0, params_half, modes, [r], const)
+            rep = threshold_report(t0, params_half, modes, [r])
             assert rep.f_minus_p_norm <= 1e-10
             assert rep.af_minus_effective_norm <= 1e-10
             assert rep.rho_star == pytest.approx(0.0, abs=1e-14)
@@ -167,7 +162,7 @@ class TestThresholdReport:
         const = theory_constants(params_three_halves, t2)
         modes = ModeSet(1, 8)
         for r in (1e-3, 0.05, const.delta0 * 0.8):
-            rep = threshold_report(t2, params_three_halves, modes, [r], const)
+            rep = threshold_report(t2, params_three_halves, modes, [r])
             lo = const.mu_minus * const.c0 * r ** 1.5
             hi = const.mu_plus * const.c0 * r ** 1.5
             assert lo - 1e-12 <= rep.lambda1 <= hi + 1e-12
@@ -183,7 +178,7 @@ class TestThresholdReport:
             const = theory_constants(params, t2)
             radii = np.geomspace(1e-3, 1e-1, 12)
             radii = radii[radii <= const.delta0]
-            vals = [threshold_report(t2, params, modes, [r], const).af_minus_effective_norm
+            vals = [threshold_report(t2, params, modes, [r]).af_minus_effective_norm
                     for r in radii]
             slope, _ = loglog_slope(radii, vals)
             assert slope >= floor
