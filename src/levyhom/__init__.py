@@ -24,7 +24,7 @@ from .homogenization import (RateFit, RateStudyResult, XiGrid, build_xi_grid,
                              discrepancy_study, fiber_resolvent_diff,
                              fit_rate, loglog_slope, rate_bound,
                              slope_widening, threshold_resolvent_diff)
-from .spectral import (RieszProjection, SpectralData, StadiumContour,
+from .spectral import (CircleContour, RieszProjection, SpectralData,
                        ThresholdReport, eig_hermitian, projector_by_eig,
                        projector_by_riesz, threshold_report)
 

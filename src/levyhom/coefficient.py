@@ -43,10 +43,6 @@ class ModelParams:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
 
     @property
-    def gamma(self) -> float:
-        return self.alpha / 2.0
-
-    @property
     def c0(self) -> float:
         """Normalization constant of (-Delta)^(alpha/2); see :func:`compute_c0`."""
         return compute_c0(self)
@@ -86,9 +82,6 @@ class PeriodicCoefficient:
         for (k, l) in self.modes:
             span = max(span, max((abs(a + b) for a, b in zip(k, l)), default=0))
         return span
-
-    def amplitude_sum(self) -> float:
-        return float(sum(abs(a) for a in self.modes.values()))
 
 
 def constant_coefficient(dimension: int, value: float = 1.0) -> PeriodicCoefficient:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from levyhom import (ModeSet, ModelParams, StadiumContour,
+from levyhom import (CircleContour, ModeSet, ModelParams,
                      assemble_effective_fiber, assemble_fiber_matrix, certify,
                      compute_c0, constant_coefficient, discrepancy_study,
                      eig_hermitian, build_xi_grid, loglog_slope,
@@ -172,8 +172,8 @@ def test_criterion_6_projector_agreement():
     const = theory_constants(params, t2)
     modes = ModeSet(1, N_STANDARD)
 
-    length = const.d0 * (2 * math.pi + 2) / 3
-    arc_err = max(abs(StadiumContour(const.d0, n).arclength - length) / length
+    length = math.pi * const.d0
+    arc_err = max(abs(CircleContour(const.d0, n).arclength - length) / length
                   for n in (256, 512))
 
     worst = 0.0
@@ -181,7 +181,7 @@ def test_criterion_6_projector_agreement():
     for r in (1e-3, 0.01, const.delta0 * 0.9):
         fiber = assemble_fiber_matrix(t2, params, modes, [r]).entries
         f_eig = projector_by_eig(eig_hermitian(fiber), const.d0 / 3)
-        proj = projector_by_riesz(fiber, StadiumContour(const.d0, 256))
+        proj = projector_by_riesz(fiber, CircleContour(const.d0, 256))
         worst = max(worst, float(np.linalg.norm(proj.projector - f_eig, 2)))
         min_nodes = min(min_nodes, proj.nodes)
     ok = worst <= 1e-8 and min_nodes >= 256 and arc_err <= 1e-10

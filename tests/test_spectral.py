@@ -1,12 +1,12 @@
-"""Eigen-analysis, stadium contour, Riesz projectors, threshold reports."""
+"""Eigen-analysis, circular contour, Riesz projectors, threshold reports."""
 
 import math
 
 import numpy as np
 import pytest
 
-from levyhom import (ContourTooClose, GapViolation, ModeSet, ModelParams,
-                     StadiumContour, assemble_fiber_matrix, compute_c0,
+from levyhom import (CircleContour, ContourTooClose, GapViolation, ModeSet,
+                     ModelParams, assemble_fiber_matrix, compute_c0,
                      eig_hermitian, loglog_slope, projector_by_eig,
                      projector_by_riesz, theory_constants, threshold_report)
 
@@ -76,28 +76,28 @@ class TestProjectorByEig:
         assert np.trace(f).real == pytest.approx(1.0, abs=1e-12)
 
 
-class TestStadiumContour:
+class TestCircleContour:
     def test_arclength_formula(self):
         d0 = 4.7635
-        expect = d0 * (2 * math.pi + 2) / 3
+        expect = math.pi * d0
         for n in (128, 256, 512):
-            contour = StadiumContour(d0, n)
+            contour = CircleContour(d0, n)
             assert abs(contour.arclength - expect) / expect <= 1e-10
 
     def test_rightmost_point(self):
-        contour = StadiumContour(6.0, 256)
+        contour = CircleContour(6.0, 256)
         assert contour.rightmost == pytest.approx(4.0, rel=1e-14)
 
     def test_distance_to_real(self):
-        contour = StadiumContour(3.0, 128)
+        contour = CircleContour(3.0, 128)
         r = 1.0  # d0 / 3
         assert contour.distance_to_real(0.0) == pytest.approx(r)
-        assert contour.distance_to_real(0.5) == pytest.approx(r)
+        assert contour.distance_to_real(0.5) == pytest.approx(1.5)
         assert contour.distance_to_real(2.0) == pytest.approx(0.0)
         assert contour.distance_to_real(3.0) == pytest.approx(1.0)
 
     def test_counterclockwise(self):
-        contour = StadiumContour(3.0, 512)
+        contour = CircleContour(3.0, 512)
         # winding of the node polygon around the enclosed segment midpoint
         z = contour.points - 0.5
         winding = np.sum(np.angle(np.roll(z, -1) / z)) / (2 * math.pi)
@@ -109,12 +109,11 @@ class TestRiesz:
         const = theory_constants(params_one, t0)
         modes = ModeSet(1, 6)
         fiber = assemble_fiber_matrix(t0, params_one, modes, [0.0]).entries
-        proj = projector_by_riesz(fiber, StadiumContour(const.d0, 256))
+        proj = projector_by_riesz(fiber, CircleContour(const.d0, 256))
         assert proj.nodes >= 256
         p = np.zeros((modes.size, modes.size))
         p[modes.zero_index, modes.zero_index] = 1.0
         assert np.linalg.norm(proj.projector - p, 2) <= 1e-8
-        assert np.linalg.norm(proj.operator_projector, 2) <= 1e-8
 
     def test_agreement_and_projector_axioms(self, t2, params_half):
         const = theory_constants(params_half, t2)
@@ -122,24 +121,67 @@ class TestRiesz:
         fiber = assemble_fiber_matrix(t2, params_half, modes, [0.02]).entries
         data = eig_hermitian(fiber)
         f_eig = projector_by_eig(data, const.d0 / 3)
-        proj = projector_by_riesz(fiber, StadiumContour(const.d0, 256))
+        proj = projector_by_riesz(fiber, CircleContour(const.d0, 256))
         f = proj.projector
         assert np.linalg.norm(f - f_eig, 2) <= 1e-8
         assert np.linalg.norm(f @ f - f, 2) <= 1e-8
         assert np.max(np.abs(f - f.conj().T)) <= 1e-8
         assert np.trace(f).real == pytest.approx(1.0, abs=1e-8)
-        # first moment: A F = lambda_1 F
-        assert np.linalg.norm(proj.operator_projector
-                              - data.eigenvalues[0] * f_eig, 2) <= 1e-8
 
     def test_contour_too_close(self):
         d0 = 3.0
         a = np.diag([2.0 * d0 / 3.0, 2.0 * d0])   # eigenvalue on the contour
         with pytest.raises(ContourTooClose):
-            projector_by_riesz(a, StadiumContour(d0, 128))
+            projector_by_riesz(a, CircleContour(d0, 128))
+
+
+def _outside_point(d0, side, gap):
+    """Real point at distance `gap` outside the circle on the given side."""
+    return -d0 / 3.0 - gap if side == "left" else 2.0 * d0 / 3.0 + gap
+
+
+class TestGuardBand:
+    D0 = 3.0
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_converges_just_outside_guard(self, side):
+        d0 = self.D0
+        a = np.diag([0.0, _outside_point(d0, side, 1.01 * d0 / 30.0), 2.0 * d0])
+        proj = projector_by_riesz(a, CircleContour(d0))
+        assert proj.nodes <= 2048
+        assert np.linalg.norm(proj.projector - np.diag([1.0, 0.0, 0.0]), 2) <= 1e-12
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_too_close_inside_guard(self, side):
+        d0 = self.D0
+        a = np.diag([0.0, _outside_point(d0, side, 0.99 * d0 / 30.0)])
+        with pytest.raises(ContourTooClose):
+            projector_by_riesz(a, CircleContour(d0))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_distance_matches_segment_guard(self, side):
+        # off [0, d0/3] the circle is as far from the real axis as a curve at
+        # distance d0/3 around that segment, so the d0/30 guard is unchanged
+        d0 = self.D0
+        contour = CircleContour(d0)
+        for gap in np.linspace(1e-3, 2.0 * d0, 41):
+            v = -gap if side == "left" else d0 / 3.0 + gap
+            expect = abs(max(0.0, -v, v - d0 / 3.0) - d0 / 3.0)
+            assert contour.distance_to_real(v) == pytest.approx(expect, rel=1e-14,
+                                                                abs=1e-15)
 
 
 class TestThresholdReport:
+    @pytest.mark.parametrize("which, alpha", [("t1", 1.0), ("t2", 0.5)])
+    def test_riesz_nodes_and_agreement(self, which, alpha, request):
+        coeff = request.getfixturevalue(which)
+        params = ModelParams(1, alpha)
+        const = theory_constants(params, coeff)
+        for r in (0.0, 1e-3, const.delta0 / 2):
+            rep = threshold_report(coeff, params, ModeSet(1, 8), [r])
+            assert rep.riesz_nodes == 256
+            assert rep.riesz_vs_eig <= 1e-12
+
     def test_zero_xi_all_zero(self, t2, params_half):
         modes = ModeSet(1, 8)
         rep = threshold_report(t2, params_half, modes, [0.0])
