@@ -8,8 +8,9 @@ from .coefficient import (CoefficientCertificate, ModelParams,
                           PeriodicCoefficient, TheoryConstants, certify,
                           coefficient_from_records, compute_c0,
                           constant_coefficient, delta0_and_d0, effective_mu,
-                          mu_star_coefficients, oracle_c0, theory_constants,
-                          theta_modulus, v_alpha, validate_coefficient)
+                          oracle_c0, rate_function, rate_profile,
+                          theory_constants, theta_modulus, v_alpha,
+                          validate_coefficient)
 from .config import EpsilonSpec, StudyConfig, Tolerances, XiGridSpec
 from .errors import (BoundViolated, ContourTooClose, ConvergenceFailure,
                      DegenerateFit, GapViolation, LevyhomError,
@@ -20,9 +21,9 @@ from .fiber import (FiberMatrix, ModeSet, OracleValue, QuadConfig,
                     assemble_effective_fiber, assemble_fiber_matrix,
                     c1_constant, form_difference_checks, oracle_form_element,
                     rho_and_rho_star)
-from .homogenization import (RateFit, RateStudyResult, XiGrid, build_xi_grid,
+from .homogenization import (RateStudyResult, XiGrid, build_xi_grid,
                              discrepancy_study, fiber_resolvent_diff,
-                             fit_rate, loglog_slope, rate_bound,
+                             loglog_slope, rate_bound, slope_check,
                              slope_widening, threshold_resolvent_diff)
 from .spectral import (CircleContour, RieszProjection, SpectralData,
                        ThresholdReport, eig_hermitian, projector_by_eig,

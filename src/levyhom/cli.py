@@ -24,8 +24,8 @@ from .coefficient import (ModelParams, certify, oracle_c0, theory_constants,
 from .config import StudyConfig
 from .errors import LevyhomError, TruncationUnstable
 from .fiber import ModeSet, assemble_fiber_matrix, oracle_form_element
-from .homogenization import (XiGrid, discrepancy_study, loglog_slope,
-                             rate_bound, slope_widening)
+from .homogenization import (XiGrid, discrepancy_study, rate_bound,
+                             slope_check, slope_widening)
 from .spectral import threshold_report
 
 log = logging.getLogger(__name__)
@@ -138,59 +138,15 @@ def cmd_fiber(cfg: StudyConfig, out_dir: str, workers: int | None,
         if xi.size == 1 and cfg.dimension > 1:
             xi = np.concatenate([xi, np.zeros(cfg.dimension - 1)])
         fiber = assemble_fiber_matrix(coeff, params, modes, xi)
-        header = []
-        for j in range(modes.size):
-            header += [f"re_{j}", f"im_{j}"]
-        rows = []
-        for row in fiber.entries:
-            flat = []
-            for z in row:
-                flat += [float(z.real), float(z.imag)]
-            rows.append(flat)
+        header = [f"{part}_{j}" for j in range(modes.size) for part in ("re", "im")]
         path = os.path.join(out_dir, f"fiber_{idx}.csv")
-        write_csv(path, header, rows, digest=cfg.digest())
+        write_csv(path, header, fiber.entries.view(float), digest=cfg.digest())
         report.artifacts.append(path)
         herm = float(np.max(np.abs(fiber.entries - fiber.entries.conj().T)))
         scale = max(1.0, float(np.max(np.abs(fiber.entries))))
         report.add(f"hermitian_xi{idx}", "pass" if herm <= 1e-12 * scale else "fail",
                    margin=herm)
     return report
-
-
-# per-quantity extra slope margin; the second-order quantity gets +0.05
-_PHI_EXTRA_MARGIN = 0.05
-
-
-def _threshold_requirement(alpha: float, quantity: str, margin: float):
-    """Expected log-log slope floor and regressor kind per quantity."""
-    if alpha == 1.0:
-        # regress against the quantity's own logarithmic rate function
-        return "rate", 1.0 - margin
-    if quantity == "f_minus_p":
-        expo = alpha if alpha < 1.0 else 1.0
-    elif quantity == "phi":
-        expo = 2.0 * alpha if alpha < 1.0 else 2.0
-        margin = margin + _PHI_EXTRA_MARGIN
-    elif quantity == "rho_star":
-        expo = 1.0 + alpha if alpha < 1.0 else 2.0
-    else:
-        raise ValueError(quantity)
-    return "xi", expo - margin
-
-
-def _threshold_rate(alpha: float, quantity: str, r: np.ndarray) -> np.ndarray:
-    theta = np.array([theta_modulus(alpha, v) for v in r])
-    if quantity == "f_minus_p":
-        return theta
-    if quantity == "phi":
-        return theta ** 2
-    if quantity == "rho_star":
-        if alpha < 1.0:
-            return r ** (1.0 + alpha)
-        if alpha == 1.0:
-            return r ** 2 * (1.0 + np.abs(np.log(r)))
-        return r ** 2
-    raise ValueError(quantity)
 
 
 def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
@@ -248,9 +204,10 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
                margin=float(np.min(lam2) - constants.d0))
 
     margin = cfg.tolerances.slope_margin + slope_widening(params.alpha)
-    quantities = {"f_minus_p": arr[:, d + 3], "phi": arr[:, d + 4],
-                  "rho_star": np.abs(arr[:, d + 7])}
-    for name, vals in quantities.items():
+    quantities = {"f_minus_p": ("theta", arr[:, d + 3]),
+                  "phi": ("phi", arr[:, d + 4]),
+                  "rho_star": ("rho_star", np.abs(arr[:, d + 7]))}
+    for name, (quantity, vals) in quantities.items():
         r, v = norms[ladder], vals[ladder]
         if r.size == 0:
             report.add(f"slope_{name}", "fail",
@@ -260,10 +217,8 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
         if np.all(v <= 1e-12):
             report.add(f"slope_{name}", "pass", detail="identically zero")
             continue
-        kind, floor = _threshold_requirement(params.alpha, name, margin)
-        x = r if kind == "xi" else _threshold_rate(params.alpha, name, r)
         try:
-            slope, _ = loglog_slope(x, v)
+            slope, floor = slope_check(r, v, params.alpha, quantity, margin)
         except LevyhomError as exc:
             report.add(f"slope_{name}", "fail", detail=str(exc))
             continue
@@ -293,7 +248,7 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
                 else "exact"),
                ("r_squared", result.r_squared if result.r_squared is not None else ""),
                ("truncation_stability", result.truncation_stability)]
-    if params.alpha == 1.0 and result.log_corrected_slope is not None:
+    if result.log_corrected_slope is not None:
         footers.append(("log_corrected_slope", result.log_corrected_slope))
     path = os.path.join(out_dir, "rate_study.csv")
     write_csv(path, ["epsilon", "discrepancy", "rate_bound", "bound_ratio",
@@ -316,15 +271,11 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
         return report
 
     margin = cfg.tolerances.slope_margin + slope_widening(params.alpha)
-    if params.alpha == 1.0:
-        slope, floor = result.log_corrected_slope, 1.0 - margin
-        detail = f"log-corrected slope={slope:.3f} floor={floor:.3f}"
-    else:
-        expo = params.alpha if params.alpha < 1.0 else 2.0 - params.alpha
-        slope, floor = result.fitted_slope, expo - margin
-        detail = f"slope={slope:.3f} floor={floor:.3f}"
-    report.add("slope", "pass" if slope >= floor else "fail",
-               margin=slope - floor, detail=detail)
+    slope, floor = slope_check(result.epsilons, result.discrepancies,
+                               params.alpha, "discrepancy", margin)
+    kind = "log-corrected " if result.log_corrected_slope is not None else ""
+    report.add("slope", "pass" if slope >= floor else "fail", margin=slope - floor,
+               detail=f"{kind}slope={slope:.3f} floor={floor:.3f}")
 
     ratios = result.bound_ratios[result.bound_ratios > 0]
     spread = float(ratios.max() / ratios.min()) if ratios.size else 1.0

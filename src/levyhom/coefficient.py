@@ -173,16 +173,43 @@ def v_alpha(params: ModelParams, xi) -> float:
     return params.c0 * r ** params.alpha
 
 
+# The paper's three alpha regimes in one place.  Each quantity decays like the
+# profile x^p (1 + |ln x|)^q; a row gives (p, q) below alpha = 1 (as a function
+# of alpha), at alpha = 1 and above it, then the extra slope margin of its
+# pure-power fits.
+RATE_TABLE = {
+    #               alpha < 1              alpha = 1  alpha > 1              extra
+    "theta":       (lambda a: (a, 0),      (1, 1),    lambda a: (1, 0),      0.0),
+    "phi":         (lambda a: (2 * a, 0),  (2, 2),    lambda a: (2, 0),      0.05),
+    "rho_star":    (lambda a: (1 + a, 0),  (2, 1),    lambda a: (2, 0),      0.0),
+    "discrepancy": (lambda a: (a, 0),      (1, 2),    lambda a: (2 - a, 0),  0.0),
+}
+
+
+def rate_profile(alpha: float, quantity: str) -> tuple:
+    """(p, q) of the rate x^p (1 + |ln x|)^q of `quantity` at exponent alpha."""
+    below, at_one, above, _ = RATE_TABLE[quantity]
+    if alpha == 1.0:
+        return at_one
+    return below(alpha) if alpha < 1.0 else above(alpha)
+
+
+def rate_function(alpha: float, quantity: str, x) -> np.ndarray:
+    """The rate profile of `quantity` evaluated elementwise on positive `x`."""
+    p, q = rate_profile(alpha, quantity)
+    x = np.asarray(x, dtype=float)
+    power = x if p == 1 else x ** p
+    return power * (1.0 + np.abs(np.log(x))) ** q if q else power
+
+
 def theta_modulus(alpha: float, r: float) -> float:
     """Threshold modulus: |xi|^a below a=1, |xi|(1+|ln|xi||) at a=1, |xi| above."""
     r = float(r)
     if r == 0.0:
         return 0.0
-    if alpha < 1.0:
-        return r ** alpha
-    if alpha == 1.0:
-        return r * (1.0 + abs(math.log(r)))
-    return r
+    p, q = rate_profile(alpha, "theta")
+    power = r if p == 1 else r ** p
+    return power * (1.0 + abs(math.log(r))) ** q if q else power
 
 
 def effective_mu(coeff: PeriodicCoefficient) -> float:
@@ -194,20 +221,6 @@ def effective_mu(coeff: PeriodicCoefficient) -> float:
             f"mean amplitude has imaginary part {amp.imag:.3e}; realness is broken"
         )
     return float(amp.real)
-
-
-def mu_star_coefficients(coeff: PeriodicCoefficient) -> dict[tuple[int, ...], float]:
-    """Cosine coefficients of the zero-mean part mu*(z): {m -> mu_hat[m, -m]}."""
-    zero = (0,) * coeff.dimension
-    out: dict[tuple[int, ...], float] = {}
-    for (k, l), amp in coeff.modes.items():
-        if k == zero:
-            continue
-        if l == tuple(-v for v in k):
-            if abs(amp.imag) > 1e-12:
-                raise SymmetryViolation(f"mu_hat[{k}, {l}] must be real, got {amp}")
-            out[k] = float(amp.real)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -148,11 +148,7 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
-        known = {
-            "dimension", "alpha", "coefficient", "truncation", "xi_grid",
-            "epsilons", "tolerances", "positivity_grid", "seed", "output",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(data)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._util import hermitian_norm, parallel_map
-from .coefficient import ModelParams, PeriodicCoefficient, effective_mu
+from .coefficient import (RATE_TABLE, ModelParams, PeriodicCoefficient,
+                          effective_mu, rate_function, rate_profile)
 from .config import XiGridSpec, _validate_epsilons
 from .errors import DegenerateFit, TruncationUnstable
 from .fiber import (ModeSet, assemble_effective_fiber, assemble_fiber_matrix)
@@ -39,12 +40,7 @@ def slope_widening(alpha: float) -> float:
 
 def rate_bound(alpha: float, eps: np.ndarray) -> np.ndarray:
     """Theoretical decay profile of the scaled discrepancy."""
-    eps = np.asarray(eps, dtype=float)
-    if alpha < 1.0:
-        return eps ** alpha
-    if alpha == 1.0:
-        return eps * (1.0 + np.abs(np.log(eps))) ** 2
-    return eps ** (2.0 - alpha)
+    return rate_function(alpha, "discrepancy", eps)
 
 
 # ----------------------------------------------------------------------
@@ -187,13 +183,6 @@ def threshold_resolvent_diff(
 # Rate study
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class RateFit:
-    slope: float
-    r_squared: float
-    log_corrected_slope: float | None
-
-
 def loglog_slope(x, values) -> tuple[float, float]:
     """OLS slope and r^2 of log(values) against log(x); needs 8+ positive points."""
     x = np.asarray(x, dtype=float)
@@ -212,19 +201,21 @@ def loglog_slope(x, values) -> tuple[float, float]:
     return float(coef[0]), r2
 
 
-def fit_rate(points, alpha: float) -> RateFit:
-    """Ordinary least squares on (log eps, log value).
+def slope_check(x, values, alpha: float, quantity: str,
+                margin: float) -> tuple[float, float]:
+    """Log-log slope of `values` against the rate of `quantity`, and its floor.
 
-    For alpha = 1 an additional fit against log(eps (1 + |ln eps|)^2) is
-    returned, matching the logarithmically corrected theoretical rate.
+    A pure power x^p is fitted against x and must reach p less the margin
+    and the quantity's extra; a log-corrected profile is fitted against the
+    profile itself and must reach 1 less the margin.
     """
-    eps = np.array([p[0] for p in points], dtype=float)
-    val = np.array([p[1] for p in points], dtype=float)
-    slope, r2 = loglog_slope(eps, val)
-    corrected = None
-    if alpha == 1.0:
-        corrected, _ = loglog_slope(eps * (1.0 + np.abs(np.log(eps))) ** 2, val)
-    return RateFit(slope=slope, r_squared=r2, log_corrected_slope=corrected)
+    p, q = rate_profile(alpha, quantity)
+    if q:
+        slope, _ = loglog_slope(rate_function(alpha, quantity, x), values)
+        return slope, 1.0 - margin
+    *_, extra = RATE_TABLE[quantity]
+    slope, _ = loglog_slope(x, values)
+    return slope, p - (margin + extra)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,9 +291,11 @@ def discrepancy_study(
         fitted = r2 = corrected = None
         ratios = np.zeros_like(disc)
     else:
-        fit = fit_rate(list(zip(eps, disc)), alpha)
-        fitted, r2, corrected = fit.slope, fit.r_squared, fit.log_corrected_slope
-        ratios = disc / rate_bound(alpha, eps)
+        fitted, r2 = loglog_slope(eps, disc)
+        bound = rate_bound(alpha, eps)
+        log_corrected = rate_profile(alpha, "discrepancy")[1] > 0
+        corrected = loglog_slope(bound, disc)[0] if log_corrected else None
+        ratios = disc / bound
 
     grid_stability = None
     if check_grid:

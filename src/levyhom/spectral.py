@@ -120,10 +120,6 @@ class CircleContour:
     def arclength(self) -> float:
         return float(np.abs(self.weights).sum())
 
-    @property
-    def rightmost(self) -> float:
-        return float(np.max(self.points.real))
-
     def distance_to_real(self, value: float) -> float:
         """Distance from a real spectral point to the contour curve."""
         return abs(abs(value - self.center) - self.radius)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from levyhom import StudyConfig
 from levyhom.cli import main
 
@@ -241,3 +243,34 @@ def test_identical_config_identical_bytes(tmp_path):
                      "--out", str(out_dir)]) == 0
         outs.append((out_dir / "thresholds.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+# The printed end of every slope verdict of `thresholds` and `rate-study` in
+# each alpha regime (T2, N = 8, slope_margin 0.1).  At alpha = 1 every margin
+# widens by 0.05 and the fits are log-corrected; off it phi's fits take 0.05
+# more; rho* vanishes identically for T2 at alpha = 1.
+SLOPE_VERDICTS = {
+    0.5: {"slope_f_minus_p": "floor=0.400]", "slope_phi": "floor=0.850]",
+          "slope_rho_star": "floor=1.400]", "slope": "floor=0.400]"},
+    1.0: {"slope_f_minus_p": "floor=0.850]", "slope_phi": "floor=0.850]",
+          "slope_rho_star": "[identically zero]", "slope": "floor=0.850]"},
+    1.5: {"slope_f_minus_p": "floor=0.900]", "slope_phi": "floor=1.850]",
+          "slope_rho_star": "floor=1.900]", "slope": "floor=0.400]"},
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(SLOPE_VERDICTS))
+def test_slope_verdicts_per_regime(tmp_path, capsys, alpha):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, alpha=alpha)
+    for command in ("thresholds", "rate-study"):
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / command)]) == 0
+    checks = dict(line.strip().split(": ", 1)
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  slope"))
+    assert set(checks) == set(SLOPE_VERDICTS[alpha])
+    for name, ending in SLOPE_VERDICTS[alpha].items():
+        assert checks[name].startswith("pass "), checks[name]
+        assert checks[name].endswith(ending), checks[name]
+    assert ("[log-corrected slope=" in checks["slope"]) == (alpha == 1.0)

@@ -8,7 +8,7 @@ import pytest
 from levyhom import (ModelParams, PeriodicCoefficient, PositivityUncertified,
                      SymmetryViolation, certify, compute_c0,
                      constant_coefficient, delta0_and_d0, effective_mu,
-                     mu_star_coefficients, oracle_c0, theory_constants,
+                     oracle_c0, rate_function, theory_constants,
                      theta_modulus, v_alpha, validate_coefficient)
 from conftest import make_t1, make_t2, random_band_limited
 
@@ -71,19 +71,6 @@ class TestEffectiveMu:
         bad = PeriodicCoefficient(1, {((0,), (0,)): 1.0 + 1e-6j})
         with pytest.raises(SymmetryViolation):
             effective_mu(bad)
-
-
-class TestMuStar:
-    def test_constant_empty(self):
-        assert mu_star_coefficients(constant_coefficient(1, 1.0)) == {}
-
-    def test_t1(self):
-        coeffs = mu_star_coefficients(make_t1())
-        assert coeffs == {(1,): 0.25, (-1,): 0.25}
-
-    def test_t2(self):
-        coeffs = mu_star_coefficients(make_t2())
-        assert coeffs == {(1,): 0.125, (-1,): 0.125}
 
 
 class TestValidation:
@@ -179,6 +166,14 @@ class TestTheta:
             grid = np.linspace(1e-6, math.pi * math.sqrt(3), 300)
             vals = [theta_modulus(alpha, r) for r in grid]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_matches_rate_function(self):
+        # the scalar math path and the array numpy path read one table row
+        r = np.geomspace(1e-4, 3.0, 50)
+        for alpha in (0.5, 1.0, 1.5):
+            scalar = [theta_modulus(alpha, v) for v in r]
+            np.testing.assert_allclose(rate_function(alpha, "theta", r), scalar,
+                                       rtol=1e-14)
 
     def test_theory_constants_bundle(self, t2, params_half):
         const = theory_constants(params_half, t2)

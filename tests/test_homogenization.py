@@ -8,8 +8,8 @@ import pytest
 from levyhom import (DegenerateFit, ModeSet, ModelParams,
                      assemble_effective_fiber, assemble_fiber_matrix,
                      build_xi_grid, certify, compute_c0, discrepancy_study,
-                     fiber_resolvent_diff, fit_rate, rate_bound,
-                     threshold_resolvent_diff, theory_constants)
+                     fiber_resolvent_diff, loglog_slope, rate_bound,
+                     slope_check, threshold_resolvent_diff, theory_constants)
 from levyhom.homogenization import _resolvent_diffs
 
 from conftest import random_band_limited
@@ -108,32 +108,35 @@ class TestResolventDiff:
 class TestFitRate:
     def test_exact_power(self):
         eps = np.geomspace(1e-1, 1e-3, 10)
-        fit = fit_rate(list(zip(eps, eps ** 0.5)), alpha=0.5)
-        assert fit.slope == pytest.approx(0.5, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert fit.log_corrected_slope is None
+        slope, r2 = loglog_slope(eps, eps ** 0.5)
+        assert slope == pytest.approx(0.5, abs=1e-12)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
+        # off alpha = 1 the rate is a pure power, fitted against eps itself
+        assert slope_check(eps, eps ** 0.5, 0.5, "discrepancy", 0.1) == \
+            (slope, 0.5 - 0.1)
 
     def test_log_corrected_exact(self):
         eps = np.geomspace(1e-1, 1e-3, 12)
         vals = 3.0 * eps * (1.0 + np.abs(np.log(eps))) ** 2
-        fit = fit_rate(list(zip(eps, vals)), alpha=1.0)
-        assert fit.log_corrected_slope == pytest.approx(1.0, abs=1e-6)
+        slope, floor = slope_check(eps, vals, 1.0, "discrepancy", 0.15)
+        assert slope == pytest.approx(1.0, abs=1e-6)
+        assert floor == 1.0 - 0.15
 
     def test_noisy_power(self):
         rng = np.random.default_rng(42)
         eps = np.geomspace(1e-1, 1e-3, 12)
         vals = eps ** 0.5 * (1.0 + 0.01 * rng.normal(size=eps.size))
-        fit = fit_rate(list(zip(eps, vals)), alpha=0.5)
-        assert 0.48 <= fit.slope <= 0.52
+        slope, _ = slope_check(eps, vals, 0.5, "discrepancy", 0.1)
+        assert 0.48 <= slope <= 0.52
 
     def test_degenerate_cases(self):
         eps = np.geomspace(1e-1, 1e-3, 10)
         with pytest.raises(DegenerateFit):
-            fit_rate(list(zip(eps, np.zeros_like(eps))), alpha=0.5)
+            slope_check(eps, np.zeros_like(eps), 0.5, "discrepancy", 0.1)
         with pytest.raises(DegenerateFit):
-            fit_rate(list(zip(eps, np.ones_like(eps))), alpha=0.5)
+            slope_check(eps, np.ones_like(eps), 0.5, "discrepancy", 0.1)
         with pytest.raises(DegenerateFit):
-            fit_rate([(1e-1, 1.0), (1e-2, 0.5)], alpha=0.5)
+            loglog_slope([1e-1, 1e-2], [1.0, 0.5])
 
 
 class TestRateBound:

@@ -84,10 +84,6 @@ class TestCircleContour:
             contour = CircleContour(d0, n)
             assert abs(contour.arclength - expect) / expect <= 1e-10
 
-    def test_rightmost_point(self):
-        contour = CircleContour(6.0, 256)
-        assert contour.rightmost == pytest.approx(4.0, rel=1e-14)
-
     def test_distance_to_real(self):
         contour = CircleContour(3.0, 128)
         r = 1.0  # d0 / 3
