@@ -12,15 +12,15 @@ from .coefficient import (CoefficientCertificate, ModelParams,
                           theory_constants, theta_modulus, v_alpha,
                           validate_coefficient)
 from .config import EpsilonSpec, StudyConfig, Tolerances, XiGridSpec
-from .errors import (BoundViolated, ContourTooClose, ConvergenceFailure,
-                     DegenerateFit, GapViolation, LevyhomError,
-                     PositivityUncertified, QuadratureNotConverged,
-                     SymmetryViolation, TruncationTooSmall,
-                     TruncationUnstable)
-from .fiber import (FiberMatrix, ModeSet, OracleValue, QuadConfig,
+from .errors import (BlockLeak, BoundViolated, ContourTooClose,
+                     ConvergenceFailure, DegenerateFit, GapViolation,
+                     LevyhomError, PositivityUncertified,
+                     QuadratureNotConverged, SymmetryViolation,
+                     TruncationTooSmall, TruncationUnstable)
+from .fiber import (FiberMatrix, ModeSet, OracleValue,
                     assemble_effective_fiber, assemble_fiber_matrix,
-                    c1_constant, form_difference_checks, oracle_form_element,
-                    rho_and_rho_star)
+                    c1_constant, coupling_blocks, form_difference_checks,
+                    oracle_form_element, rho_and_rho_star)
 from .homogenization import (RateStudyResult, XiGrid, build_xi_grid,
                              discrepancy_study, fiber_resolvent_diff,
                              loglog_slope, rate_bound, slope_check,

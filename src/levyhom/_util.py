@@ -11,8 +11,9 @@ import numpy as np
 def hermitian_norm(mat) -> float:
     """Spectral norm of a Hermitian matrix as max |eigenvalue|.
 
-    eigvalsh reads only the lower triangle, so tiny Hermiticity defects
-    from rounding are harmless.
+    A stack (..., n, n) of diagonal blocks gives the norm of the
+    block-diagonal matrix: the max over the blocks.  eigvalsh reads only the
+    lower triangle, so tiny Hermiticity defects from rounding are harmless.
     """
     mat = np.asarray(mat)
     if mat.size == 0:
@@ -21,8 +22,11 @@ def hermitian_norm(mat) -> float:
 
 
 def spectral_norm(mat) -> float:
-    """2-norm of a general matrix (largest singular value)."""
-    return float(np.linalg.norm(np.asarray(mat), 2))
+    """2-norm of a general matrix (largest singular value).
+
+    A stack (..., n, n) of diagonal blocks gives the max over the blocks.
+    """
+    return float(np.max(np.linalg.norm(np.asarray(mat), 2, axis=(-2, -1))))
 
 
 def parallel_map(fn, items, workers=None):

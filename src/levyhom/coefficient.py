@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _gamma, j0 as _bessel_j0
 
 from .errors import PositivityUncertified, SymmetryViolation
@@ -117,6 +116,7 @@ def oracle_c0(params: ModelParams) -> tuple[float, float]:
     integrates it numerically, with the far tail of the non-oscillatory part
     done in closed elementary form.  Returns (value, error_estimate).
     """
+    from scipy.integrate import quad
     d, a = params.dimension, params.alpha
     err = 0.0
 

@@ -59,3 +59,7 @@ class TruncationUnstable(LevyhomError):
 
 class DegenerateFit(LevyhomError):
     """Not enough positive, distinct points for a log-log slope fit."""
+
+
+class BlockLeak(LevyhomError):
+    """A fiber entry outside the coupling blocks is nonzero."""

@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _gamma, zeta as _zeta
 
 from ._util import hermitian_norm
 from .coefficient import ModelParams, PeriodicCoefficient, theta_modulus
-from .errors import BoundViolated, QuadratureNotConverged, TruncationTooSmall
+from .errors import (BlockLeak, BoundViolated, QuadratureNotConverged,
+                     TruncationTooSmall)
 
 
 class ModeSet:
@@ -41,6 +41,7 @@ class ModeSet:
         self.modes = np.array(list(itertools.product(rng, repeat=dimension)), dtype=int)
         self.size = self.modes.shape[0]
         self.zero_index = self.index_of(np.zeros(dimension, dtype=int))
+        self._blocks: dict = {}     # coupling_blocks cache, keyed by shift set
 
     def index_of(self, mode) -> int:
         """Position of a single mode vector in the ordering."""
@@ -58,15 +59,91 @@ class ModeSet:
         return self.size
 
 
+def group_blocks(blocks) -> tuple:
+    """Stack 1-D index arrays by size: one (count, size) array per size.
+
+    Sizes ascend; within a size the blocks keep their given order.  Empty
+    arrays are dropped.
+    """
+    by_size: dict = {}
+    for block in blocks:
+        if block.size:
+            by_size.setdefault(block.size, []).append(block)
+    return tuple(np.array(by_size[n]) for n in sorted(by_size))
+
+
+def coupling_blocks(coeff: PeriodicCoefficient, modes: ModeSet) -> tuple:
+    """The fiber's diagonal blocks as index arrays grouped by size.
+
+    A(xi)[m, n] sums over support pairs with k + l = m - n, so A(xi) is
+    block-diagonal for every xi: the blocks are the connected components of
+    the graph m <-> m - (k + l) on the box |m|_inf <= N.  Clipping to the box
+    can split a coset of the lattice the shifts generate, so the components
+    come from a graph search, not from coset arithmetic.  Each block lists
+    its mode indices ascending; see :func:`group_blocks` for the grouping.
+    Computed once per mode set and set of shifts.
+    """
+    shifts = frozenset(tuple(a + b for a, b in zip(k, l)) for k, l in coeff.modes)
+    cached = modes._blocks.get(shifts)
+    if cached is None:
+        # worker threads racing here compute and store the same partition
+        cached = modes._blocks[shifts] = group_blocks(_components(modes, shifts))
+    return cached
+
+
+def _components(modes: ModeSet, shifts) -> list:
+    """Connected components of m <-> m - s over the box, by union-find."""
+    parent = list(range(modes.size))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for shift in sorted(shifts):
+        nvec = modes.modes - np.asarray(shift, dtype=int)
+        rows = np.nonzero(np.all(np.abs(nvec) <= modes.truncation, axis=1))[0]
+        for i, j in zip(rows.tolist(), modes._ravel(nvec[rows]).tolist()):
+            ri, rj = root(i), root(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    members: dict = {}
+    for i in range(modes.size):
+        members.setdefault(root(i), []).append(i)
+    return [np.array(m) for m in members.values()]
+
+
 @dataclass(frozen=True, eq=False)
 class FiberMatrix:
     """Hermitian Galerkin matrix of the fiber operator at one quasimomentum.
 
-    A wrapper rather than a bare array because ``bench/traced.py`` counts
-    the assembled bytes as ``entries.nbytes`` of the returned object.
+    `entries` is the dense matrix; `blocks` the index arrays of its diagonal
+    blocks grouped by size (:func:`group_blocks`), and `stacks` the blocks'
+    entries, one (count, size, size) array per group.  Dense work runs on the
+    stacks, one batched numpy call per group.  A wrapper rather than a bare
+    array also because ``bench/traced.py`` counts the assembled bytes as
+    ``entries.nbytes`` of the returned object.
     """
 
     entries: np.ndarray
+    blocks: tuple
+    stacks: tuple
+
+    @classmethod
+    def from_blocks(cls, entries: np.ndarray, blocks=None) -> "FiberMatrix":
+        """Wrap `entries` with the given blocks (default: one block of all)."""
+        if blocks is None:
+            blocks = (np.arange(len(entries))[None, :],)
+        stacks = tuple(entries[idx[:, :, None], idx[:, None, :]] for idx in blocks)
+        return cls(entries=entries, blocks=blocks, stacks=stacks)
+
+    def embed(self, stacks) -> np.ndarray:
+        """Dense matrix holding `stacks` (shaped like `self.stacks`), zero elsewhere."""
+        out = np.zeros(self.entries.shape, dtype=complex)
+        for idx, stack in zip(self.blocks, stacks):
+            out[idx[:, :, None], idx[:, None, :]] = stack
+        return out
 
 
 def _sym_pow(vecs: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
@@ -79,13 +156,21 @@ def _sym_pow(vecs: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
     return r ** alpha
 
 
+def _nonzero_parts(a: np.ndarray) -> int:
+    return int(np.count_nonzero(a.view(np.float64)))
+
+
 def assemble_fiber_matrix(
     coeff: PeriodicCoefficient,
     params: ModelParams,
     modes: ModeSet,
     xi,
 ) -> FiberMatrix:
-    """Assemble the closed-form Galerkin matrix of the fiber operator."""
+    """Assemble the closed-form Galerkin matrix of the fiber operator.
+
+    The result carries the coupling blocks (:func:`coupling_blocks`);
+    BlockLeak if any entry outside them is nonzero.
+    """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (params.dimension,):
         raise ValueError(f"xi must have {params.dimension} components")
@@ -121,7 +206,15 @@ def assemble_fiber_matrix(
         # cancel exactly instead of to rounding
         entries[rows, cols] += (0.5 * c0 * amp) * ((a - c4) + (b - c3))
 
-    return FiberMatrix(entries=entries)
+    fiber = FiberMatrix.from_blocks(entries, coupling_blocks(coeff, modes))
+    # each in-block position sits in exactly one stack, so the counts of
+    # nonzero real and imaginary parts agree exactly when every entry outside
+    # the blocks is exactly zero
+    leaked = _nonzero_parts(entries) - sum(_nonzero_parts(s) for s in fiber.stacks)
+    if leaked:
+        raise BlockLeak(f"{leaked} nonzero fiber entry parts lie outside the "
+                        f"{sum(len(idx) for idx in fiber.blocks)} coupling blocks")
+    return fiber
 
 
 def assemble_effective_fiber(
@@ -169,14 +262,12 @@ def rho_and_rho_star(
 # Quadrature oracle (d = 1)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tuning of the singular-integral oracle."""
-
-    z_cutoff: float = 40.0
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    limit: int = 400
+# The oracle integrates the core [-ORACLE_Z_CUTOFF, ORACLE_Z_CUTOFF] with QUADPACK
+# at these tolerances and subinterval limit; the tails are semi-analytic.
+ORACLE_Z_CUTOFF = 40.0
+ORACLE_REL_TOL = 1e-8
+ORACLE_ABS_TOL = 1e-10
+ORACLE_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -193,6 +284,7 @@ def _tail_cos(omega: float, z_cut: float, alpha: float) -> tuple[float, float]:
     """
     if omega == 0.0:
         return 2.0 * z_cut ** (-alpha) / alpha, 0.0
+    from scipy.integrate import quad
     val, err = quad(
         lambda z: z ** (-1.0 - alpha), z_cut, np.inf, weight="cos", wvar=abs(omega)
     )
@@ -205,7 +297,6 @@ def oracle_form_element(
     m: int,
     n: int,
     xi: float,
-    quad_config: QuadConfig | None = None,
 ) -> OracleValue:
     """Numerically integrate the defining singular integral of entry (m, n).
 
@@ -223,10 +314,10 @@ def oracle_form_element(
     """
     if params.dimension != 1:
         raise ValueError("the form-element oracle is defined for d = 1 only")
-    cfg = quad_config or QuadConfig()
+    from scipy.integrate import quad
     alpha = params.alpha
     xi = float(xi)
-    z_cut = cfg.z_cutoff
+    z_cut = ORACLE_Z_CUTOFF
 
     a_freq = 2.0 * math.pi * n + xi
     b_freq = 2.0 * math.pi * m + xi
@@ -249,20 +340,20 @@ def oracle_form_element(
         def core(eps_scale):
             re, re_err = quad(
                 lambda z: integrand(z).real, -z_cut, z_cut, points=[0.0],
-                limit=cfg.limit, epsabs=cfg.abs_tol * eps_scale,
-                epsrel=cfg.rel_tol * eps_scale,
+                limit=ORACLE_LIMIT, epsabs=ORACLE_ABS_TOL * eps_scale,
+                epsrel=ORACLE_REL_TOL * eps_scale,
             )
             im, im_err = quad(
                 lambda z: integrand(z).imag, -z_cut, z_cut, points=[0.0],
-                limit=cfg.limit, epsabs=cfg.abs_tol * eps_scale,
-                epsrel=cfg.rel_tol * eps_scale,
+                limit=ORACLE_LIMIT, epsabs=ORACLE_ABS_TOL * eps_scale,
+                epsrel=ORACLE_REL_TOL * eps_scale,
             )
             return re + 1j * im, re_err + im_err
 
         coarse, _ = core(1.0)
         fine, fine_err = core(1.0 / 16.0)
         drift = abs(fine - coarse)
-        tol = cfg.abs_tol + cfg.rel_tol * max(abs(fine), 1.0)
+        tol = ORACLE_ABS_TOL + ORACLE_REL_TOL * max(abs(fine), 1.0)
         if drift > tol or fine_err > tol:
             raise QuadratureNotConverged(
                 f"core quadrature for entry ({m},{n}) unstable: refinement "
@@ -300,6 +391,7 @@ def c1_constant(params: ModelParams) -> float:
     d, a = params.dimension, params.alpha
     if not a < 1.0:
         raise ValueError("c1 is defined for alpha < 1 only")
+    from scipy.integrate import quad
     total = 0.0
     for j in range(60):
         # the j = 0 panel has an integrable z^(-a) endpoint singularity;

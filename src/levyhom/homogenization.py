@@ -21,7 +21,8 @@ from .coefficient import (RATE_TABLE, ModelParams, PeriodicCoefficient,
                           effective_mu, rate_function, rate_profile)
 from .config import XiGridSpec, _validate_epsilons
 from .errors import DegenerateFit, TruncationUnstable
-from .fiber import (ModeSet, assemble_effective_fiber, assemble_fiber_matrix)
+from .fiber import (FiberMatrix, ModeSet, assemble_effective_fiber,
+                    assemble_fiber_matrix, group_blocks)
 from .spectral import eig_hermitian
 
 log = logging.getLogger(__name__)
@@ -117,26 +118,32 @@ def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts) -> np.ndarray:
     """||(A(xi) + s)^-1 - diag(1 / (symbol + s))|| for each shift s.
 
     `symbol` is the comparator's diagonal; an entry of inf removes that mode
-    from the comparator, since 1 / (inf + s) is exactly 0.  One
-    eigendecomposition of A(xi) serves every shift.
+    from the comparator, since 1 / (inf + s) is exactly 0.  Both operators
+    are block-diagonal on the fiber's coupling blocks, so the difference is
+    too and its norm is the max over the blocks.  One eigendecomposition per
+    block group serves every shift.
 
     At xi = 0 the zero mode's row and column of A vanish exactly, and with a
     zero symbol the mode's exact contribution is 1/s - 1/s = 0.  It is
-    dropped before the eigensolve, which would otherwise leave a rounding
-    error of about u ||A|| / s^2 on it (u the unit roundoff).
+    dropped from its block before the eigensolve, which would otherwise
+    leave a rounding error of about u ||A|| / s^2 on it (u the unit
+    roundoff).
     """
-    entries = assemble_fiber_matrix(coeff, params, modes, xi).entries
-    z = modes.zero_index
+    fiber = assemble_fiber_matrix(coeff, params, modes, xi)
+    entries, z = fiber.entries, modes.zero_index
     if symbol[z] == 0.0 and not entries[z].any() and not entries[:, z].any():
-        keep = np.arange(modes.size) != z
-        entries, symbol = entries[np.ix_(keep, keep)], symbol[keep]
-    spectral = eig_hermitian(entries)
-    lam, vec = spectral.eigenvalues, spectral.eigenvectors
-    out = np.empty(len(shifts))
-    for i, s in enumerate(shifts):
-        res = (vec * (1.0 / (lam + s))) @ vec.conj().T
-        res[np.diag_indices_from(res)] -= 1.0 / (symbol + s)
-        out[i] = hermitian_norm(res)
+        blocks = group_blocks(b[b != z] for idx in fiber.blocks for b in idx)
+        fiber = FiberMatrix.from_blocks(entries, blocks)
+    out = np.zeros(len(shifts))
+    for idx, stack in zip(fiber.blocks, fiber.stacks):
+        spectral = eig_hermitian(stack)
+        lam, vec = spectral.eigenvalues[:, None, :], spectral.eigenvectors
+        vec_h = vec.conj().swapaxes(-1, -2)
+        diag = np.arange(idx.shape[1])
+        for i, s in enumerate(shifts):
+            res = (vec * (1.0 / (lam + s))) @ vec_h
+            res[:, diag, diag] -= 1.0 / (symbol[idx] + s)
+            out[i] = max(out[i], hermitian_norm(res))
     return out
 
 

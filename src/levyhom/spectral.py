@@ -19,7 +19,8 @@ from .coefficient import (ModelParams, PeriodicCoefficient, theory_constants,
                           v_alpha)
 from .errors import (ContourTooClose, ConvergenceFailure, GapViolation,
                      QuadratureNotConverged)
-from .fiber import ModeSet, assemble_fiber_matrix, rho_and_rho_star
+from .fiber import (FiberMatrix, ModeSet, assemble_fiber_matrix,
+                    rho_and_rho_star)
 
 log = logging.getLogger(__name__)
 
@@ -30,35 +31,46 @@ DEGENERACY_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Ascending eigenvalues with orthonormal eigenvector columns.
+
+    For a stack of matrices both carry the stack's leading axes.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def eig_hermitian(matrix: np.ndarray) -> SpectralData:
-    """Full eigendecomposition of a Hermitian matrix, validated.
+def _block_max(x: np.ndarray, axes) -> np.ndarray:
+    return np.max(np.abs(x), axis=axes, initial=0.0)
 
-    Residuals are required to be <= 1e-9 ||A|| and the orthonormality defect
-    <= 1e-10; LAPACK failures surface as ConvergenceFailure.
+
+def eig_hermitian(matrix: np.ndarray) -> SpectralData:
+    """Full eigendecomposition of a Hermitian matrix or stack, validated.
+
+    Each matrix of a stack (..., n, n) is checked against its own scale:
+    Hermiticity defect <= 1e-12 max(1, max |A_ij|), residual <= 1e-9
+    max(1, ||A||) and orthonormality defect <= 1e-10.  A diagonal block's
+    scale is at most the full matrix's, so blockwise checks are no looser.
+    LAPACK failures surface as ConvergenceFailure.
     """
     a = np.asarray(matrix)
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    herm_defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if herm_defect > 1e-12 * scale:
-        raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
+    mats = (-2, -1)
+    scale = np.maximum(1.0, _block_max(a, mats))
+    herm_defect = _block_max(a - a.conj().swapaxes(-1, -2), mats)
+    if np.any(herm_defect > 1e-12 * scale):
+        raise ValueError(f"matrix is not Hermitian: defect {np.max(herm_defect):.3e}")
     try:
         lam, vec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
 
-    norm_a = float(np.max(np.abs(lam))) if lam.size else 0.0
-    residual = float(np.max(np.abs(a @ vec - vec * lam))) if lam.size else 0.0
-    if residual > 1e-9 * max(norm_a, 1.0):
-        raise ConvergenceFailure(f"eigen residual {residual:.3e} too large")
-    ortho = float(np.max(np.abs(vec.conj().T @ vec - np.eye(lam.size))))
-    if ortho > 1e-10:
-        raise ConvergenceFailure(f"orthonormality defect {ortho:.3e} too large")
+    norm_a = _block_max(lam, -1)
+    residual = _block_max(a @ vec - vec * lam[..., None, :], mats)
+    if np.any(residual > 1e-9 * np.maximum(norm_a, 1.0)):
+        raise ConvergenceFailure(f"eigen residual {np.max(residual):.3e} too large")
+    ortho = _block_max(vec.conj().swapaxes(-1, -2) @ vec - np.eye(lam.shape[-1]), mats)
+    if np.any(ortho > 1e-10):
+        raise ConvergenceFailure(f"orthonormality defect {np.max(ortho):.3e} too large")
     return SpectralData(eigenvalues=lam, eigenvectors=vec)
 
 
@@ -135,46 +147,56 @@ class RieszProjection:
 
 
 def _riesz_sum(a: np.ndarray, contour: CircleContour) -> np.ndarray:
-    size = a.shape[0]
+    """Trapezoid sum of the Riesz integral for a stack (count, n, n)."""
+    count, size = a.shape[0], a.shape[-1]
     eye = np.eye(size)
-    acc = np.zeros((size, size), dtype=complex)
-    chunk = max(1, int(2**21 // (size * size)))
+    acc = np.zeros(a.shape, dtype=complex)
+    chunk = max(1, int(2**21 // (count * size * size)))
     pts, wts = contour.points, contour.weights
     for start in range(0, pts.size, chunk):
         z = pts[start : start + chunk]
         w = wts[start : start + chunk]
-        resolvents = np.linalg.inv(a[None, :, :] - z[:, None, None] * eye)
-        acc += np.einsum("k,kij->ij", w, resolvents)
+        resolvents = np.linalg.inv(a[None] - z[:, None, None, None] * eye)
+        acc += np.einsum("k,kbij->bij", w, resolvents)
     return acc / (-2j * math.pi)
 
 
-def projector_by_riesz(matrix: np.ndarray, contour: CircleContour) -> RieszProjection:
+def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
     """Riesz projector by trapezoidal contour quadrature with node doubling.
 
+    `matrix` is a :class:`FiberMatrix`, integrated block by block, or a
+    Hermitian array, taken as one block.  Every block is integrated, so an
+    eigenvalue of any block inside the contour shows in the projector.
     Starts from the contour's node count (minimum 128) and stops once a
-    doubling changes the projector by less than RIESZ_TOL in the 2-norm.
-    Raises ContourTooClose if any eigenvalue sits within d0/30 of the curve,
-    QuadratureNotConverged past RIESZ_MAX_NODES.
+    doubling changes the projector by less than RIESZ_TOL in the 2-norm
+    (the max over the blocks).  Raises ContourTooClose if any eigenvalue
+    sits within d0/30 of the curve, QuadratureNotConverged past
+    RIESZ_MAX_NODES.
     """
-    a = np.asarray(matrix)
+    fiber = (matrix if isinstance(matrix, FiberMatrix)
+             else FiberMatrix.from_blocks(np.asarray(matrix)))
     d0 = contour.d0
-    lam = np.linalg.eigvalsh(a)
+    lam = np.concatenate([np.linalg.eigvalsh(s).ravel() for s in fiber.stacks])
     min_dist = min(contour.distance_to_real(float(v)) for v in lam)
     if min_dist < d0 / 30.0:
         raise ContourTooClose(
             f"eigenvalue within {min_dist:.3e} of contour (< d0/30 = {d0/30:.3e})"
         )
 
+    def riesz_sums(circle):
+        return [_riesz_sum(s, circle) for s in fiber.stacks]
+
     # the 128-node floor stays: bench/traced.py counts 2 n - max(128, num_nodes)
     n = max(128, contour.num_nodes)
     current = contour if contour.num_nodes == n else CircleContour(d0, n)
-    f_prev = _riesz_sum(a, current)
+    f_prev = riesz_sums(current)
     while n <= RIESZ_MAX_NODES:
         n *= 2
-        f_next = _riesz_sum(a, CircleContour(d0, n))
-        change = spectral_norm(f_next - f_prev)
+        f_next = riesz_sums(CircleContour(d0, n))
+        change = max(spectral_norm(b - a) for a, b in zip(f_prev, f_next))
         if change < RIESZ_TOL:
-            return RieszProjection(projector=f_next, nodes=n, change=change)
+            return RieszProjection(projector=fiber.embed(f_next), nodes=n,
+                                   change=change)
         f_prev = f_next
     raise QuadratureNotConverged(
         f"contour quadrature did not stabilize below {RIESZ_TOL} within "
@@ -226,8 +248,8 @@ def threshold_report(
         log.warning("|xi| = %.6g outside certified ball delta0 = %.6g; "
                     "relying on the explicit spectrum check", r, constants.delta0)
 
-    fiber = assemble_fiber_matrix(coeff, params, modes, xi).entries
-    spectral = eig_hermitian(fiber)
+    fiber = assemble_fiber_matrix(coeff, params, modes, xi)
+    spectral = eig_hermitian(fiber.entries)
     lam = spectral.eigenvalues
     cutoff = constants.d0 / 3.0
     f_eig = projector_by_eig(spectral, cutoff)

@@ -1,0 +1,233 @@
+"""Block-diagonal fibers: the coupling partition and the blockwise kernels."""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
+import levyhom
+import levyhom.fiber as fiber_mod
+from levyhom import (BlockLeak, CircleContour, FiberMatrix, ModeSet, ModelParams,
+                     PeriodicCoefficient, assemble_effective_fiber,
+                     assemble_fiber_matrix, certify, coupling_blocks,
+                     eig_hermitian, projector_by_riesz, theory_constants)
+from levyhom.homogenization import _resolvent_diffs
+from conftest import random_band_limited
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None,
+                    derandomize=True)
+UNIT_ROUNDOFF = np.finfo(float).eps
+
+
+@st.composite
+def fibers(draw):
+    """A random coefficient at d = 1 or 2, a truncation and a xi."""
+    dimension = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeff = random_band_limited(rng, dimension)
+    alpha = draw(st.floats(0.2, 1.8))
+    top = 6 if dimension == 1 else 3
+    truncation = max(coeff.coupling_span, draw(st.integers(2, top)))
+    xi = draw(st.lists(st.floats(-math.pi, math.pi), min_size=dimension,
+                       max_size=dimension))
+    return (coeff, ModelParams(dimension, alpha),
+            ModeSet(dimension, truncation), np.array(xi))
+
+
+def _labels(blocks, size):
+    """Block number of every mode; -1 for a mode in no block."""
+    label = np.full(size, -1)
+    start = 0
+    for idx in blocks:
+        label[idx] = start + np.arange(len(idx))[:, None]
+        start += len(idx)
+    return label
+
+
+def _structural_components(coeff, modes):
+    """Components of m <-> m - (k + l) on the box, by scipy's graph search."""
+    rows, cols = [], []
+    for k, l in coeff.modes:
+        shift = np.add(k, l)
+        nvec = modes.modes - shift
+        ok = np.nonzero(np.all(np.abs(nvec) <= modes.truncation, axis=1))[0]
+        rows.extend(ok)
+        cols.extend(modes._ravel(nvec[ok]))
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)),
+                       shape=(modes.size, modes.size))
+    return connected_components(graph, directed=False)[1]
+
+
+class TestPartitionProperties:
+    @PROPERTY
+    @given(fibers())
+    def test_partition_is_exact(self, case):
+        coeff, params, modes, xi = case
+        fiber = assemble_fiber_matrix(coeff, params, modes, xi)
+        label = _labels(fiber.blocks, modes.size)
+        assert np.all(label >= 0)
+        assert sum(idx.size for idx in fiber.blocks) == modes.size
+        off = label[:, None] != label[None, :]
+        assert not fiber.entries[off].any()
+        # the blocks are the components of the structural graph, no coarser
+        other = _structural_components(coeff, modes)
+        same = label[:, None] == label[None, :]
+        assert np.array_equal(same, other[:, None] == other[None, :])
+
+    @PROPERTY
+    @given(fibers())
+    def test_fiber_is_hermitian(self, case):
+        coeff, params, modes, xi = case
+        fiber = assemble_fiber_matrix(coeff, params, modes, xi)
+        a = fiber.entries
+        scale = max(1.0, float(np.max(np.abs(a))))
+        assert float(np.max(np.abs(a - a.conj().T))) <= 1e-12 * scale
+        for stack in fiber.stacks:
+            defect = np.abs(stack - stack.conj().swapaxes(-1, -2)).max()
+            assert defect <= 1e-12 * scale
+
+    @PROPERTY
+    @given(fibers())
+    def test_xi_reflection(self, case):
+        # A(-xi)[m, n] = conj(A(xi)[-m, -n]); -m sits at the mirrored index
+        coeff, params, modes, xi = case
+        a = assemble_fiber_matrix(coeff, params, modes, xi).entries
+        a_neg = assemble_fiber_matrix(coeff, params, modes, -xi).entries
+        scale = max(1.0, float(np.max(np.abs(a))))
+        assert np.max(np.abs(a_neg - a[::-1, ::-1].conj())) <= 1e-13 * scale
+
+    @PROPERTY
+    @given(fibers())
+    def test_blockwise_eigenvalues_equal_dense(self, case):
+        coeff, params, modes, xi = case
+        fiber = assemble_fiber_matrix(coeff, params, modes, xi)
+        blockwise = np.sort(np.concatenate(
+            [eig_hermitian(s).eigenvalues.ravel() for s in fiber.stacks]))
+        dense = np.linalg.eigvalsh(fiber.entries)
+        norm = max(1.0, float(np.max(np.abs(dense))))
+        assert np.max(np.abs(blockwise - dense)) <= 1e-13 * norm
+
+    @PROPERTY
+    @given(fibers())
+    def test_blockwise_resolvent_diffs_equal_dense(self, case):
+        # 1e-13 relative, plus the rounding floor u ||A|| / (lambda1 + s)^2
+        # that any eigensolve-based resolvent carries; near xi = 0 at
+        # alpha > 1 that floor dominates, for the dense route as much as for
+        # the blockwise one
+        coeff, params, modes, xi = case
+        assume(np.any(xi != 0.0))
+        symbol = assemble_effective_fiber(params, 1.0, modes, xi)
+        shifts = np.geomspace(1e-1, 1e-3, 8) ** params.alpha
+        got = _resolvent_diffs(coeff, params, modes, xi, symbol, shifts)
+
+        a = assemble_fiber_matrix(coeff, params, modes, xi).entries
+        lam, vec = np.linalg.eigh(a)
+        for value, s in zip(got, shifts):
+            res = (vec * (1.0 / (lam + s))) @ vec.conj().T - np.diag(1.0 / (symbol + s))
+            dense = float(np.max(np.abs(np.linalg.eigvalsh(res))))
+            floor = UNIT_ROUNDOFF * float(np.max(np.abs(lam))) / (lam[0] + s) ** 2
+            assert abs(value - dense) <= 1e-13 * dense + 16.0 * floor
+
+
+def _d2_blocks_support():
+    """Support with k + l in {0, +-2 e1}: one block per (m2, parity of m1)."""
+    e1, e2, o = (1, 0), (0, 1), (0, 0)
+    neg = lambda v: tuple(-x for x in v)
+    pairs = [(e1, neg(e1)), (neg(e1), e1), (e2, neg(e2)), (neg(e2), e2),
+             (e1, e1), (neg(e1), neg(e1))]
+    modes = {(o, o): 1.0}
+    modes.update({pair: 0.08 for pair in pairs})
+    return certify(PeriodicCoefficient(2, modes))
+
+
+class TestPartition:
+    @pytest.mark.parametrize("truncation,count,sizes",
+                             [(3, 14, {4: 7, 3: 7}), (6, 26, {7: 13, 6: 13})])
+    def test_d2_blocks_counts(self, truncation, count, sizes):
+        blocks = coupling_blocks(_d2_blocks_support(), ModeSet(2, truncation))
+        assert sum(len(idx) for idx in blocks) == count
+        assert {idx.shape[1]: idx.shape[0] for idx in blocks} == sizes
+
+    def test_cached_per_mode_set(self, t2):
+        modes = ModeSet(1, 8)
+        assert coupling_blocks(t2, modes) is coupling_blocks(t2, modes)
+        assert [idx.shape for idx in coupling_blocks(t2, modes)] == [(1, 8), (1, 9)]
+
+    def test_clipping_splits_a_coset(self):
+        # shifts +-(1, 2), +-(2, 1) generate a lattice of index 3, so the
+        # 5 x 5 box meets 3 cosets; but (2, -2) and (-2, 2) have no
+        # neighbour inside the box and form blocks of their own
+        zero = (0, 0)
+        modes = {(zero, zero): 1.0}
+        for v in ((1, 2), (2, 1), (-1, -2), (-2, -1)):
+            modes[(v, zero)] = modes[(zero, v)] = 0.05
+        coeff = certify(PeriodicCoefficient(2, modes))
+        ms = ModeSet(2, 2)
+        blocks = [[tuple(ms.modes[i]) for i in row]
+                  for idx in coupling_blocks(coeff, ms) for row in idx]
+        assert sorted(len(b) for b in blocks) == [1, 1, 7, 8, 8]
+        assert [b for b in blocks if len(b) == 1] == [[(-2, 2)], [(2, -2)]]
+        assemble_fiber_matrix(coeff, ModelParams(2, 0.5), ms, [0.1, 0.2])
+
+    def test_leak_outside_blocks_raises(self, t2, params_half, monkeypatch):
+        modes = ModeSet(1, 4)
+        singletons = (np.arange(modes.size)[:, None],)
+        monkeypatch.setattr(fiber_mod, "coupling_blocks",
+                            lambda coeff, ms: singletons)
+        with pytest.raises(BlockLeak):
+            assemble_fiber_matrix(t2, params_half, modes, [0.3])
+
+    def test_one_block_wrap_is_the_dense_matrix(self, t2, params_half):
+        a = assemble_fiber_matrix(t2, params_half, ModeSet(1, 4), [0.3]).entries
+        whole = FiberMatrix.from_blocks(a)
+        assert len(whole.stacks) == 1
+        assert np.array_equal(whole.stacks[0][0], a)
+        assert np.array_equal(whole.embed(whole.stacks), a)
+
+
+class TestBlockwiseSpectral:
+    def test_each_block_checked_at_its_own_scale(self):
+        # a defect of 1e-10 passes against the full matrix's scale 1e3, but
+        # not against the small block's scale 1
+        big = np.array([[1e3, 0.0], [0.0, 2e3]], dtype=complex)
+        small = np.array([[1.0, 0.5], [0.5 + 1e-10, 2.0]], dtype=complex)
+        dense = np.zeros((4, 4), dtype=complex)
+        dense[:2, :2], dense[2:, 2:] = big, small
+        eig_hermitian(dense)
+        with pytest.raises(ValueError):
+            eig_hermitian(np.stack([big, small]))
+
+    def test_riesz_blockwise_matches_one_block(self, t2, params_half):
+        const = theory_constants(params_half, t2)
+        fiber = assemble_fiber_matrix(t2, params_half, ModeSet(1, 16), [0.02])
+        assert len(fiber.blocks) == 2
+        contour = CircleContour(const.d0)
+        blockwise = projector_by_riesz(fiber, contour)
+        dense = projector_by_riesz(fiber.entries, contour)
+        assert blockwise.nodes == dense.nodes
+        assert np.max(np.abs(blockwise.projector - dense.projector)) <= 1e-12
+
+    def test_riesz_sees_an_eigenvalue_in_any_block(self):
+        # an eigenvalue of a second block inside the contour doubles the rank
+        d0 = 1.0
+        entries = np.diag([0.1, 5.0, 0.2, 6.0]).astype(complex)
+        blocks = (np.array([[0, 1], [2, 3]]),)
+        proj = projector_by_riesz(FiberMatrix.from_blocks(entries, blocks),
+                                  CircleContour(d0))
+        assert np.trace(proj.projector).real == pytest.approx(2.0, abs=1e-9)
+
+
+def test_cli_import_leaves_quadrature_unloaded():
+    src = os.path.dirname(os.path.dirname(levyhom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, levyhom.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

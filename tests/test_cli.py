@@ -274,3 +274,83 @@ def test_slope_verdicts_per_regime(tmp_path, capsys, alpha):
         assert checks[name].startswith("pass "), checks[name]
         assert checks[name].endswith(ending), checks[name]
     assert ("[log-corrected slope=" in checks["slope"]) == (alpha == 1.0)
+
+
+def _lifted_t2(dimension, amplitude=0.125):
+    """T2 on the first axis of d dimensions: k + l in {0, +-2 e1}, many blocks."""
+    zero = [0] * dimension
+    e1 = [1] + [0] * (dimension - 1)
+    ne1 = [-v for v in e1]
+    return ([{"k": zero, "l": zero, "re": 1.0, "im": 0.0}]
+            + [{"k": k, "l": l, "re": amplitude, "im": 0.0}
+               for k in (e1, ne1) for l in (e1, ne1)])
+
+
+def _one_block(dimension, budget=0.3):
+    """k + l in {+-e_j}: the shifts generate Z^d, so the fiber is one block."""
+    zero = [0] * dimension
+    records = [{"k": zero, "l": zero, "re": 1.0, "im": 0.0}]
+    for j in range(dimension):
+        e = [int(i == j) for i in range(dimension)]
+        ne = [-v for v in e]
+        for k, l in ((e, zero), (zero, e), (ne, zero), (zero, ne)):
+            records.append({"k": k, "l": l, "re": budget / (4 * dimension),
+                            "im": 0.0})
+    return records
+
+
+D2_COEFFICIENTS = {"blocks": _lifted_t2(2), "one-block": _one_block(2)}
+COARSE_GRID = {"points_per_dim": 2, "radial_min_exp": -4.0,
+               "radial_max_exp": -0.5, "radial_per_decade": 2,
+               "directions": "axes"}
+
+
+@pytest.mark.parametrize("kind", sorted(D2_COEFFICIENTS))
+def test_thresholds_d2(tmp_path, capsys, kind):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, dimension=2, truncation=2, positivity_grid=64,
+                 coefficient=D2_COEFFICIENTS[kind])
+    out_dir = tmp_path / "art"
+    assert main(["thresholds", "--config", str(cfg_path),
+                 "--out", str(out_dir), "--workers", "1"]) == 0
+    lines = (out_dir / "thresholds.csv").read_text().splitlines()
+    assert lines[1].startswith("xi_1,xi_2,xi_norm,lambda1,")
+    assert len(lines) >= 2 + 9       # xi = 0 and at least 8 ladder radii
+    assert "FAIL" not in capsys.readouterr().out
+
+
+# the one-block coefficient drifts by 7.7% under N doubling from N = 2, so
+# its study starts at N = 3; the worker-count comparison runs on the cheaper
+# block-diagonal one
+@pytest.mark.parametrize("kind,truncation,workers",
+                         [("blocks", 2, ("1", "2")), ("one-block", 3, ("1",))])
+def test_rate_study_d2(tmp_path, capsys, kind, truncation, workers):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, dimension=2, truncation=truncation,
+                 positivity_grid=64, xi_grid=COARSE_GRID,
+                 coefficient=D2_COEFFICIENTS[kind])
+    outs = []
+    for count in workers:
+        out_dir = tmp_path / count
+        assert main(["rate-study", "--config", str(cfg_path),
+                     "--out", str(out_dir), "--workers", count]) == 0
+        outs.append((out_dir / "rate_study.csv").read_bytes())
+    assert all(out == outs[0] for out in outs)
+    out = capsys.readouterr().out
+    assert "truncation_stability: pass" in out
+    assert "slope: pass" in out
+
+
+def test_thresholds_d3_smoke(tmp_path, capsys):
+    # T2 at half strength keeps the certified ball wide enough on the
+    # coarsest positivity grid: delta0 is about 0.04
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, dimension=3, truncation=2, positivity_grid=16,
+                 coefficient=_lifted_t2(3, amplitude=0.0625))
+    out_dir = tmp_path / "art"
+    assert main(["thresholds", "--config", str(cfg_path),
+                 "--out", str(out_dir), "--workers", "1"]) == 0
+    lines = (out_dir / "thresholds.csv").read_text().splitlines()
+    assert lines[1].startswith("xi_1,xi_2,xi_3,xi_norm,")
+    assert len(lines) >= 2 + 9
+    assert "FAIL" not in capsys.readouterr().out

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from levyhom import (BoundViolated, ModeSet, ModelParams, QuadConfig,
+from levyhom import (BoundViolated, ModeSet, ModelParams,
                      QuadratureNotConverged, TruncationTooSmall,
                      assemble_effective_fiber, assemble_fiber_matrix,
                      c1_constant, certify, compute_c0, constant_coefficient,
@@ -168,10 +168,12 @@ class TestOracle:
             assert abs(got.value - closed) / abs(closed) < 1e-3
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_not_converged_raises(self, t2, params_one):
-        cfg = QuadConfig(rel_tol=1e-300, abs_tol=1e-300)
+    def test_not_converged_raises(self, t2, params_one, monkeypatch):
+        import levyhom.fiber as fiber
+        monkeypatch.setattr(fiber, "ORACLE_REL_TOL", 1e-300)
+        monkeypatch.setattr(fiber, "ORACLE_ABS_TOL", 1e-300)
         with pytest.raises(QuadratureNotConverged):
-            oracle_form_element(t2, params_one, 1, -1, 1.0, cfg)
+            oracle_form_element(t2, params_one, 1, -1, 1.0)
 
     def test_requires_d1(self, params_one):
         coeff = certify(constant_coefficient(2, 1.0))
