@@ -140,7 +140,9 @@ def cmd_fiber(cfg: StudyConfig, out_dir: str, workers: int | None,
         fiber = assemble_fiber_matrix(coeff, params, modes, xi)
         header = [f"{part}_{j}" for j in range(modes.size) for part in ("re", "im")]
         path = os.path.join(out_dir, f"fiber_{idx}.csv")
-        write_csv(path, header, fiber.entries.view(float), digest=cfg.digest())
+        # complex for every coefficient: the CSV keeps its re/im column pairs
+        write_csv(path, header, fiber.entries.astype(complex).view(float),
+                  digest=cfg.digest())
         report.artifacts.append(path)
         herm = float(np.max(np.abs(fiber.entries - fiber.entries.conj().T)))
         scale = max(1.0, float(np.max(np.abs(fiber.entries))))

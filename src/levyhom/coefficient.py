@@ -273,7 +273,7 @@ def _grid_min_max(coeff: PeriodicCoefficient, grid: int) -> tuple[float, float]:
 
     lo, hi = np.inf, -np.inf
     right = amp @ el.T  # (K, npts)
-    chunk = max(1, int(2**22 // max(right.shape[1], 1)))
+    chunk = max(1, int(2**18 // max(right.shape[1], 1)))  # 4 MB complex blocks
     for start in range(0, ek.shape[0], chunk):
         block = ek[start : start + chunk] @ right
         vals = block.real

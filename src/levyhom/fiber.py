@@ -118,12 +118,13 @@ def _components(modes: ModeSet, shifts) -> list:
 class FiberMatrix:
     """Hermitian Galerkin matrix of the fiber operator at one quasimomentum.
 
-    `entries` is the dense matrix; `blocks` the index arrays of its diagonal
-    blocks grouped by size (:func:`group_blocks`), and `stacks` the blocks'
-    entries, one (count, size, size) array per group.  Dense work runs on the
-    stacks, one batched numpy call per group.  A wrapper rather than a bare
-    array also because ``bench/traced.py`` counts the assembled bytes as
-    ``entries.nbytes`` of the returned object.
+    `entries` is the dense matrix, float64 or complex128 as assembled;
+    `blocks` the index arrays of its diagonal blocks grouped by size
+    (:func:`group_blocks`), and `stacks` the blocks' entries, one
+    (count, size, size) array of the same dtype per group.  Dense work runs
+    on the stacks, one batched numpy call per group.  A wrapper rather than
+    a bare array also because ``bench/traced.py`` counts the assembled bytes
+    as ``entries.nbytes`` of the returned object.
     """
 
     entries: np.ndarray
@@ -169,7 +170,10 @@ def assemble_fiber_matrix(
     """Assemble the closed-form Galerkin matrix of the fiber operator.
 
     The result carries the coupling blocks (:func:`coupling_blocks`);
-    BlockLeak if any entry outside them is nonzero.
+    BlockLeak if any entry outside them is nonzero.  With every amplitude
+    real each entry is a real sum, so the matrix is real symmetric and is
+    assembled in float64; otherwise in complex128.  The real parts agree
+    bit for bit between the two.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (params.dimension,):
@@ -185,10 +189,13 @@ def assemble_fiber_matrix(
     n_trunc = modes.truncation
     mvec = modes.modes
     size = modes.size
-    entries = np.zeros((size, size), dtype=complex)
+    real = all(amp.imag == 0.0 for amp in coeff.modes.values())
+    entries = np.zeros((size, size), dtype=float if real else complex)
     zero_xi = np.zeros_like(xi)
 
     for (k, l), amp in sorted(coeff.modes.items()):
+        if real:
+            amp = amp.real
         kv = np.asarray(k, dtype=int)
         lv = np.asarray(l, dtype=int)
         shift = kv + lv

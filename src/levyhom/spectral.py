@@ -170,8 +170,8 @@ def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
     Starts from the contour's node count (minimum 128) and stops once a
     doubling changes the projector by less than RIESZ_TOL in the 2-norm
     (the max over the blocks).  Raises ContourTooClose if any eigenvalue
-    sits within d0/30 of the curve, QuadratureNotConverged past
-    RIESZ_MAX_NODES.
+    sits within d0/30 of the curve, QuadratureNotConverged if no
+    doubling up to RIESZ_MAX_NODES nodes converges.
     """
     fiber = (matrix if isinstance(matrix, FiberMatrix)
              else FiberMatrix.from_blocks(np.asarray(matrix)))
@@ -190,7 +190,7 @@ def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
     n = max(128, contour.num_nodes)
     current = contour if contour.num_nodes == n else CircleContour(d0, n)
     f_prev = riesz_sums(current)
-    while n <= RIESZ_MAX_NODES:
+    while 2 * n <= RIESZ_MAX_NODES:
         n *= 2
         f_next = riesz_sums(CircleContour(d0, n))
         change = max(spectral_norm(b - a) for a, b in zip(f_prev, f_next))
@@ -249,7 +249,8 @@ def threshold_report(
                     "relying on the explicit spectrum check", r, constants.delta0)
 
     fiber = assemble_fiber_matrix(coeff, params, modes, xi)
-    spectral = eig_hermitian(fiber.entries)
+    # complex eigensolve for real fibers too: the CSV norms carry its u||A|| rounding
+    spectral = eig_hermitian(fiber.entries.astype(complex))
     lam = spectral.eigenvalues
     cutoff = constants.d0 / 3.0
     f_eig = projector_by_eig(spectral, cutoff)

@@ -18,7 +18,7 @@ from levyhom import (BlockLeak, CircleContour, FiberMatrix, ModeSet, ModelParams
                      assemble_fiber_matrix, certify, coupling_blocks,
                      eig_hermitian, projector_by_riesz, theory_constants)
 from levyhom.homogenization import _resolvent_diffs
-from conftest import random_band_limited
+from conftest import make_t2, random_band_limited
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None,
                     derandomize=True)
@@ -38,6 +38,15 @@ def fibers(draw):
                        max_size=dimension))
     return (coeff, ModelParams(dimension, alpha),
             ModeSet(dimension, truncation), np.array(xi))
+
+
+@st.composite
+def real_fibers(draw):
+    """As :func:`fibers`, with the coefficient's amplitudes cut to their real
+    parts: mu stays real and exchange symmetric."""
+    coeff, params, modes, xi = draw(fibers())
+    real = {key: amp.real for key, amp in coeff.modes.items()}
+    return PeriodicCoefficient(coeff.dimension, real), params, modes, xi
 
 
 def _labels(blocks, size):
@@ -133,6 +142,43 @@ class TestPartitionProperties:
             dense = float(np.max(np.abs(np.linalg.eigvalsh(res))))
             floor = UNIT_ROUNDOFF * float(np.max(np.abs(lam))) / (lam[0] + s) ** 2
             assert abs(value - dense) <= 1e-13 * dense + 16.0 * floor
+
+
+class TestRealFibers:
+    def test_dtype_follows_the_amplitudes(self, t2):
+        cplx = random_band_limited(np.random.default_rng(0))
+        assert any(amp.imag for amp in cplx.modes.values())
+        cases = ((t2, np.float64), (make_t2(2), np.float64),
+                 (_d2_blocks_support(), np.float64), (cplx, np.complex128))
+        for coeff, dtype in cases:
+            d = coeff.dimension
+            modes = ModeSet(d, max(3, coeff.coupling_span))
+            fiber = assemble_fiber_matrix(coeff, ModelParams(d, 0.5), modes,
+                                          np.full(d, 0.3))
+            assert fiber.entries.dtype == dtype
+            assert all(stack.dtype == dtype for stack in fiber.stacks)
+
+    @PROPERTY
+    @given(real_fibers())
+    def test_real_resolvent_diffs_match_complex_inverse(self, case):
+        # the float64 route against a complex128 LU inverse, with the
+        # allowance of test_blockwise_resolvent_diffs_equal_dense
+        coeff, params, modes, xi = case
+        assume(np.any(xi != 0.0))
+        symbol = assemble_effective_fiber(params, 1.0, modes, xi)
+        shifts = np.geomspace(1e-1, 1e-3, 8) ** params.alpha
+        got = _resolvent_diffs(coeff, params, modes, xi, symbol, shifts)
+
+        a = assemble_fiber_matrix(coeff, params, modes, xi).entries
+        assert a.dtype == np.float64
+        a = a.astype(complex)
+        lam = np.linalg.eigvalsh(a)
+        eye = np.eye(modes.size)
+        for value, s in zip(got, shifts):
+            res = np.linalg.inv(a + s * eye) - np.diag(1.0 / (symbol + s))
+            ref = float(np.linalg.norm(res, 2))
+            floor = UNIT_ROUNDOFF * float(np.max(np.abs(lam))) / (lam[0] + s) ** 2
+            assert abs(value - ref) <= 1e-13 * ref + 16.0 * floor
 
 
 def _d2_blocks_support():

@@ -106,6 +106,11 @@ def test_fiber_export(tmp_path):
     assert text[0].startswith("# config=")
     assert text[1].startswith("re_0,im_0,")
     assert len(text) == 2 + 17   # digest + header + (2*8+1) matrix rows
+    # T2's amplitudes are real, so its fiber is assembled in float64; the
+    # CSV still holds re/im pairs, with every imaginary part zero
+    rows = [[float(c) for c in line.split(",")] for line in text[2:]]
+    assert all(len(row) == 2 * 17 for row in rows)
+    assert all(row[1::2] == [0.0] * 17 for row in rows)
 
 
 def test_thresholds(tmp_path, capsys):
@@ -354,3 +359,20 @@ def test_thresholds_d3_smoke(tmp_path, capsys):
     assert lines[1].startswith("xi_1,xi_2,xi_3,xi_norm,")
     assert len(lines) >= 2 + 9
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_rate_study_d3(tmp_path, capsys):
+    # the d = 3 smoke coefficient through the whole sweep, N = 2 doubled to 4
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, dimension=3, truncation=2, positivity_grid=16,
+                 xi_grid=COARSE_GRID, coefficient=_lifted_t2(3, amplitude=0.0625))
+    outs = []
+    for count in ("1", "2"):
+        out_dir = tmp_path / count
+        assert main(["rate-study", "--config", str(cfg_path),
+                     "--out", str(out_dir), "--workers", count]) == 0
+        outs.append((out_dir / "rate_study.csv").read_bytes())
+    assert outs[0] == outs[1]
+    out = capsys.readouterr().out
+    assert "truncation_stability: pass" in out
+    assert "slope: pass" in out

@@ -125,6 +125,24 @@ class TestValidation:
         assert cert.mu_minus > 0.0
         assert cert.mu_plus < 2.0
 
+    @pytest.mark.parametrize(
+        "coeff", [make_t2(dimension=2),
+                  random_band_limited(np.random.default_rng(3), 2)],
+        ids=["t2", "random"])
+    def test_grid_extremes_match_pointwise_mu_d2(self, coeff):
+        # 32 points per coordinate make a 1024 x 1024 (x, y) grid, several
+        # chunks of the separable product; here mu is summed term by term
+        grid = 32
+        axis = np.arange(grid) / grid
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        mu = np.zeros((len(pts), len(pts)), dtype=complex)
+        for (k, l), amp in coeff.modes.items():
+            phase = (pts @ np.array(k))[:, None] + (pts @ np.array(l))[None, :]
+            mu += amp * np.exp(2j * np.pi * phase)
+        cert = validate_coefficient(coeff, grid_points_per_dim=grid)
+        assert cert.grid_min == pytest.approx(mu.real.min(), rel=0.0, abs=1e-14)
+        assert cert.grid_max == pytest.approx(mu.real.max(), rel=0.0, abs=1e-14)
+
 
 class TestGapConstants:
     def test_delta0_formula(self):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import levyhom.spectral as spectral_mod
 from levyhom import (CircleContour, ContourTooClose, GapViolation, ModeSet,
-                     ModelParams, assemble_fiber_matrix, compute_c0,
-                     eig_hermitian, loglog_slope, projector_by_eig,
+                     ModelParams, QuadratureNotConverged, assemble_fiber_matrix,
+                     compute_c0, eig_hermitian, loglog_slope, projector_by_eig,
                      projector_by_riesz, theory_constants, threshold_report)
 
 
@@ -123,6 +124,22 @@ class TestRiesz:
         assert np.linalg.norm(f @ f - f, 2) <= 1e-8
         assert np.max(np.abs(f - f.conj().T)) <= 1e-8
         assert np.trace(f).real == pytest.approx(1.0, abs=1e-8)
+
+    def test_doubling_stops_at_the_node_cap(self, monkeypatch):
+        # no doubling meets a zero tolerance, so the contours run up to the
+        # cap and the integral fails; none may have more nodes than the cap
+        built = []
+
+        def spy(d0, num_nodes=128):
+            built.append(num_nodes)
+            return CircleContour(d0, num_nodes)
+
+        monkeypatch.setattr(spectral_mod, "RIESZ_TOL", 0.0)
+        monkeypatch.setattr(spectral_mod, "RIESZ_MAX_NODES", 512)
+        monkeypatch.setattr(spectral_mod, "CircleContour", spy)
+        with pytest.raises(QuadratureNotConverged):
+            projector_by_riesz(np.diag([0.0, 3.0]), CircleContour(1.0))
+        assert built == [256, 512]
 
     def test_contour_too_close(self):
         d0 = 3.0
