@@ -9,8 +9,7 @@ from .coefficient import (CoefficientCertificate, ModelParams,
                           coefficient_from_records, compute_c0,
                           constant_coefficient, delta0_and_d0, effective_mu,
                           oracle_c0, rate_function, rate_profile,
-                          theory_constants, theta_modulus, v_alpha,
-                          validate_coefficient)
+                          theory_constants, v_alpha, validate_coefficient)
 from .config import EpsilonSpec, StudyConfig, Tolerances, XiGridSpec
 from .errors import (BlockLeak, BoundViolated, ContourTooClose,
                      ConvergenceFailure, DegenerateFit, GapViolation,
@@ -21,9 +20,8 @@ from .fiber import (FiberMatrix, ModeSet, OracleValue,
                     assemble_effective_fiber, assemble_fiber_matrix,
                     c1_constant, coupling_blocks, form_difference_checks,
                     oracle_form_element, rho_and_rho_star)
-from .homogenization import (RateStudyResult, XiGrid, build_xi_grid,
-                             discrepancy_study, fiber_resolvent_diff,
-                             loglog_slope, rate_bound, slope_check,
+from .homogenization import (RateStudyResult, discrepancy_study,
+                             fiber_resolvent_diff, loglog_slope, slope_check,
                              slope_widening, threshold_resolvent_diff)
 from .spectral import (CircleContour, RieszProjection, SpectralData,
                        ThresholdReport, eig_hermitian, projector_by_eig,

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._util import fmt, parallel_map, write_csv
-from .coefficient import (ModelParams, certify, oracle_c0, theory_constants,
-                          theta_modulus)
+from .coefficient import (ModelParams, certify, oracle_c0, rate_function,
+                          theory_constants)
 from .config import StudyConfig
 from .errors import LevyhomError, TruncationUnstable
 from .fiber import ModeSet, assemble_fiber_matrix, oracle_form_element
-from .homogenization import (XiGrid, discrepancy_study, rate_bound,
-                             slope_check, slope_widening)
+from .homogenization import discrepancy_study, slope_check
 from .spectral import threshold_report
 
 log = logging.getLogger(__name__)
@@ -118,8 +117,8 @@ def cmd_constants(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRep
     params, coeff, constants, _ = _prepare(cfg)
     report.values.update(_constant_values(constants))
     report.values.update({
-        "theta(1/e)": theta_modulus(params.alpha, math.exp(-1.0)),
-        "theta(1)": theta_modulus(params.alpha, 1.0),
+        "theta(1/e)": float(rate_function(params.alpha, "theta", math.exp(-1.0))),
+        "theta(1)": float(rate_function(params.alpha, "theta", 1.0)),
     })
     report.add("delta0_below_pi", "pass" if constants.delta0 < math.pi else "fail",
                margin=math.pi - constants.delta0)
@@ -205,7 +204,6 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
     report.add("lambda2_gap", "pass" if ok2 else "fail",
                margin=float(np.min(lam2) - constants.d0))
 
-    margin = cfg.tolerances.slope_margin + slope_widening(params.alpha)
     quantities = {"f_minus_p": ("theta", arr[:, d + 3]),
                   "phi": ("phi", arr[:, d + 4]),
                   "rho_star": ("rho_star", np.abs(arr[:, d + 7]))}
@@ -220,7 +218,8 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
             report.add(f"slope_{name}", "pass", detail="identically zero")
             continue
         try:
-            slope, floor = slope_check(r, v, params.alpha, quantity, margin)
+            slope, floor = slope_check(r, v, params.alpha, quantity,
+                                       cfg.tolerances.slope_margin)
         except LevyhomError as exc:
             report.add(f"slope_{name}", "fail", detail=str(exc))
             continue
@@ -233,7 +232,7 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
 def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
     report = RunReport("rate-study", cfg.digest())
     params, coeff, constants, modes = _prepare(cfg)
-    grid = XiGrid(cfg.dimension, cfg.xi_grid)
+    grid = cfg.xi_grid.points(cfg.dimension)
     eps = cfg.epsilons.values()
     truncation_failed = None
     try:
@@ -243,7 +242,7 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
         truncation_failed = str(exc)
 
     os.makedirs(out_dir, exist_ok=True)
-    bounds = rate_bound(params.alpha, result.epsilons)
+    bounds = rate_function(params.alpha, "discrepancy", result.epsilons)
     rows = list(zip(result.epsilons, result.discrepancies, bounds,
                     result.bound_ratios, result.argmax_xi_norm))
     footers = [("fitted_slope", result.fitted_slope if result.fitted_slope is not None
@@ -272,9 +271,9 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
         report.add("bound_ratio", "pass", detail="exact")
         return report
 
-    margin = cfg.tolerances.slope_margin + slope_widening(params.alpha)
     slope, floor = slope_check(result.epsilons, result.discrepancies,
-                               params.alpha, "discrepancy", margin)
+                               params.alpha, "discrepancy",
+                               cfg.tolerances.slope_margin)
     kind = "log-corrected " if result.log_corrected_slope is not None else ""
     report.add("slope", "pass" if slope >= floor else "fail", margin=slope - floor,
                detail=f"{kind}slope={slope:.3f} floor={floor:.3f}")

@@ -202,16 +202,6 @@ def rate_function(alpha: float, quantity: str, x) -> np.ndarray:
     return power * (1.0 + np.abs(np.log(x))) ** q if q else power
 
 
-def theta_modulus(alpha: float, r: float) -> float:
-    """Threshold modulus: |xi|^a below a=1, |xi|(1+|ln|xi||) at a=1, |xi| above."""
-    r = float(r)
-    if r == 0.0:
-        return 0.0
-    p, q = rate_profile(alpha, "theta")
-    power = r if p == 1 else r ** p
-    return power * (1.0 + abs(math.log(r))) ** q if q else power
-
-
 def effective_mu(coeff: PeriodicCoefficient) -> float:
     """Mean value of the coefficient: the (0, 0) Fourier amplitude."""
     zero = (0,) * coeff.dimension

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -29,12 +30,15 @@ class XiGridSpec:
     directions: str = "axes+diagonals"
 
     def validate(self):
-        if self.points_per_dim < 1:
-            raise ValueError("xi_grid.points_per_dim must be >= 1")
+        for name in ("points_per_dim", "radial_per_decade"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"xi_grid.{name} must be an integer >= 1")
+        if not (math.isfinite(self.radial_min_exp)
+                and math.isfinite(self.radial_max_exp)):
+            raise ValueError("xi_grid radial exponents must be finite")
         if self.radial_min_exp >= self.radial_max_exp:
             raise ValueError("xi_grid radial exponents must be increasing")
-        if self.radial_per_decade < 1:
-            raise ValueError("xi_grid.radial_per_decade must be >= 1")
         if self.directions not in ("axes", "axes+diagonals"):
             raise ValueError("xi_grid.directions must be 'axes' or 'axes+diagonals'")
 
@@ -43,6 +47,30 @@ class XiGridSpec:
         n_rad = max(2, int(round((self.radial_max_exp - self.radial_min_exp)
                                  * self.radial_per_decade)) + 1)
         return np.logspace(self.radial_min_exp, self.radial_max_exp, n_rad)
+
+    def points(self, dimension: int) -> tuple:
+        """The grid's points in [-pi, pi)^dimension, each once.
+
+        Order: the origin; the uniform lattice in lexicographic order; the
+        radial points by (radius, direction), directions e1, -e1, ..., then
+        the diagonal pair.  ValueError if the spec is invalid.
+        """
+        self.validate()
+        n = self.points_per_dim
+        axis = -math.pi + 2.0 * math.pi * np.arange(n) / n
+        lattice = np.stack(np.meshgrid(*([axis] * dimension), indexing="ij"), axis=-1)
+        units = list(np.eye(dimension))
+        if self.directions == "axes+diagonals" and dimension > 1:
+            units.append(np.ones(dimension) / math.sqrt(dimension))
+        radial = (r * w for r in self.radii() for v in units for w in (v, -v))
+        pts, seen = [], set()
+        for xi in (np.zeros(dimension), *lattice.reshape(-1, dimension),
+                   *(x for x in radial if np.max(np.abs(x)) < math.pi)):
+            key = tuple(float(v) for v in xi)
+            if key not in seen:
+                seen.add(key)
+                pts.append(xi)
+        return tuple(pts)
 
 
 def _validate_epsilons(epsilons) -> np.ndarray:
@@ -89,8 +117,9 @@ class Tolerances:
 
     def validate(self):
         for name in ("oracle_rel", "projector_abs", "slope_margin"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"tolerances.{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"tolerances.{name} must be finite and positive")
 
 
 @dataclass(frozen=True)

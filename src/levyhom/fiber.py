@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gamma as _gamma, zeta as _zeta
 
 from ._util import hermitian_norm
-from .coefficient import ModelParams, PeriodicCoefficient, theta_modulus
+from .coefficient import ModelParams, PeriodicCoefficient, rate_function
 from .errors import (BlockLeak, BoundViolated, QuadratureNotConverged,
                      TruncationTooSmall)
 
@@ -492,7 +492,7 @@ def form_difference_checks(
             num = abs(np.vdot(u, diff @ u))
             den = np.vdot(u, a_zero @ u).real + coeff.mu_plus * np.vdot(u, u).real
             best = max(best, num / den)
-        ratio = best / theta_modulus(alpha, r)
+        ratio = best / float(rate_function(alpha, "theta", r))
         ratios.append(ratio)
         entries.append(FormDifferenceEntry(xi_norm=r, lhs=best, reference=ratio))
     spread = max(ratios) / min(ratios) if ratios else 1.0

@@ -11,15 +11,14 @@ Galerkin error is subdominant.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import hermitian_norm, parallel_map
 from .coefficient import (RATE_TABLE, ModelParams, PeriodicCoefficient,
                           effective_mu, rate_function, rate_profile)
-from .config import XiGridSpec, _validate_epsilons
+from .config import _validate_epsilons
 from .errors import DegenerateFit, TruncationUnstable
 from .fiber import (FiberMatrix, ModeSet, assemble_effective_fiber,
                     assemble_fiber_matrix, group_blocks)
@@ -37,77 +36,6 @@ def slope_widening(alpha: float) -> float:
         if lo < alpha < hi:
             return 0.05
     return 0.0
-
-
-def rate_bound(alpha: float, eps: np.ndarray) -> np.ndarray:
-    """Theoretical decay profile of the scaled discrepancy."""
-    return rate_function(alpha, "discrepancy", eps)
-
-
-# ----------------------------------------------------------------------
-# Quasimomentum grid
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class XiGrid:
-    """Deterministic cell covering: uniform lattice plus radial refinement.
-
-    The points are built from the validated spec.  They always contain
-    xi = 0 and are ordered deterministically: origin, uniform points in
-    lexicographic order, then radial points by (radius, direction).
-    """
-
-    dimension: int
-    spec: XiGridSpec
-    points: tuple = field(init=False)
-
-    def __post_init__(self):
-        spec = self.spec
-        spec.validate()
-        dimension = self.dimension
-        pts: list[np.ndarray] = [np.zeros(dimension)]
-        seen = {tuple(pts[0])}
-
-        n = spec.points_per_dim
-        axis = -math.pi + 2.0 * math.pi * np.arange(n) / n
-        mesh = np.stack(np.meshgrid(*([axis] * dimension), indexing="ij"), axis=-1)
-        for row in mesh.reshape(-1, dimension):
-            key = tuple(float(v) for v in row)
-            if key not in seen:
-                seen.add(key)
-                pts.append(np.asarray(row, dtype=float))
-
-        dirs = _grid_directions(dimension, spec.directions)
-        for r in spec.radii():
-            for v in dirs:
-                xi = r * v
-                if np.max(np.abs(xi)) >= math.pi:
-                    continue
-                key = tuple(float(x) for x in xi)
-                if key not in seen:
-                    seen.add(key)
-                    pts.append(xi)
-        object.__setattr__(self, "points", tuple(pts))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def doubled(self) -> "XiGrid":
-        spec = replace(self.spec, points_per_dim=2 * self.spec.points_per_dim,
-                       radial_per_decade=2 * self.spec.radial_per_decade)
-        return replace(self, spec=spec)
-
-
-def _grid_directions(dimension: int, directions: str) -> list[np.ndarray]:
-    dirs = [np.eye(dimension)[j] for j in range(dimension)]
-    if directions == "axes+diagonals" and dimension > 1:
-        dirs.append(np.ones(dimension) / math.sqrt(dimension))
-    return [w for v in dirs for w in (v, -v)]
-
-
-def build_xi_grid(dimension: int, **spec_fields) -> XiGrid:
-    """Grid of ``XiGridSpec(**spec_fields)``; ValueError if the spec is invalid."""
-    return XiGrid(dimension, XiGridSpec(**spec_fields))
 
 
 # ----------------------------------------------------------------------
@@ -212,10 +140,12 @@ def slope_check(x, values, alpha: float, quantity: str,
                 margin: float) -> tuple[float, float]:
     """Log-log slope of `values` against the rate of `quantity`, and its floor.
 
+    The margin widens by `slope_widening(alpha)` near the singular exponents.
     A pure power x^p is fitted against x and must reach p less the margin
     and the quantity's extra; a log-corrected profile is fitted against the
     profile itself and must reach 1 less the margin.
     """
+    margin = margin + slope_widening(alpha)
     p, q = rate_profile(alpha, quantity)
     if q:
         slope, _ = loglog_slope(rate_function(alpha, quantity, x), values)
@@ -232,14 +162,12 @@ class RateStudyResult:
     alpha: float
     epsilons: np.ndarray            # descending
     discrepancies: np.ndarray
-    argmax_xi: tuple
     argmax_xi_norm: np.ndarray
     bound_ratios: np.ndarray
     fitted_slope: float | None
     r_squared: float | None
     log_corrected_slope: float | None
     truncation_stability: float
-    grid_stability: float | None
     exact: bool                     # discrepancy identically zero
     warnings: tuple
 
@@ -257,7 +185,7 @@ def _sup_over_grid(coeff, params, modes, grid, shifts, workers):
         symbol = assemble_effective_fiber(params, mu0, modes, xi)
         return _resolvent_diffs(coeff, params, modes, xi, symbol, shifts)
 
-    table = np.array(parallel_map(per_xi, grid.points, workers))  # (nxi, nshift)
+    table = np.array(parallel_map(per_xi, grid, workers))  # (nxi, nshift)
     return table.max(axis=0), table.argmax(axis=0)
 
 
@@ -265,17 +193,17 @@ def discrepancy_study(
     coeff: PeriodicCoefficient,
     params: ModelParams,
     modes: ModeSet,
-    grid: XiGrid,
+    grid: tuple,
     epsilons,
     workers: int | None = 1,
-    check_grid: bool = False,
 ) -> RateStudyResult:
     """Measure the scaled resolvent discrepancy and fit its decay rate.
 
-    For each eps the discrepancy is eps^alpha times the grid max of the fiber
-    resolvent difference at shift eps^alpha.  The study re-runs at doubled
-    truncation and raises TruncationUnstable (result attached) when any
-    discrepancy moves by more than 5%.
+    For each eps the discrepancy is eps^alpha times the max of the fiber
+    resolvent difference at shift eps^alpha over the quasimomenta `grid`, a
+    sequence of points such as ``XiGridSpec().points(dimension)``.  The study
+    re-runs at doubled truncation and raises TruncationUnstable (result
+    attached) when any discrepancy moves by more than 5%.
     """
     eps = _validate_epsilons(epsilons)
     alpha = params.alpha
@@ -290,8 +218,7 @@ def discrepancy_study(
 
     sup_vals, arg_idx = _sup_over_grid(coeff, params, modes, grid, shifts, workers)
     disc = shifts * sup_vals
-    argmax_xi = tuple(grid.points[int(i)] for i in arg_idx)
-    argmax_norm = np.array([float(np.linalg.norm(x)) for x in argmax_xi])
+    argmax_norm = np.array([float(np.linalg.norm(grid[i])) for i in arg_idx])
 
     exact = bool(np.all(disc == 0.0))
     if exact:
@@ -299,17 +226,10 @@ def discrepancy_study(
         ratios = np.zeros_like(disc)
     else:
         fitted, r2 = loglog_slope(eps, disc)
-        bound = rate_bound(alpha, eps)
+        bound = rate_function(alpha, "discrepancy", eps)
         log_corrected = rate_profile(alpha, "discrepancy")[1] > 0
         corrected = loglog_slope(bound, disc)[0] if log_corrected else None
         ratios = disc / bound
-
-    grid_stability = None
-    if check_grid:
-        sup2, _ = _sup_over_grid(coeff, params, modes, grid.doubled(), shifts,
-                                 workers)
-        disc2 = shifts * sup2
-        grid_stability = _relative_change(disc, disc2)
 
     double = ModeSet(params.dimension, 2 * modes.truncation)
     sup_d, _ = _sup_over_grid(coeff, params, double, grid, shifts, workers)
@@ -320,14 +240,12 @@ def discrepancy_study(
         alpha=alpha,
         epsilons=eps,
         discrepancies=disc,
-        argmax_xi=argmax_xi,
         argmax_xi_norm=argmax_norm,
         bound_ratios=ratios,
         fitted_slope=fitted,
         r_squared=r2,
         log_corrected_slope=corrected,
         truncation_stability=stability,
-        grid_stability=grid_stability,
         exact=exact,
         warnings=tuple(warnings),
     )

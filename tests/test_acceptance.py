@@ -14,10 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from levyhom import (CircleContour, ModeSet, ModelParams,
+from levyhom import (CircleContour, ModeSet, ModelParams, XiGridSpec,
                      assemble_effective_fiber, assemble_fiber_matrix, certify,
                      compute_c0, constant_coefficient, discrepancy_study,
-                     eig_hermitian, build_xi_grid, loglog_slope,
+                     eig_hermitian, loglog_slope,
                      oracle_c0, oracle_form_element, projector_by_eig,
                      projector_by_riesz, rho_and_rho_star,
                      threshold_resolvent_diff, theory_constants,
@@ -248,7 +248,7 @@ def test_criterion_8_threshold_resolvent_boundedness():
 def test_criterion_9_main_rate_study():
     """Rate fits against the theoretical envelopes; exactness; truncation."""
     modes = ModeSet(1, N_STANDARD)
-    grid = build_xi_grid(1, points_per_dim=16, radial_per_decade=4)
+    grid = XiGridSpec(points_per_dim=16, radial_per_decade=4).points(1)
     eps = np.geomspace(1e-1, 1e-3, 12)
     t2 = certify(make_t2())
     ok = True

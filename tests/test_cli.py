@@ -1,6 +1,9 @@
 """CLI contract: exit codes, CSV artifacts, digests, determinism."""
 
+import importlib.util
 import json
+import math
+import pathlib
 
 import pytest
 
@@ -212,6 +215,29 @@ def test_validate_rejects_short_epsilon_span(tmp_path):
     assert main(["validate", "--config", str(cfg_path)]) == 1
 
 
+def test_nan_tolerance_exits_1(tmp_path):
+    # json reads the NaN literal; `mismatch > NaN` is never true, so a NaN
+    # projector tolerance would switch the Riesz-vs-eig cross-check off
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, tolerances={"oracle_rel": 1e-3,
+                                       "projector_abs": math.nan,
+                                       "slope_margin": 0.1})
+    assert "NaN" in cfg_path.read_text()
+    assert main(["thresholds", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "art")]) == 1
+
+
+def test_fractional_grid_count_exits_1(tmp_path):
+    # 2.5 points per dimension would build a lattice that is not uniform
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, xi_grid={"points_per_dim": 2.5, "radial_min_exp": -4.0,
+                                    "radial_max_exp": -0.5,
+                                    "radial_per_decade": 4,
+                                    "directions": "axes+diagonals"})
+    assert main(["rate-study", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "art")]) == 1
+
+
 def test_rejects_workers_below_one(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -376,3 +402,27 @@ def test_rate_study_d3(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "truncation_stability: pass" in out
     assert "slope: pass" in out
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _reference_checks():
+    """The benchmark's CSV checks, loaded from their file (bench/ is no package)."""
+    spec = importlib.util.spec_from_file_location("bench_checks",
+                                                  REPO / "bench" / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("config", ["t1_alpha1", "t2_alpha05"])
+def test_shipped_configs_match_reference(tmp_path, config):
+    # the stored seed-commit CSVs, within the benchmark's 1e-12 drift rule
+    checks = _reference_checks()
+    for command in ("thresholds", "rate-study"):
+        out_dir = tmp_path / command
+        assert main([command, "--config", str(REPO / "configs" / f"{config}.json"),
+                     "--out", str(out_dir), "--workers", "1"]) == 0
+        csv_path = out_dir / checks.REFERENCE_CSVS[command]
+        assert checks.reference_problems(str(csv_path), config, command) == []

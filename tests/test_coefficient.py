@@ -8,8 +8,8 @@ import pytest
 from levyhom import (ModelParams, PeriodicCoefficient, PositivityUncertified,
                      SymmetryViolation, certify, compute_c0,
                      constant_coefficient, delta0_and_d0, effective_mu,
-                     oracle_c0, rate_function, theory_constants,
-                     theta_modulus, v_alpha, validate_coefficient)
+                     oracle_c0, rate_function, theory_constants, v_alpha,
+                     validate_coefficient)
 from conftest import make_t1, make_t2, random_band_limited
 
 
@@ -170,28 +170,19 @@ class TestGapConstants:
 
 class TestTheta:
     def test_alpha_one_spot_values(self):
-        assert theta_modulus(1.0, math.exp(-1.0)) == pytest.approx(2 / math.e, rel=1e-12)
-        assert theta_modulus(1.0, 1.0) == 1.0
+        assert rate_function(1.0, "theta", math.exp(-1.0)) == \
+            pytest.approx(2 / math.e, rel=1e-12)
+        assert rate_function(1.0, "theta", 1.0) == 1.0
 
     def test_branches(self):
-        assert theta_modulus(0.5, 0.04) == pytest.approx(0.2, rel=1e-12)
-        assert theta_modulus(1.5, 0.04) == 0.04
-        assert theta_modulus(0.5, 0.0) == 0.0
-        assert theta_modulus(1.0, 0.0) == 0.0
+        assert rate_function(0.5, "theta", 0.04) == pytest.approx(0.2, rel=1e-12)
+        assert rate_function(1.5, "theta", 0.04) == 0.04
 
     def test_monotone(self):
         for alpha in (0.5, 1.0, 1.5):
             grid = np.linspace(1e-6, math.pi * math.sqrt(3), 300)
-            vals = [theta_modulus(alpha, r) for r in grid]
-            assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_matches_rate_function(self):
-        # the scalar math path and the array numpy path read one table row
-        r = np.geomspace(1e-4, 3.0, 50)
-        for alpha in (0.5, 1.0, 1.5):
-            scalar = [theta_modulus(alpha, v) for v in r]
-            np.testing.assert_allclose(rate_function(alpha, "theta", r), scalar,
-                                       rtol=1e-14)
+            vals = rate_function(alpha, "theta", grid)
+            assert np.all(np.diff(vals) >= 0.0)
 
     def test_theory_constants_bundle(self, t2, params_half):
         const = theory_constants(params_half, t2)
