@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gamma as _gamma, j0 as _bessel_j0
 
 from .errors import PositivityUncertified, SymmetryViolation
 
@@ -102,6 +101,50 @@ def coefficient_from_records(dimension: int, records) -> PeriodicCoefficient:
 # Scalar constants
 # ----------------------------------------------------------------------
 
+# cephes' Gamma rational approximation on [2, 3], highest power first
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
+            1.04213797561761569935e-2, 4.76367800457137231464e-2,
+            2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
+            -4.45641913851797240494e-3, 1.18139785222060435552e-2,
+            3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _gamma(x: float) -> float:
+    """Gamma on (-1, 3), operation for operation as cephes' `Gamma`.
+
+    `math.gamma` differs from it in the last bit at some arguments (0.75 is
+    one), and c0 enters every stored output, so the port keeps the bits
+    `scipy.special.gamma` gives.  ValueError outside the domain and at 0.
+    """
+    if not -1.0 < x < 3.0 or x == 0.0:
+        raise ValueError(f"_gamma is defined on (-1, 3) without 0, got {x!r}")
+    z = 1.0
+    while x < 0.0:
+        if x > -1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+
+
 def compute_c0(params: ModelParams) -> float:
     """Normalization constant of the fractional kernel, Gamma closed form."""
     d, a = params.dimension, params.alpha
@@ -117,13 +160,14 @@ def oracle_c0(params: ModelParams) -> tuple[float, float]:
     done in closed elementary form.  Returns (value, error_estimate).
     """
     from scipy.integrate import quad
+    from scipy.special import j0 as _bessel_j0
     d, a = params.dimension, params.alpha
     err = 0.0
 
     if d == 1:
         cut = 50.0
-        core, e1 = quad(lambda z: (1.0 - np.cos(z)) / z ** (1 + a), 0.0, 1.0, limit=200)
-        mid, e2 = quad(lambda z: (1.0 - np.cos(z)) / z ** (1 + a), 1.0, cut, limit=400)
+        core, e1 = quad(lambda z: (1.0 - math.cos(z)) / z ** (1 + a), 0.0, 1.0, limit=200)
+        mid, e2 = quad(lambda z: (1.0 - math.cos(z)) / z ** (1 + a), 1.0, cut, limit=400)
         osc, e3 = quad(lambda z: z ** (-1 - a), cut, np.inf, weight="cos", wvar=1.0)
         val = 2.0 * (core + mid + cut ** (-a) / a - osc)
         err = 2.0 * (e1 + e2 + e3)
@@ -159,7 +203,7 @@ def oracle_c0(params: ModelParams) -> tuple[float, float]:
 
     # d == 3: angular average of cos(r cos t) over the sphere is sin(r)/r
     cut = 50.0
-    f = lambda r: (1.0 - np.sin(r) / r) / r ** (1 + a)
+    f = lambda r: (1.0 - math.sin(r) / r) / r ** (1 + a)
     core, e1 = quad(f, 0.0, 1.0, limit=200)
     mid, e2 = quad(f, 1.0, cut, limit=800)
     osc, e3 = quad(lambda r: r ** (-2 - a), cut, np.inf, weight="sin", wvar=1.0)

@@ -142,6 +142,10 @@ class StudyConfig:
             raise ValueError("alpha must lie in (0, 2)")
         if not self.coefficient:
             raise ValueError("coefficient mode list must not be empty")
+        for name in ("truncation", "positivity_grid", "seed"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.resolved_truncation < 1:
             raise ValueError("truncation must be >= 1")
         if self.resolved_positivity_grid < 16:

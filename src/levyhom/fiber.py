@@ -16,15 +16,16 @@ comparing A(xi) - A(0) against its theoretical envelopes.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma, zeta as _zeta
 
 from ._util import hermitian_norm
-from .coefficient import ModelParams, PeriodicCoefficient, rate_function
+from .coefficient import (ModelParams, PeriodicCoefficient, _gamma,
+                          rate_function)
 from .errors import (BlockLeak, BoundViolated, QuadratureNotConverged,
                      TruncationTooSmall)
 
@@ -336,12 +337,14 @@ def oracle_form_element(
             continue
         w_l = 2.0 * math.pi * l[0]
 
+        # scalar arithmetic; multiplying by the reciprocal rather than dividing
+        # keeps the last bits of the stored oracle outputs
         def integrand(z):
             return (
-                np.exp(1j * w_l * z)
-                * (1.0 - np.exp(1j * a_freq * z))
-                * (1.0 - np.exp(-1j * b_freq * z))
-                / (2.0 * np.abs(z) ** (1.0 + alpha))
+                cmath.exp(1j * w_l * z)
+                * (1.0 - cmath.exp(1j * a_freq * z))
+                * (1.0 - cmath.exp(-1j * b_freq * z))
+                * (1.0 / (2.0 * abs(z) ** (1.0 + alpha)))
             )
 
         def core(eps_scale):
@@ -399,6 +402,7 @@ def c1_constant(params: ModelParams) -> float:
     if not a < 1.0:
         raise ValueError("c1 is defined for alpha < 1 only")
     from scipy.integrate import quad
+    from scipy.special import zeta as _zeta
     total = 0.0
     for j in range(60):
         # the j = 0 panel has an integrable z^(-a) endpoint singularity;

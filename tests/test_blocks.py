@@ -269,11 +269,29 @@ class TestBlockwiseSpectral:
         assert np.trace(proj.projector).real == pytest.approx(2.0, abs=1e-9)
 
 
-def test_cli_import_leaves_quadrature_unloaded():
+def _scipy_modules_after(code):
+    """scipy modules loaded in a fresh interpreter once `code` has run."""
     src = os.path.dirname(os.path.dirname(levyhom.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, levyhom.cli; "
-            "print('scipy.integrate' in sys.modules)")
+    code = ("import sys; " + code + "; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _scipy_modules_after("import levyhom.cli") == "[]"
+
+
+def test_commands_but_oracle_check_leave_scipy_unloaded(tmp_path):
+    # only oracle-check integrates anything; the other commands need numpy alone
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "t1_alpha1.json")
+    common = ["--config", config, "--workers", "1", "--truncation", "8"]
+    runs = [[command, *common, "--out", str(tmp_path / command)]
+            for command in ("validate", "constants", "thresholds", "rate-study")]
+    runs.append(["fiber", *common, "--out", str(tmp_path / "fiber"), "--xi", "0.3"])
+    code = ("from levyhom.cli import main; "
+            f"assert all(main(argv) == 0 for argv in {runs!r})")
+    assert _scipy_modules_after(code) == "[]"

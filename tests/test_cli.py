@@ -238,6 +238,16 @@ def test_fractional_grid_count_exits_1(tmp_path):
                  "--out", str(tmp_path / "art")]) == 1
 
 
+@pytest.mark.parametrize("field,value", [("positivity_grid", 64.5), ("seed", 1.5),
+                                         ("truncation", 8.5)])
+def test_fractional_count_exits_1(tmp_path, field, value):
+    # a grid, seed or truncation that is not a whole number is a config error
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **{field: value})
+    assert main(["thresholds", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "art")]) == 1
+
+
 def test_rejects_workers_below_one(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -420,7 +430,7 @@ def _reference_checks():
 def test_shipped_configs_match_reference(tmp_path, config):
     # the stored seed-commit CSVs, within the benchmark's 1e-12 drift rule
     checks = _reference_checks()
-    for command in ("thresholds", "rate-study"):
+    for command in ("thresholds", "rate-study", "oracle-check"):
         out_dir = tmp_path / command
         assert main([command, "--config", str(REPO / "configs" / f"{config}.json"),
                      "--out", str(out_dir), "--workers", "1"]) == 0

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma as scipy_gamma
 
 from levyhom import (ModelParams, PeriodicCoefficient, PositivityUncertified,
                      SymmetryViolation, certify, compute_c0,
                      constant_coefficient, delta0_and_d0, effective_mu,
                      oracle_c0, rate_function, theory_constants, v_alpha,
                      validate_coefficient)
+from levyhom.coefficient import _gamma
 from conftest import make_t1, make_t2, random_band_limited
 
 
@@ -42,6 +44,31 @@ class TestC0:
             ModelParams(1, 2.0)
         with pytest.raises(ValueError):
             ModelParams(1, 0.0)
+
+
+class TestGamma:
+    # c0 and c1 are formed from these Gamma values, and the stored outputs
+    # depend on c0's last bit, so the port must match scipy's bits exactly
+    def test_bitwise_scipy_at_c0_c1_arguments(self):
+        alphas = [i / 100 for i in range(1, 200)]
+        alphas += [float(a) for a in np.linspace(0.0, 2.0, 4001)[1:-1]]
+        args = {x for a in alphas
+                for x in (-a / 2.0, (1 + a) / 2.0, *((d + a) / 2.0 for d in (1, 2, 3)))}
+        bad = [x for x in sorted(args) if _gamma(x) != scipy_gamma(x)]
+        assert bad == []
+
+    def test_bitwise_scipy_on_domain_sample(self):
+        rng = np.random.default_rng(20240)
+        xs = np.concatenate([rng.uniform(-1.0, 3.0, 20000),
+                             [-1e-10, 1e-10, 0.5, 0.75, 1.0, 2.0,
+                              np.nextafter(-1.0, 0.0), np.nextafter(3.0, 0.0)]])
+        bad = [x for x in map(float, xs) if _gamma(x) != scipy_gamma(x)]
+        assert bad == []
+
+    @pytest.mark.parametrize("x", [-1.0, 0.0, 3.0, -1.5, 4.0, math.inf, math.nan])
+    def test_outside_domain_raises(self, x):
+        with pytest.raises(ValueError):
+            _gamma(x)
 
 
 class TestVAlpha:
