@@ -19,6 +19,27 @@ from .coefficient import (DEFAULT_POSITIVITY_GRID, DEFAULT_TRUNCATION,
                           PeriodicCoefficient, coefficient_from_records)
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool: json reads `true` as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _record(rec: dict, dimension: int) -> dict:
+    """Canonical copy of a coefficient record; ValueError unless it is valid."""
+    k, l, re, im = rec["k"], rec["l"], rec.get("re", 0.0), rec.get("im", 0.0)
+    for name, index in (("k", k), ("l", l)):
+        if not (isinstance(index, list) and len(index) == dimension
+                and all(map(_is_int, index))):
+            raise ValueError(f"coefficient {name} must be a list of {dimension} "
+                             f"integers, got {index!r}")
+    for name, value in (("re", re), ("im", im)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                           and math.isfinite(value)):
+            raise ValueError(f"coefficient {name} must be a finite number, "
+                             f"got {value!r}")
+    return {"k": k, "l": l, "re": float(re), "im": float(im)}
+
+
 @dataclass(frozen=True)
 class XiGridSpec:
     """Quasimomentum grid: a uniform cell lattice plus log-spaced radii."""
@@ -32,7 +53,7 @@ class XiGridSpec:
     def validate(self):
         for name in ("points_per_dim", "radial_per_decade"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"xi_grid.{name} must be an integer >= 1")
         if not (math.isfinite(self.radial_min_exp)
                 and math.isfinite(self.radial_max_exp)):
@@ -136,7 +157,7 @@ class StudyConfig:
     output: str = "out"
 
     def validate(self):
-        if self.dimension not in (1, 2, 3):
+        if not _is_int(self.dimension) or self.dimension not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha must lie in (0, 2)")
@@ -144,7 +165,7 @@ class StudyConfig:
             raise ValueError("coefficient mode list must not be empty")
         for name in ("truncation", "positivity_grid", "seed"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Integral):
+            if value is not None and not _is_int(value):
                 raise ValueError(f"{name} must be an integer")
         if self.resolved_truncation < 1:
             raise ValueError("truncation must be >= 1")
@@ -185,11 +206,8 @@ class StudyConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(data)
-        kwargs["coefficient"] = tuple(
-            {"k": list(map(int, rec["k"])), "l": list(map(int, rec["l"])),
-             "re": float(rec.get("re", 0.0)), "im": float(rec.get("im", 0.0))}
-            for rec in data.get("coefficient", ())
-        )
+        kwargs["coefficient"] = tuple(_record(rec, data.get("dimension", 1))
+                                      for rec in data.get("coefficient", ()))
         if "xi_grid" in data:
             kwargs["xi_grid"] = XiGridSpec(**data["xi_grid"])
         if "epsilons" in data:

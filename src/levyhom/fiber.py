@@ -19,13 +19,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import hermitian_norm
 from .coefficient import (ModelParams, PeriodicCoefficient, _gamma,
-                          rate_function)
+                          effective_mu, rate_function)
 from .errors import (BlockLeak, BoundViolated, QuadratureNotConverged,
                      TruncationTooSmall)
 
@@ -55,9 +55,6 @@ class ModeSet:
         for j in range(self.dimension):
             idx = idx * width + (arr[:, j] + n)
         return idx
-
-    def __len__(self) -> int:
-        return self.size
 
 
 def group_blocks(blocks) -> tuple:
@@ -119,9 +116,9 @@ def _components(modes: ModeSet, shifts) -> list:
 class FiberMatrix:
     """Hermitian Galerkin matrix of the fiber operator at one quasimomentum.
 
-    `entries` is the dense matrix, float64 or complex128 as assembled;
-    `blocks` the index arrays of its diagonal blocks grouped by size
-    (:func:`group_blocks`), and `stacks` the blocks' entries, one
+    `entries` is the dense matrix (float64 or complex128); `blocks` the
+    index arrays of its diagonal blocks grouped by size (:func:`group_blocks`),
+    one block of every mode by default; `stacks` the blocks' entries, one
     (count, size, size) array of the same dtype per group.  Dense work runs
     on the stacks, one batched numpy call per group.  A wrapper rather than
     a bare array also because ``bench/traced.py`` counts the assembled bytes
@@ -129,16 +126,14 @@ class FiberMatrix:
     """
 
     entries: np.ndarray
-    blocks: tuple
-    stacks: tuple
+    blocks: tuple | None = None
+    stacks: tuple = field(init=False)
 
-    @classmethod
-    def from_blocks(cls, entries: np.ndarray, blocks=None) -> "FiberMatrix":
-        """Wrap `entries` with the given blocks (default: one block of all)."""
-        if blocks is None:
-            blocks = (np.arange(len(entries))[None, :],)
-        stacks = tuple(entries[idx[:, :, None], idx[:, None, :]] for idx in blocks)
-        return cls(entries=entries, blocks=blocks, stacks=stacks)
+    def __post_init__(self):
+        if self.blocks is None:
+            object.__setattr__(self, "blocks", (np.arange(len(self.entries))[None, :],))
+        object.__setattr__(self, "stacks", tuple(
+            self.entries[idx[:, :, None], idx[:, None, :]] for idx in self.blocks))
 
     def embed(self, stacks) -> np.ndarray:
         """Dense matrix holding `stacks` (shaped like `self.stacks`), zero elsewhere."""
@@ -158,10 +153,6 @@ def _sym_pow(vecs: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
     return r ** alpha
 
 
-def _nonzero_parts(a: np.ndarray) -> int:
-    return int(np.count_nonzero(a.view(np.float64)))
-
-
 def assemble_fiber_matrix(
     coeff: PeriodicCoefficient,
     params: ModelParams,
@@ -171,14 +162,16 @@ def assemble_fiber_matrix(
     """Assemble the closed-form Galerkin matrix of the fiber operator.
 
     The result carries the coupling blocks (:func:`coupling_blocks`);
-    BlockLeak if any entry outside them is nonzero.  With every amplitude
-    real each entry is a real sum, so the matrix is real symmetric and is
-    assembled in float64; otherwise in complex128.  The real parts agree
-    bit for bit between the two.
+    BlockLeak if a support pair writes an entry outside them: a coupled row
+    mode in no block, or its column mode in another block.  With every
+    amplitude real each entry is a real sum, so the matrix is real symmetric
+    and is assembled in float64; otherwise in complex128.  The real parts
+    agree bit for bit between the two.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (params.dimension,):
-        raise ValueError(f"xi must have {params.dimension} components")
+    if xi.shape != (params.dimension,) or not np.all(np.isfinite(xi)):
+        raise ValueError(f"xi must have {params.dimension} finite components, "
+                         f"got {xi.tolist()}")
     span = coeff.coupling_span
     if modes.truncation < span:
         raise TruncationTooSmall(
@@ -189,10 +182,13 @@ def assemble_fiber_matrix(
     alpha, c0 = params.alpha, params.c0
     n_trunc = modes.truncation
     mvec = modes.modes
-    size = modes.size
     real = all(amp.imag == 0.0 for amp in coeff.modes.values())
-    entries = np.zeros((size, size), dtype=float if real else complex)
+    entries = np.zeros((modes.size,) * 2, dtype=float if real else complex)
     zero_xi = np.zeros_like(xi)
+    blocks = coupling_blocks(coeff, modes)
+    label = np.full(modes.size, -1)  # block number of each mode, -1 for none
+    for idx in blocks:
+        label[idx] = label.max() + 1 + np.arange(len(idx))[:, None]
 
     for (k, l), amp in sorted(coeff.modes.items()):
         if real:
@@ -206,6 +202,9 @@ def assemble_fiber_matrix(
         if rows.size == 0:
             continue
         cols = modes._ravel(nvec[rows])
+        if np.any((label[rows] < 0) | (label[rows] != label[cols])):
+            raise BlockLeak(f"support pair ({k}, {l}) couples modes outside the "
+                            f"coupling blocks")
         a = _sym_pow(mvec[rows] - lv, xi, alpha)
         b = _sym_pow(nvec[rows] + lv, xi, alpha)
         c3 = _sym_pow(lv[None, :], zero_xi, alpha)[0]
@@ -214,15 +213,7 @@ def assemble_fiber_matrix(
         # cancel exactly instead of to rounding
         entries[rows, cols] += (0.5 * c0 * amp) * ((a - c4) + (b - c3))
 
-    fiber = FiberMatrix.from_blocks(entries, coupling_blocks(coeff, modes))
-    # each in-block position sits in exactly one stack, so the counts of
-    # nonzero real and imaginary parts agree exactly when every entry outside
-    # the blocks is exactly zero
-    leaked = _nonzero_parts(entries) - sum(_nonzero_parts(s) for s in fiber.stacks)
-    if leaked:
-        raise BlockLeak(f"{leaked} nonzero fiber entry parts lie outside the "
-                        f"{sum(len(idx) for idx in fiber.blocks)} coupling blocks")
-    return fiber
+    return FiberMatrix(entries, blocks)
 
 
 def assemble_effective_fiber(
@@ -248,7 +239,6 @@ def rho_and_rho_star(
     alpha = params.alpha
     zero_xi = np.zeros_like(xi)
     rho = 0.0
-    mu0 = 0.0
     for (k, l), amp in sorted(coeff.modes.items()):
         if k != tuple(-v for v in l):
             continue
@@ -257,13 +247,9 @@ def rho_and_rho_star(
         vm = _sym_pow(lv, -xi, alpha)[0]
         v0 = _sym_pow(lv, zero_xi, alpha)[0]
         rho += amp.real * ((vm - v0) + (vp - v0))
-        if all(v == 0 for v in l):
-            mu0 = amp.real
     c0 = params.c0
     rho *= 0.5 * c0
-    r = float(np.linalg.norm(xi))
-    rho_star = rho - mu0 * c0 * r ** alpha
-    return rho, rho_star
+    return rho, rho - effective_mu(coeff) * c0 * float(np.linalg.norm(xi)) ** alpha
 
 
 # ----------------------------------------------------------------------
@@ -348,17 +334,12 @@ def oracle_form_element(
             )
 
         def core(eps_scale):
-            re, re_err = quad(
-                lambda z: integrand(z).real, -z_cut, z_cut, points=[0.0],
-                limit=ORACLE_LIMIT, epsabs=ORACLE_ABS_TOL * eps_scale,
-                epsrel=ORACLE_REL_TOL * eps_scale,
-            )
-            im, im_err = quad(
-                lambda z: integrand(z).imag, -z_cut, z_cut, points=[0.0],
-                limit=ORACLE_LIMIT, epsabs=ORACLE_ABS_TOL * eps_scale,
-                epsrel=ORACLE_REL_TOL * eps_scale,
-            )
-            return re + 1j * im, re_err + im_err
+            # complex_func integrates the real and imaginary parts separately
+            # and returns their error estimates as one complex number
+            val, err = quad(integrand, -z_cut, z_cut, points=[0.0],
+                            limit=ORACLE_LIMIT, epsabs=ORACLE_ABS_TOL * eps_scale,
+                            epsrel=ORACLE_REL_TOL * eps_scale, complex_func=True)
+            return val, err.real + err.imag
 
         coarse, _ = core(1.0)
         fine, fine_err = core(1.0 / 16.0)

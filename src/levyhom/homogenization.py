@@ -61,7 +61,7 @@ def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts) -> np.ndarray:
     entries, z = fiber.entries, modes.zero_index
     if symbol[z] == 0.0 and not entries[z].any() and not entries[:, z].any():
         blocks = group_blocks(b[b != z] for idx in fiber.blocks for b in idx)
-        fiber = FiberMatrix.from_blocks(entries, blocks)
+        fiber = FiberMatrix(entries, blocks)
     out = np.zeros(len(shifts))
     for idx, stack in zip(fiber.blocks, fiber.stacks):
         spectral = eig_hermitian(stack)

@@ -174,7 +174,7 @@ def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
     doubling up to RIESZ_MAX_NODES nodes converges.
     """
     fiber = (matrix if isinstance(matrix, FiberMatrix)
-             else FiberMatrix.from_blocks(np.asarray(matrix)))
+             else FiberMatrix(np.asarray(matrix)))
     d0 = contour.d0
     lam = np.concatenate([np.linalg.eigvalsh(s).ravel() for s in fiber.stacks])
     min_dist = min(contour.distance_to_real(float(v)) for v in lam)

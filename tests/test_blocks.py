@@ -229,9 +229,22 @@ class TestPartition:
         with pytest.raises(BlockLeak):
             assemble_fiber_matrix(t2, params_half, modes, [0.3])
 
+    @pytest.mark.parametrize("xi", [0.0, 0.3])
+    def test_partition_missing_a_mode_raises(self, t2, params_half, monkeypatch, xi):
+        # at xi = 0 every entry of the zero mode's row and column is exactly
+        # zero, yet the support pairs still write them, so leaving the mode
+        # out of its block is a leak there too
+        modes = ModeSet(1, 4)
+        blocks = coupling_blocks(t2, modes)
+        short = fiber_mod.group_blocks(b[b != modes.zero_index]
+                                       for idx in blocks for b in idx)
+        monkeypatch.setattr(fiber_mod, "coupling_blocks", lambda coeff, ms: short)
+        with pytest.raises(BlockLeak):
+            assemble_fiber_matrix(t2, params_half, modes, [xi])
+
     def test_one_block_wrap_is_the_dense_matrix(self, t2, params_half):
         a = assemble_fiber_matrix(t2, params_half, ModeSet(1, 4), [0.3]).entries
-        whole = FiberMatrix.from_blocks(a)
+        whole = FiberMatrix(a)
         assert len(whole.stacks) == 1
         assert np.array_equal(whole.stacks[0][0], a)
         assert np.array_equal(whole.embed(whole.stacks), a)
@@ -264,7 +277,7 @@ class TestBlockwiseSpectral:
         d0 = 1.0
         entries = np.diag([0.1, 5.0, 0.2, 6.0]).astype(complex)
         blocks = (np.array([[0, 1], [2, 3]]),)
-        proj = projector_by_riesz(FiberMatrix.from_blocks(entries, blocks),
+        proj = projector_by_riesz(FiberMatrix(entries, blocks),
                                   CircleContour(d0))
         assert np.trace(proj.projector).real == pytest.approx(2.0, abs=1e-9)
 

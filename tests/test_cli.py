@@ -248,6 +248,58 @@ def test_fractional_count_exits_1(tmp_path, field, value):
                  "--out", str(tmp_path / "art")]) == 1
 
 
+def assert_one_line_config_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def _scaled(records, factor):
+    return [dict(rec, k=[v * factor for v in rec["k"]], l=[v * factor for v in rec["l"]])
+            for rec in records]
+
+
+@pytest.mark.parametrize("records", [
+    _scaled(T2_RECORDS, 1.5),                           # int() used to truncate
+    [dict(T2_RECORDS[0], k=[True])] + T2_RECORDS[1:],   # json's true is no index
+    [dict(T2_RECORDS[0], re=math.inf)] + T2_RECORDS[1:],
+    [dict(T2_RECORDS[0], re=math.nan)] + T2_RECORDS[1:],
+    [dict(T2_RECORDS[0], im=True)] + T2_RECORDS[1:],
+    [dict(T2_RECORDS[0], re="1.0")] + T2_RECORDS[1:],
+])
+def test_bad_coefficient_record_exits_1(tmp_path, capsys, records):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, coefficient=records)
+    for command in ("validate", "thresholds"):
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "art")]) == 1
+        assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dimension", 1.0), ("dimension", True), ("truncation", True), ("seed", True),
+    ("xi_grid", {"points_per_dim": True}), ("xi_grid", {"radial_per_decade": True}),
+])
+def test_float_or_bool_count_exits_1(tmp_path, capsys, field, value):
+    # json's true is an int to Python, and 1.0 == 1; neither is a count
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **{field: value})
+    assert main(["thresholds", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "art")]) == 1
+    assert_one_line_config_error(capsys)
+
+
+def test_fiber_non_finite_xi_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out_dir = tmp_path / "art"
+    assert main(["fiber", "--config", str(cfg_path), "--out", str(out_dir),
+                 "--xi", "0.3", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert (out_dir / "fiber_0.csv").exists()
+    assert not (out_dir / "fiber_1.csv").exists()
+
+
 def test_rejects_workers_below_one(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)

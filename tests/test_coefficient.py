@@ -30,7 +30,7 @@ class TestC0:
         assert c_hot > 25 * c_mid
         assert c_hotter / c_hot == pytest.approx(10.0, rel=0.05)
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_quadrature_cross_check(self, d, alpha):
         params = ModelParams(d, alpha)

@@ -59,6 +59,11 @@ class TestAssembly:
         assert np.max(np.abs(fiber.entries[:, z])) == 0.0
         assert np.max(np.abs(fiber.entries[z, :])) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_xi_raises(self, t2, params_one, bad):
+        with pytest.raises(ValueError, match="finite"):
+            assemble_fiber_matrix(t2, params_one, ModeSet(1, 4), [bad])
+
     def test_truncation_too_small(self, t2, params_one):
         with pytest.raises(TruncationTooSmall):
             assemble_fiber_matrix(t2, params_one, ModeSet(1, 1), [0.0])
@@ -238,6 +243,19 @@ class TestFormDifference:
         tail = 4.0 * (2.0 / math.pi) * top ** (-alpha) / alpha
         got = c1_constant(ModelParams(1, alpha))
         assert got == pytest.approx(2.0 * (head + body) + tail, rel=1e-3)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_c1_transverse_factor(self, alpha):
+        # c1(d) / c1(1) integrates (1 + |w|^2)^(-(d + a)/2) over the d - 1
+        # transverse coordinates: by quadrature at d = 2, in closed form at d = 3
+        from scipy.integrate import quad
+        c1_line = c1_constant(ModelParams(1, alpha))
+        plane, _ = quad(lambda w: (1.0 + w * w) ** (-(2.0 + alpha) / 2.0),
+                        -np.inf, np.inf, epsabs=0.0, epsrel=1e-13)
+        assert (c1_constant(ModelParams(2, alpha)) / c1_line
+                == pytest.approx(plane, rel=1e-12))
+        assert (c1_constant(ModelParams(3, alpha)) / c1_line
+                == pytest.approx(2.0 * math.pi / (1.0 + alpha), rel=1e-12))
 
     def test_subcritical_bound_constant_coeff(self, t0, params_half):
         modes = ModeSet(1, 8)
