@@ -11,18 +11,17 @@ from .coefficient import (CoefficientCertificate, ModelParams,
                           oracle_c0, rate_function, rate_profile,
                           theory_constants, v_alpha, validate_coefficient)
 from .config import EpsilonSpec, StudyConfig, Tolerances, XiGridSpec
-from .errors import (BlockLeak, BoundViolated, ContourTooClose,
-                     ConvergenceFailure, DegenerateFit, GapViolation,
-                     LevyhomError, PositivityUncertified,
-                     QuadratureNotConverged, SymmetryViolation,
-                     TruncationTooSmall, TruncationUnstable)
+from .errors import (BlockLeak, ContourTooClose, ConvergenceFailure,
+                     DegenerateFit, GapViolation, LevyhomError,
+                     PositivityUncertified, QuadratureNotConverged,
+                     SymmetryViolation, TruncationTooSmall, TruncationUnstable)
 from .fiber import (FiberMatrix, ModeSet, OracleValue,
                     assemble_effective_fiber, assemble_fiber_matrix,
-                    c1_constant, coupling_blocks, form_difference_checks,
-                    oracle_form_element, rho_and_rho_star)
-from .homogenization import (RateStudyResult, discrepancy_study,
-                             fiber_resolvent_diff, loglog_slope, slope_check,
-                             slope_widening, threshold_resolvent_diff)
+                    c1_constant, coupling_blocks, oracle_form_element,
+                    rho_and_rho_star)
+from .homogenization import (RateStudyResult, discrepancy_study, loglog_slope,
+                             slope_check, slope_widening,
+                             threshold_resolvent_diff)
 from .spectral import (CircleContour, RieszProjection, SpectralData,
                        ThresholdReport, eig_hermitian, projector_by_eig,
                        projector_by_riesz, threshold_report)

@@ -18,12 +18,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import fmt, parallel_map, write_csv
+from ._util import fmt, hermitian_norm, parallel_map, write_csv
 from .coefficient import (ModelParams, certify, oracle_c0, rate_function,
                           theory_constants)
 from .config import StudyConfig
 from .errors import LevyhomError, TruncationUnstable
-from .fiber import ModeSet, assemble_fiber_matrix, oracle_form_element
+from .fiber import (ModeSet, assemble_fiber_matrix, c1_constant,
+                    oracle_form_element)
 from .homogenization import discrepancy_study, slope_check
 from .spectral import threshold_report
 
@@ -287,8 +288,6 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
 
 def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
     report = RunReport("oracle-check", cfg.digest())
-    if cfg.dimension != 1:
-        raise ValueError("oracle-check requires a d=1 config")
     params, coeff, constants, modes = _prepare(cfg)
     tol = cfg.tolerances.oracle_rel
 
@@ -298,29 +297,51 @@ def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> Run
                margin=tol - rel_c0,
                detail=f"gamma={constants.c0:.9g} quad={c0_quad:.9g}")
 
-    span = min(2, modes.truncation)
-    fibers = {xi: assemble_fiber_matrix(coeff, params, modes, np.array([xi])).entries
-              for xi in (0.3, 1.0)}
     rows = []
-    worst = 0.0
-    for m in range(-span, span + 1):
-        for n in range(-span, span + 1):
-            for xi, entries in fibers.items():
-                closed = complex(entries[modes.index_of([m]), modes.index_of([n])])
-                orc = oracle_form_element(coeff, params, m, n, xi)
-                err = abs(orc.value - closed)
-                rel = err / abs(closed) if abs(closed) > 1e-9 else err
-                worst = max(worst, rel)
-                rows.append([m, n, xi, params.alpha, closed.real, closed.imag,
-                             orc.value.real, orc.value.imag, rel])
+    if cfg.dimension == 1:
+        span = min(2, modes.truncation)
+        fibers = {xi: assemble_fiber_matrix(coeff, params, modes, np.array([xi])).entries
+                  for xi in (0.3, 1.0)}
+        worst = 0.0
+        for m in range(-span, span + 1):
+            for n in range(-span, span + 1):
+                for xi, entries in fibers.items():
+                    closed = complex(entries[modes.index_of([m]), modes.index_of([n])])
+                    orc = oracle_form_element(coeff, params, m, n, xi)
+                    err = abs(orc.value - closed)
+                    rel = err / abs(closed) if abs(closed) > 1e-9 else err
+                    worst = max(worst, rel)
+                    rows.append([m, n, xi, params.alpha, closed.real, closed.imag,
+                                 orc.value.real, orc.value.imag, rel])
+        report.add("form_elements", "pass" if worst <= tol else "fail",
+                   margin=tol - worst, detail=f"worst rel err {worst:.3e}")
+    else:
+        report.add("form_elements", "skip", detail="the oracle is defined for d = 1")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "oracle_check.csv")
     write_csv(path, ["m", "n", "xi", "alpha", "closed_re", "closed_im",
                      "oracle_re", "oracle_im", "rel_err"], rows,
               digest=cfg.digest())
     report.artifacts.append(path)
-    report.add("form_elements", "pass" if worst <= tol else "fail",
-               margin=tol - worst, detail=f"worst rel err {worst:.3e}")
+
+    # ||A(xi) - A(0)|| <= mu_plus c1 |xi|^alpha for alpha < 1, on the radial
+    # ladder along e1; A(xi) and A(0) share their coupling blocks
+    if params.alpha >= 1.0:
+        report.add("form_difference", "skip", detail="the bound holds for alpha < 1")
+        return report
+    c1 = c1_constant(params)
+    direction = np.eye(cfg.dimension)[0]
+    zero = assemble_fiber_matrix(coeff, params, modes, np.zeros(cfg.dimension)).stacks
+    radii = cfg.xi_grid.radii()
+    ratio = 0.0
+    for r in radii:
+        stacks = assemble_fiber_matrix(coeff, params, modes, r * direction).stacks
+        lhs = max(hermitian_norm(a - b) for a, b in zip(stacks, zero))
+        ratio = max(ratio, lhs / (coeff.mu_plus * c1 * r ** params.alpha))
+    report.add("form_difference", "pass" if ratio <= 1.0 + 1e-9 else "fail",
+               margin=1.0 - ratio,
+               detail=f"worst ||A(xi)-A(0)|| / (mu+ c1 |xi|^a) = {ratio:.6g} "
+                      f"over {len(radii)} radii")
     return report
 
 

@@ -24,8 +24,17 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _record(rec: dict, dimension: int) -> dict:
     """Canonical copy of a coefficient record; ValueError unless it is valid."""
+    unknown = set(rec) - {"k", "l", "re", "im"}
+    if unknown:
+        raise ValueError(f"unknown coefficient record keys: {sorted(unknown)}")
     k, l, re, im = rec["k"], rec["l"], rec.get("re", 0.0), rec.get("im", 0.0)
     for name, index in (("k", k), ("l", l)):
         if not (isinstance(index, list) and len(index) == dimension
@@ -33,8 +42,7 @@ def _record(rec: dict, dimension: int) -> dict:
             raise ValueError(f"coefficient {name} must be a list of {dimension} "
                              f"integers, got {index!r}")
     for name, value in (("re", re), ("im", im)):
-        if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                           and math.isfinite(value)):
+        if not _is_real(value):
             raise ValueError(f"coefficient {name} must be a finite number, "
                              f"got {value!r}")
     return {"k": k, "l": l, "re": float(re), "im": float(im)}
@@ -55,9 +63,8 @@ class XiGridSpec:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"xi_grid.{name} must be an integer >= 1")
-        if not (math.isfinite(self.radial_min_exp)
-                and math.isfinite(self.radial_max_exp)):
-            raise ValueError("xi_grid radial exponents must be finite")
+        if not (_is_real(self.radial_min_exp) and _is_real(self.radial_max_exp)):
+            raise ValueError("xi_grid radial exponents must be finite numbers")
         if self.radial_min_exp >= self.radial_max_exp:
             raise ValueError("xi_grid radial exponents must be increasing")
         if self.directions not in ("axes", "axes+diagonals"):
@@ -122,8 +129,9 @@ class EpsilonSpec:
     count: int = 12
 
     def validate(self):
-        if not 0.0 < self.min < self.max:
-            raise ValueError("epsilons must satisfy 0 < min < max")
+        if not (_is_real(self.min) and _is_real(self.max)
+                and 0.0 < self.min < self.max):
+            raise ValueError("epsilons must be finite numbers with 0 < min < max")
         _validate_epsilons(self.values())
 
     def values(self):
@@ -139,8 +147,8 @@ class Tolerances:
     def validate(self):
         for name in ("oracle_rel", "projector_abs", "slope_margin"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"tolerances.{name} must be finite and positive")
+            if not (_is_real(value) and value > 0.0):
+                raise ValueError(f"tolerances.{name} must be a finite positive number")
 
 
 @dataclass(frozen=True)
@@ -159,8 +167,8 @@ class StudyConfig:
     def validate(self):
         if not _is_int(self.dimension) or self.dimension not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError("alpha must lie in (0, 2)")
+        if not (_is_real(self.alpha) and 0.0 < self.alpha < 2.0):
+            raise ValueError("alpha must be a number in (0, 2)")
         if not self.coefficient:
             raise ValueError("coefficient mode list must not be empty")
         for name in ("truncation", "positivity_grid", "seed"):

@@ -40,15 +40,6 @@ class ContourTooClose(LevyhomError):
     """An eigenvalue sits too close to the integration contour."""
 
 
-class BoundViolated(LevyhomError):
-    """A quantitative bound check failed; carries the offending point."""
-
-    def __init__(self, message, xi=None, margin=None):
-        super().__init__(message)
-        self.xi = xi
-        self.margin = margin
-
-
 class TruncationUnstable(LevyhomError):
     """Doubling the truncation moved study results by more than 5%."""
 

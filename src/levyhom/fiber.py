@@ -9,9 +9,9 @@ difference, with entries in closed form for a band-limited coefficient:
                                - |2 pi l|^a - |2 pi k|^a )
 
 The closed form is not taken on faith: :func:`oracle_form_element` integrates
-the defining singular integral numerically (d = 1) and the test suite ties
-the two together.  The module also carries the form-difference verifiers
-comparing A(xi) - A(0) against its theoretical envelopes.
+the defining singular integral numerically (d = 1), and `oracle-check` ties
+the two together.  The module also carries :func:`c1_constant`, the constant
+of the alpha < 1 bound ||A(xi) - A(0)|| <= mu_plus c1 |xi|^alpha.
 """
 
 from __future__ import annotations
@@ -23,11 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import hermitian_norm
-from .coefficient import (ModelParams, PeriodicCoefficient, _gamma,
-                          effective_mu, rate_function)
-from .errors import (BlockLeak, BoundViolated, QuadratureNotConverged,
-                     TruncationTooSmall)
+from .coefficient import ModelParams, PeriodicCoefficient, _gamma, effective_mu
+from .errors import BlockLeak, QuadratureNotConverged, TruncationTooSmall
 
 
 class ModeSet:
@@ -367,7 +364,7 @@ def oracle_form_element(
 
 
 # ----------------------------------------------------------------------
-# Form-difference verification (A(xi) vs A(0))
+# Form-difference constant (A(xi) vs A(0))
 # ----------------------------------------------------------------------
 
 def c1_constant(params: ModelParams) -> float:
@@ -402,90 +399,3 @@ def c1_constant(params: ModelParams) -> float:
         return core
     cross = math.pi ** ((d - 1) / 2.0) * _gamma((1 + a) / 2.0) / _gamma((d + a) / 2.0)
     return cross * core
-
-
-@dataclass(frozen=True)
-class FormDifferenceEntry:
-    xi_norm: float
-    lhs: float
-    reference: float
-
-
-@dataclass(frozen=True)
-class FormDifferenceReport:
-    alpha: float
-    branch: str            # "norm-bound" (a < 1) or "relative-ratio" (a >= 1)
-    c1: float | None
-    entries: tuple[FormDifferenceEntry, ...]
-    ratio_spread: float | None
-    passed: bool
-
-
-def form_difference_checks(
-    coeff: PeriodicCoefficient,
-    params: ModelParams,
-    modes: ModeSet,
-    xi_list,
-    trials: int = 16,
-    seed: int = 0,
-) -> FormDifferenceReport:
-    """Verify the theoretical envelopes of A(xi) - A(0) on the truncation.
-
-    For alpha < 1 the spectral norm of the difference is checked against
-    mu_plus c1 |xi|^alpha.  For alpha >= 1 the relative form ratio
-    |<(A(xi)-A(0))u, u>| / (<A(0)u, u> + mu_plus |u|^2) is probed with seeded
-    random vectors and its quotient by the threshold modulus must stay within
-    a factor 10 across the xi list.
-    """
-    if not coeff.certified:
-        raise ValueError("coefficient must be certified")
-    alpha = params.alpha
-    zero = np.zeros(params.dimension)
-    a_zero = assemble_fiber_matrix(coeff, params, modes, zero).entries
-
-    entries = []
-    if alpha < 1.0:
-        c1 = c1_constant(params)
-        for xi in xi_list:
-            xi = np.atleast_1d(np.asarray(xi, dtype=float))
-            r = float(np.linalg.norm(xi))
-            diff = assemble_fiber_matrix(coeff, params, modes, xi).entries - a_zero
-            lhs = hermitian_norm(diff)
-            bound = coeff.mu_plus * c1 * r ** alpha
-            entries.append(FormDifferenceEntry(xi_norm=r, lhs=lhs, reference=bound))
-            if lhs > bound * (1.0 + 1e-9):
-                raise BoundViolated(
-                    f"||A(xi)-A(0)|| = {lhs:.6g} exceeds mu+ c1 |xi|^a = {bound:.6g}",
-                    xi=xi, margin=lhs - bound,
-                )
-        return FormDifferenceReport(alpha=alpha, branch="norm-bound", c1=c1,
-                                    entries=tuple(entries), ratio_spread=None,
-                                    passed=True)
-
-    rng = np.random.default_rng(seed)
-    size = modes.size
-    probes = rng.normal(size=(trials, size)) + 1j * rng.normal(size=(trials, size))
-    ratios = []
-    for xi in xi_list:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        r = float(np.linalg.norm(xi))
-        if r == 0.0:
-            continue
-        diff = assemble_fiber_matrix(coeff, params, modes, xi).entries - a_zero
-        best = 0.0
-        for u in probes:
-            num = abs(np.vdot(u, diff @ u))
-            den = np.vdot(u, a_zero @ u).real + coeff.mu_plus * np.vdot(u, u).real
-            best = max(best, num / den)
-        ratio = best / float(rate_function(alpha, "theta", r))
-        ratios.append(ratio)
-        entries.append(FormDifferenceEntry(xi_norm=r, lhs=best, reference=ratio))
-    spread = max(ratios) / min(ratios) if ratios else 1.0
-    if spread > 10.0:
-        raise BoundViolated(
-            f"form-difference ratio spread {spread:.3g} exceeds 10 across xi list",
-            margin=spread - 10.0,
-        )
-    return FormDifferenceReport(alpha=alpha, branch="relative-ratio", c1=None,
-                                entries=tuple(entries), ratio_spread=spread,
-                                passed=True)

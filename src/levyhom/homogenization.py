@@ -75,30 +75,6 @@ def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts) -> np.ndarray:
     return out
 
 
-def _effective_symbol(coeff, params, modes, xi, epsilon):
-    """Checked input of the public differences: the effective fiber's symbol."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    return assemble_effective_fiber(params, effective_mu(coeff), modes, xi)
-
-
-def fiber_resolvent_diff(
-    coeff: PeriodicCoefficient,
-    params: ModelParams,
-    modes: ModeSet,
-    xi,
-    epsilon: float,
-) -> float:
-    """Fiber resolvent difference against the effective fiber at shift eps^alpha.
-
-    The full-operator inverse comes from the eigendecomposition, the
-    effective one from the diagonal reciprocal.
-    """
-    symbol = _effective_symbol(coeff, params, modes, xi, epsilon)
-    return float(_resolvent_diffs(coeff, params, modes, xi, symbol,
-                                  [epsilon ** params.alpha])[0])
-
-
 def threshold_resolvent_diff(
     coeff: PeriodicCoefficient,
     params: ModelParams,
@@ -107,7 +83,9 @@ def threshold_resolvent_diff(
     epsilon: float,
 ) -> float:
     """||(A(xi) + eps^a I)^-1 - (mu0 V(xi) + eps^a)^-1 P|| (rank-1 comparator)."""
-    effective = _effective_symbol(coeff, params, modes, xi, epsilon)
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    effective = assemble_effective_fiber(params, effective_mu(coeff), modes, xi)
     symbol = np.full(modes.size, np.inf)
     symbol[modes.zero_index] = effective[modes.zero_index]
     return float(_resolvent_diffs(coeff, params, modes, xi, symbol,

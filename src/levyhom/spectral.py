@@ -128,10 +128,6 @@ class CircleContour:
         self.points = self.center + rim
         self.weights = 2j * math.pi * rim / self.num_nodes
 
-    @property
-    def arclength(self) -> float:
-        return float(np.abs(self.weights).sum())
-
     def distance_to_real(self, value: float) -> float:
         """Distance from a real spectral point to the contour curve."""
         return abs(abs(value - self.center) - self.radius)
@@ -143,7 +139,6 @@ class RieszProjection:
 
     projector: np.ndarray
     nodes: int
-    change: float
 
 
 def _riesz_sum(a: np.ndarray, contour: CircleContour) -> np.ndarray:
@@ -195,8 +190,7 @@ def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
         f_next = riesz_sums(CircleContour(d0, n))
         change = max(spectral_norm(b - a) for a, b in zip(f_prev, f_next))
         if change < RIESZ_TOL:
-            return RieszProjection(projector=fiber.embed(f_next), nodes=n,
-                                   change=change)
+            return RieszProjection(projector=fiber.embed(f_next), nodes=n)
         f_prev = f_next
     raise QuadratureNotConverged(
         f"contour quadrature did not stabilize below {RIESZ_TOL} within "
@@ -221,8 +215,6 @@ class ThresholdReport:
     af_minus_effective_norm: float
     rho: float
     rho_star: float
-    riesz_nodes: int
-    riesz_vs_eig: float
 
 
 def threshold_report(
@@ -284,6 +276,4 @@ def threshold_report(
         af_minus_effective_norm=af_eff,
         rho=rho,
         rho_star=rho_star,
-        riesz_nodes=riesz.nodes,
-        riesz_vs_eig=mismatch,
     )

@@ -298,13 +298,17 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_commands_but_oracle_check_leave_scipy_unloaded(tmp_path):
-    # only oracle-check integrates anything; the other commands need numpy alone
-    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                          "t1_alpha1.json")
-    common = ["--config", config, "--workers", "1", "--truncation", "8"]
-    runs = [[command, *common, "--out", str(tmp_path / command)]
-            for command in ("validate", "constants", "thresholds", "rate-study")]
-    runs.append(["fiber", *common, "--out", str(tmp_path / "fiber"), "--xi", "0.3"])
+    # only oracle-check integrates anything; the other commands need numpy
+    # alone, at alpha = 1 and at alpha < 1, where c1 would need scipy
+    runs = []
+    for name in ("t1_alpha1", "t2_alpha05"):
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                              f"{name}.json")
+        common = ["--config", config, "--workers", "1", "--truncation", "8"]
+        out = tmp_path / name
+        runs += [[command, *common, "--out", str(out / command)]
+                 for command in ("validate", "constants", "thresholds", "rate-study")]
+        runs.append(["fiber", *common, "--out", str(out / "fiber"), "--xi", "0.3"])
     code = ("from levyhom.cli import main; "
             f"assert all(main(argv) == 0 for argv in {runs!r})")
     assert _scipy_modules_after(code) == "[]"

@@ -5,9 +5,10 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from levyhom import StudyConfig
+from levyhom import ModelParams, StudyConfig, c1_constant, certify, compute_c0
 from levyhom.cli import main
 
 T2_RECORDS = [
@@ -186,6 +187,58 @@ def test_oracle_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "c0_quadrature: pass" in out
     assert "form_elements: pass" in out
+    assert "form_difference: pass" in out
+
+
+def _oracle_checks(capsys):
+    """Verdict name -> the rest of its line, from oracle-check's report."""
+    return dict(line.strip().split(": ", 1)
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  ") and ": " in line)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_form_difference_skips_at_alpha_ge_1(tmp_path, capsys, alpha):
+    # the norm bound mu+ c1 |xi|^a is an alpha < 1 statement
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, alpha=alpha, truncation=2)
+    assert main(["oracle-check", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "art")]) == 0
+    assert _oracle_checks(capsys)["form_difference"].startswith("skip")
+
+
+def test_form_difference_constant_coefficient(tmp_path, capsys):
+    # for a constant coefficient A(xi) - A(0) is diagonal, so its norm is
+    # c0 max_n | |2 pi n + xi|^a - |2 pi n|^a | in closed form
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, truncation=2,
+                 coefficient=[{"k": [0], "l": [0], "re": 1.0, "im": 0.0}])
+    assert main(["oracle-check", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "art")]) == 0
+    verdict = _oracle_checks(capsys)["form_difference"]
+    cfg = StudyConfig.load(cfg_path)
+    a = cfg.alpha
+    params = ModelParams(1, a)
+    mu_plus = certify(cfg.build_coefficient(), cfg.resolved_positivity_grid).mu_plus
+    n = 2.0 * math.pi * np.arange(-2, 3)
+    ratio = max(compute_c0(params) * np.max(np.abs(np.abs(n + r) ** a - np.abs(n) ** a))
+                / (mu_plus * c1_constant(params) * r ** a)
+                for r in cfg.xi_grid.radii())
+    assert verdict.startswith("pass margin=")
+    margin = float(verdict.split("margin=")[1].split()[0])
+    assert margin == pytest.approx(1.0 - ratio, rel=1e-10)
+
+
+def test_form_difference_violation_exits_2(tmp_path, capsys, monkeypatch):
+    # a c1 far too small must trip the bound
+    monkeypatch.setattr("levyhom.cli.c1_constant", lambda p: 1e-3 * c1_constant(p))
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, truncation=2)
+    assert main(["oracle-check", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "art")]) == 2
+    checks = _oracle_checks(capsys)
+    assert checks["form_difference"].startswith("fail margin=-")
+    assert checks["form_elements"].startswith("pass")
 
 
 def test_thresholds_constant_coefficient_all_zero(tmp_path, capsys):
@@ -265,6 +318,9 @@ def _scaled(records, factor):
     [dict(T2_RECORDS[0], re=math.nan)] + T2_RECORDS[1:],
     [dict(T2_RECORDS[0], im=True)] + T2_RECORDS[1:],
     [dict(T2_RECORDS[0], re="1.0")] + T2_RECORDS[1:],
+    # a misspelt key used to be dropped, certifying the constant coefficient
+    T2_RECORDS[:1] + [{"k": r["k"], "l": r["l"], "real": r["re"], "im": r["im"]}
+                      for r in T2_RECORDS[1:]],
 ])
 def test_bad_coefficient_record_exits_1(tmp_path, capsys, records):
     cfg_path = tmp_path / "cfg.json"
@@ -278,9 +334,15 @@ def test_bad_coefficient_record_exits_1(tmp_path, capsys, records):
 @pytest.mark.parametrize("field,value", [
     ("dimension", 1.0), ("dimension", True), ("truncation", True), ("seed", True),
     ("xi_grid", {"points_per_dim": True}), ("xi_grid", {"radial_per_decade": True}),
+    # each of these would otherwise load as 1.0 and pass validation
+    ("alpha", True),
+    ("tolerances", {"oracle_rel": 1e-3, "projector_abs": 1e-8, "slope_margin": True}),
+    ("xi_grid", {"radial_min_exp": True, "radial_max_exp": 2.0}),
+    ("epsilons", {"min": 1e-3, "max": True, "count": 8}),
 ])
 def test_float_or_bool_count_exits_1(tmp_path, capsys, field, value):
-    # json's true is an int to Python, and 1.0 == 1; neither is a count
+    # json's true is an int to Python, and 1.0 == 1; neither is a count, and
+    # true is no real number either
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **{field: value})
     assert main(["thresholds", "--config", str(cfg_path),
@@ -306,13 +368,6 @@ def test_rejects_workers_below_one(tmp_path):
     for workers in ("0", "-3"):
         assert main(["validate", "--config", str(cfg_path),
                      "--workers", workers]) == 1
-
-
-def test_oracle_check_requires_d1(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, dimension=2, truncation=3, positivity_grid=24,
-                 coefficient=[{"k": [0, 0], "l": [0, 0], "re": 1.0, "im": 0.0}])
-    assert main(["oracle-check", "--config", str(cfg_path)]) == 1
 
 
 def test_truncation_override(tmp_path, capsys):
@@ -464,6 +519,24 @@ def test_rate_study_d3(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "truncation_stability: pass" in out
     assert "slope: pass" in out
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_oracle_check_beyond_d1(tmp_path, capsys, dimension):
+    # c0's quadrature and the form-difference bound hold at every d; the
+    # form-element oracle is d = 1 only, so its CSV keeps just the header
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, dimension=dimension, truncation=2, positivity_grid=16,
+                 coefficient=_lifted_t2(dimension))
+    out_dir = tmp_path / "art"
+    assert main(["oracle-check", "--config", str(cfg_path),
+                 "--out", str(out_dir)]) == 0
+    checks = _oracle_checks(capsys)
+    assert checks["c0_quadrature"].startswith("pass")
+    assert checks["form_elements"].startswith("skip")
+    assert checks["form_difference"].startswith("pass")
+    lines = (out_dir / "oracle_check.csv").read_text().splitlines()
+    assert lines[1:] == ["m,n,xi,alpha,closed_re,closed_im,oracle_re,oracle_im,rel_err"]
 
 
 REPO = pathlib.Path(__file__).resolve().parents[1]

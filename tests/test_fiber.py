@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from levyhom import (BoundViolated, ModeSet, ModelParams,
-                     QuadratureNotConverged, TruncationTooSmall,
-                     assemble_effective_fiber, assemble_fiber_matrix,
-                     c1_constant, certify, compute_c0, constant_coefficient,
-                     form_difference_checks, oracle_form_element,
+from levyhom import (ModeSet, ModelParams, QuadratureNotConverged,
+                     TruncationTooSmall, assemble_effective_fiber,
+                     assemble_fiber_matrix, c1_constant, certify, compute_c0,
+                     constant_coefficient, oracle_form_element,
                      rho_and_rho_star)
-from conftest import make_t2, random_band_limited
+from conftest import random_band_limited
 
 
 def _herm_defect(a):
@@ -256,34 +255,3 @@ class TestFormDifference:
                 == pytest.approx(plane, rel=1e-12))
         assert (c1_constant(ModelParams(3, alpha)) / c1_line
                 == pytest.approx(2.0 * math.pi / (1.0 + alpha), rel=1e-12))
-
-    def test_subcritical_bound_constant_coeff(self, t0, params_half):
-        modes = ModeSet(1, 8)
-        xi_list = [np.array([r]) for r in (0.05, 0.2, 1.0, 2.5)]
-        report = form_difference_checks(t0, params_half, modes, xi_list)
-        assert report.branch == "norm-bound"
-        assert report.passed
-        c0 = compute_c0(params_half)
-        # diagonal case: lhs is exactly max_n | |2 pi n + xi|^a - |2 pi n|^a |
-        for entry, xi in zip(report.entries, xi_list):
-            n = np.arange(-8, 9)
-            expect = c0 * np.max(np.abs(np.abs(2 * np.pi * n + xi[0]) ** 0.5
-                                        - np.abs(2 * np.pi * n) ** 0.5))
-            assert entry.lhs == pytest.approx(expect, rel=1e-10)
-            assert entry.lhs <= entry.reference
-
-    def test_supercritical_ratio_bounded(self, t2, params_three_halves):
-        modes = ModeSet(1, 6)
-        xi_list = [np.array([0.3 * 2.0 ** (-j)]) for j in range(8)]
-        report = form_difference_checks(t2, params_three_halves, modes, xi_list,
-                                        trials=12, seed=5)
-        assert report.branch == "relative-ratio"
-        assert report.ratio_spread <= 10.0
-
-    def test_violation_detected(self, params_half):
-        # a fake certificate with mu_plus far below the true range must trip
-        from dataclasses import replace
-        fake = replace(make_t2(), mu_minus=0.01, mu_plus=0.02)
-        modes = ModeSet(1, 6)
-        with pytest.raises(BoundViolated):
-            form_difference_checks(fake, params_half, modes, [np.array([1.0])])

@@ -7,12 +7,19 @@ import pytest
 
 from levyhom import (DegenerateFit, ModeSet, ModelParams, XiGridSpec,
                      assemble_effective_fiber, assemble_fiber_matrix, certify,
-                     compute_c0, discrepancy_study, fiber_resolvent_diff,
-                     loglog_slope, rate_function, slope_check,
-                     threshold_resolvent_diff, theory_constants)
+                     compute_c0, discrepancy_study, effective_mu, loglog_slope,
+                     rate_function, slope_check, threshold_resolvent_diff,
+                     theory_constants)
 from levyhom.homogenization import _resolvent_diffs
 
 from conftest import random_band_limited
+
+
+def effective_diff(coeff, params, modes, xi, eps):
+    """Fiber resolvent difference against the effective fiber at shift eps^alpha."""
+    symbol = assemble_effective_fiber(params, effective_mu(coeff), modes, xi)
+    return float(_resolvent_diffs(coeff, params, modes, xi, symbol,
+                                  [eps ** params.alpha])[0])
 
 
 class TestXiGrid:
@@ -62,22 +69,25 @@ class TestResolventDiff:
     def test_constant_coefficient_zero(self, t0, params_half):
         modes = ModeSet(1, 6)
         for xi, eps in (([0.0], 0.1), ([0.7], 0.01), ([2.0], 1.0)):
-            assert fiber_resolvent_diff(t0, params_half, modes, xi, eps) == 0.0
+            assert effective_diff(t0, params_half, modes, xi, eps) == 0.0
 
     def test_zero_xi_bound(self, t2, params_one):
         const = theory_constants(params_one, t2)
         modes = ModeSet(1, 8)
         for eps in (1e-3, 1e-2, 1e-1):
-            val = fiber_resolvent_diff(t2, params_one, modes, [0.0], eps)
+            val = effective_diff(t2, params_one, modes, [0.0], eps)
             assert val <= 2.0 / (const.mu_minus * const.c0 * math.pi ** 1.0)
 
     def test_determinism_and_shift_identity(self, t2, params_three_halves):
         modes = ModeSet(1, 8)
-        a = fiber_resolvent_diff(t2, params_three_halves, modes, [0.3], 0.01)
-        b = fiber_resolvent_diff(t2, params_three_halves, modes, [0.3], 0.01)
+        a = threshold_resolvent_diff(t2, params_three_halves, modes, [0.3], 0.01)
+        b = threshold_resolvent_diff(t2, params_three_halves, modes, [0.3], 0.01)
         assert a == b
         # epsilon enters only through the spectral shift eps^alpha
-        symbol = assemble_effective_fiber(params_three_halves, 1.0, modes, [0.3])
+        effective = assemble_effective_fiber(params_three_halves, effective_mu(t2),
+                                             modes, [0.3])
+        symbol = np.full(modes.size, np.inf)
+        symbol[modes.zero_index] = effective[modes.zero_index]
         shifted = _resolvent_diffs(t2, params_three_halves, modes, [0.3],
                                    symbol, [0.01 ** 1.5])
         assert a == shifted[0]
@@ -97,7 +107,7 @@ class TestResolventDiff:
 
     def test_rejects_nonpositive_epsilon(self, t0, params_half):
         with pytest.raises(ValueError):
-            fiber_resolvent_diff(t0, params_half, ModeSet(1, 4), [0.1], 0.0)
+            threshold_resolvent_diff(t0, params_half, ModeSet(1, 4), [0.1], 0.0)
 
     @pytest.mark.parametrize("dimension,truncation", [(1, 16), (2, 4)])
     def test_zero_xi_matches_direct_inverse(self, dimension, truncation):
@@ -114,7 +124,7 @@ class TestResolventDiff:
         effective = np.linalg.norm(res - np.diag(1.0 / (diag + shift)), 2)
         res[modes.zero_index, modes.zero_index] -= 1.0 / shift
         rank_one = np.linalg.norm(res, 2)
-        assert fiber_resolvent_diff(coeff, params, modes, xi, eps) == \
+        assert effective_diff(coeff, params, modes, xi, eps) == \
             pytest.approx(effective, rel=1e-10)
         assert threshold_resolvent_diff(coeff, params, modes, xi, eps) == \
             pytest.approx(rank_one, rel=1e-10)
