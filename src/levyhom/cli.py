@@ -260,12 +260,15 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
     for msg in result.warnings:
         report.add("alpha_singularity_warning", "skip", detail=msg)
 
+    solved = f"{result.solved_points} of {len(grid)} grid points solved"
     if truncation_failed:
-        report.add("truncation_stability", "fail", detail=truncation_failed)
+        report.add("truncation_stability", "fail",
+                   detail=f"{truncation_failed}; {solved}")
     else:
         report.add("truncation_stability", "pass",
                    margin=0.05 - result.truncation_stability,
-                   detail=f"{result.truncation_stability:.2%} under N doubling")
+                   detail=f"{result.truncation_stability:.2%} under N doubling; "
+                          f"{solved}")
 
     if result.exact:
         report.add("slope", "pass", detail="discrepancy identically zero (exact)")

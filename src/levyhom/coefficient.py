@@ -305,12 +305,15 @@ def _grid_min_max(coeff: PeriodicCoefficient, grid: int) -> tuple[float, float]:
     ek = np.exp(2j * np.pi * (pts @ np.asarray(ks, dtype=float).T))
     el = np.exp(2j * np.pi * (pts @ np.asarray(ls, dtype=float).T))
 
-    lo, hi = np.inf, -np.inf
+    # mu is real: Re(ek @ right) = [ek.re, -ek.im] @ [right.re; right.im],
+    # one real GEMM
     right = amp @ el.T  # (K, npts)
-    chunk = max(1, int(2**18 // max(right.shape[1], 1)))  # 4 MB complex blocks
+    right = np.concatenate([right.real, right.imag])
+    ek = np.concatenate([ek.real, -ek.imag], axis=1)
+    lo, hi = np.inf, -np.inf
+    chunk = max(1, int(2**19 // max(right.shape[1], 1)))  # 4 MB float blocks
     for start in range(0, ek.shape[0], chunk):
-        block = ek[start : start + chunk] @ right
-        vals = block.real
+        vals = ek[start : start + chunk] @ right
         lo = min(lo, float(vals.min()))
         hi = max(hi, float(vals.max()))
     return lo, hi

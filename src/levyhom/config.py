@@ -81,11 +81,14 @@ class XiGridSpec:
 
         Order: the origin; the uniform lattice in lexicographic order; the
         radial points by (radius, direction), directions e1, -e1, ..., then
-        the diagonal pair.  ValueError if the spec is invalid.
+        the diagonal pair.  The set is mirror-closed: with every point whose
+        coordinates all lie in (-pi, pi), -xi is a point too, bit for bit,
+        because the lattice nodes 2 pi (k - n/2) / n negate exactly.
+        ValueError if the spec is invalid.
         """
         self.validate()
         n = self.points_per_dim
-        axis = -math.pi + 2.0 * math.pi * np.arange(n) / n
+        axis = 2.0 * math.pi * (np.arange(n) - n / 2) / n
         lattice = np.stack(np.meshgrid(*([axis] * dimension), indexing="ij"), axis=-1)
         units = list(np.eye(dimension))
         if self.directions == "axes+diagonals" and dimension > 1:

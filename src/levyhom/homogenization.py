@@ -147,15 +147,35 @@ class RateStudyResult:
     log_corrected_slope: float | None
     truncation_stability: float
     exact: bool                     # discrepancy identically zero
+    solved_points: int              # grid points solved per pass
     warnings: tuple
+
+
+def _mirror_representatives(grid) -> np.ndarray:
+    """For each grid point, the index of the first point in grid order that
+    is it or its mirror -xi (bit for bit; -0.0 == 0.0 pairs axis points).
+
+    A certified coefficient is real, so A(-xi) is the reflection n -> -n of
+    conj A(xi), and the effective fiber reflects the same way: the resolvent
+    difference has the same norm at xi and -xi.
+    """
+    first: dict = {}
+    rep = np.empty(len(grid), dtype=int)
+    for i, xi in enumerate(grid):
+        key = tuple(float(v) for v in xi)
+        rep[i] = first.get(tuple(-v for v in key), i)
+        first[key] = i
+    return rep
 
 
 def _sup_over_grid(coeff, params, modes, grid, shifts, workers):
     """Per-shift max of the fiber resolvent difference over the grid.
 
-    Returns (values[n_shift], argmax_index[n_shift]); the eigendecomposition
-    at each xi is shared across shifts, and the max over the grid-ordered
-    array is scheduling-independent.
+    Returns (values[n_shift], argmax_index[n_shift]).  One point per mirror
+    pair is solved (see `_mirror_representatives`) and its values are
+    given to the mirror; the eigendecomposition at each solved xi is shared
+    across shifts, and the max over the grid-ordered table is
+    scheduling-independent.
     """
     mu0 = effective_mu(coeff)
 
@@ -163,7 +183,10 @@ def _sup_over_grid(coeff, params, modes, grid, shifts, workers):
         symbol = assemble_effective_fiber(params, mu0, modes, xi)
         return _resolvent_diffs(coeff, params, modes, xi, symbol, shifts)
 
-    table = np.array(parallel_map(per_xi, grid, workers))  # (nxi, nshift)
+    rep = _mirror_representatives(grid)
+    solved, where = np.unique(rep, return_inverse=True)
+    values = np.array(parallel_map(per_xi, [grid[i] for i in solved], workers))
+    table = values[where]                                 # (nxi, nshift)
     return table.max(axis=0), table.argmax(axis=0)
 
 
@@ -181,8 +204,12 @@ def discrepancy_study(
     resolvent difference at shift eps^alpha over the quasimomenta `grid`, a
     sequence of points such as ``XiGridSpec().points(dimension)``.  The study
     re-runs at doubled truncation and raises TruncationUnstable (result
-    attached) when any discrepancy moves by more than 5%.
+    attached) when any discrepancy moves by more than 5%.  The coefficient
+    must be certified (see :func:`certify`): its checked realness lets the
+    study solve one point of each mirror pair xi, -xi.
     """
+    if not coeff.certified:
+        raise ValueError("coefficient must be certified before a rate study")
     eps = _validate_epsilons(epsilons)
     alpha = params.alpha
     shifts = eps ** alpha
@@ -225,6 +252,7 @@ def discrepancy_study(
         log_corrected_slope=corrected,
         truncation_stability=stability,
         exact=exact,
+        solved_points=len(np.unique(_mirror_representatives(grid))),
         warnings=tuple(warnings),
     )
     if stability > 0.05:

@@ -149,7 +149,7 @@ def test_thresholds_empty_ladder_fails(tmp_path, capsys):
         assert f"slope_{name}: fail [empty ladder" in out
 
 
-def test_rate_study_and_determinism(tmp_path):
+def test_rate_study_and_determinism(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -157,6 +157,8 @@ def test_rate_study_and_determinism(tmp_path):
                  "--workers", "1"]) == 0
     assert main(["rate-study", "--config", str(cfg_path), "--out", str(out2),
                  "--workers", "8"]) == 0
+    # the origin, -pi and one point of each of the 18 mirror pairs
+    assert capsys.readouterr().out.count("20 of 38 grid points solved]") == 2
     b1 = (out1 / "rate_study.csv").read_bytes()
     b2 = (out2 / "rate_study.csv").read_bytes()
     assert b1 == b2

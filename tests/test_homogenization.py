@@ -1,6 +1,7 @@
 """Resolvent discrepancies, the xi grid, rate fits, and the main study."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,9 +11,13 @@ from levyhom import (DegenerateFit, ModeSet, ModelParams, XiGridSpec,
                      compute_c0, discrepancy_study, effective_mu, loglog_slope,
                      rate_function, slope_check, threshold_resolvent_diff,
                      theory_constants)
-from levyhom.homogenization import _resolvent_diffs
+from levyhom.config import StudyConfig
+from levyhom.homogenization import (_mirror_representatives, _resolvent_diffs,
+                                    _sup_over_grid)
 
-from conftest import random_band_limited
+from conftest import make_t2, random_band_limited
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def effective_diff(coeff, params, modes, xi, eps):
@@ -63,6 +68,76 @@ class TestXiGrid:
             (d2, d2), (-d2, -d2),
         ]
         assert [tuple(float(v) for v in p) for p in spec.points(2)] == expected
+
+
+def _seeded_dense_d2(seed, budget=0.3):
+    """The benchmark's dense d = 2 study: k + l in {+-e1, +-e2}, one block.
+
+    The cos 2 pi x_j + cos 2 pi y_j terms get seeded weights in [0.5, 1.5],
+    scaled so the non-constant amplitudes sum to `budget`.
+    """
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, 2)
+    records = [{"k": [0, 0], "l": [0, 0], "re": 1.0}]
+    for j, w in enumerate(weights):
+        e = [int(i == j) for i in range(2)]
+        ne = [-v for v in e]
+        for k, l in ((e, [0, 0]), ([0, 0], e), (ne, [0, 0]), ([0, 0], ne)):
+            records.append({"k": k, "l": l, "re": budget * w / (4 * weights.sum())})
+    return StudyConfig.from_dict({
+        "dimension": 2, "alpha": 0.5, "coefficient": records, "truncation": 3,
+        "xi_grid": {"points_per_dim": 4},
+        "epsilons": {"min": 1e-3, "max": 1e-1, "count": 8}})
+
+
+def _study_inputs(name):
+    """(coeff, params, modes, grid, shifts) of a shipped config or the dense d = 2 one."""
+    if name == "dense-d2":
+        cfg = _seeded_dense_d2(seed=7)
+    else:
+        cfg = StudyConfig.load(REPO / "configs" / f"{name}.json")
+    params = ModelParams(cfg.dimension, cfg.alpha)
+    coeff = certify(cfg.build_coefficient(), cfg.resolved_positivity_grid)
+    modes = ModeSet(cfg.dimension, cfg.resolved_truncation)
+    return (coeff, params, modes, cfg.xi_grid.points(cfg.dimension),
+            cfg.epsilons.values() ** cfg.alpha)
+
+
+class TestMirrorPairs:
+    @pytest.mark.parametrize("dimension,points,paired,solved",
+                             [(1, 46, 44, 24), (2, 346, 314, 189)])
+    def test_default_grid_is_mirror_closed(self, dimension, points, paired,
+                                           solved):
+        grid = XiGridSpec().points(dimension)
+        keys = {tuple(float(v) for v in p) for p in grid}
+        inner = [p for p in grid if np.all(np.abs(p) < math.pi) and np.any(p != 0.0)]
+        assert (len(grid), len(inner)) == (points, paired)
+        for p in inner:
+            assert tuple(float(-v) for v in p) in keys
+        rep = _mirror_representatives(grid)
+        assert len(np.unique(rep)) == solved
+        # each point is solved itself or through its mirror, the earlier of the two
+        for i, j in enumerate(rep):
+            assert j <= i
+            assert j == i or np.array_equal(grid[j], -grid[i])
+
+    def test_bench_d2_grid_solve_count(self):
+        grid = XiGridSpec(points_per_dim=4).points(2)
+        assert (len(grid), len(np.unique(_mirror_representatives(grid)))) == (106, 57)
+
+    @pytest.mark.parametrize("name", ["t1_alpha1", "t2_alpha05", "t2_d2",
+                                      "dense-d2"])
+    def test_halved_sup_matches_every_point_solved(self, name):
+        coeff, params, modes, grid, shifts = _study_inputs(name)
+        mu0 = effective_mu(coeff)
+        table = np.array([
+            _resolvent_diffs(coeff, params, modes, xi,
+                             assemble_effective_fiber(params, mu0, modes, xi), shifts)
+            for xi in grid])
+        values, arg = _sup_over_grid(coeff, params, modes, grid, shifts, 1)
+        np.testing.assert_allclose(values, table.max(axis=0), rtol=1e-12, atol=0.0)
+        norms = [np.linalg.norm(grid[i]) for i in arg]
+        ref_norms = [np.linalg.norm(grid[i]) for i in table.argmax(axis=0)]
+        np.testing.assert_allclose(norms, ref_norms, rtol=1e-12, atol=0.0)
 
 
 class TestResolventDiff:
@@ -192,6 +267,12 @@ class TestDiscrepancyStudy:
         with pytest.raises(ValueError):
             discrepancy_study(t0, params_half, modes, small_grid,
                               np.linspace(1e-3, 1e-1, 9))        # not log-spaced
+
+    def test_requires_certified_coefficient(self, params_half, small_grid):
+        # mirror pairs share one solve only because realness was checked
+        with pytest.raises(ValueError, match="certified"):
+            discrepancy_study(make_t2(), params_half, ModeSet(1, 4), small_grid,
+                              np.geomspace(1e-1, 1e-3, 8))
 
     def test_constant_coefficient_exact(self, t0, params_half, small_grid):
         modes = ModeSet(1, 4)

@@ -142,6 +142,51 @@ class TestRiesz:
             projector_by_riesz(np.diag([0.0, 3.0]), CircleContour(1.0))
         assert built == [256, 512]
 
+    @staticmethod
+    def _hermitian_stack(dtype):
+        """Two 5 x 5 Hermitian blocks, one eigenvalue inside CircleContour(1)."""
+        rng = np.random.default_rng(3)
+        spectra = ([0.1, 1.2, 1.7, 2.5, 4.0], [0.9, 1.4, 2.2, 3.1, 5.0])
+        blocks = []
+        for lam in spectra:
+            raw = rng.normal(size=(5, 5))
+            if dtype is complex:
+                raw = raw + 1j * rng.normal(size=(5, 5))
+            q, _ = np.linalg.qr(raw)
+            blocks.append((q * lam) @ q.conj().T)
+        return np.array(blocks)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_half_circle_nested_sum_matches_full_circle(self, dtype):
+        a = self._hermitian_stack(dtype)
+        eye = np.eye(a.shape[-1])
+
+        def full_circle(n):
+            contour = CircleContour(1.0, n)
+            return sum(w * np.linalg.inv(a - z * eye)
+                       for z, w in zip(contour.points, contour.weights)) / (-2j * math.pi)
+
+        f128 = spectral_mod._riesz_sum(a, CircleContour(1.0, 128))
+        f256 = f128 / 2 + spectral_mod._riesz_sum(a, CircleContour(1.0, 256),
+                                                  first=1, stride=2)
+        assert np.max(np.abs(f128 - full_circle(128))) <= 1e-13
+        assert np.max(np.abs(f256 - full_circle(256))) <= 1e-13
+
+    def test_converged_call_inverts_the_upper_half_once(self, t2, params_half,
+                                                        monkeypatch):
+        const = theory_constants(params_half, t2)
+        fiber = assemble_fiber_matrix(t2, params_half, ModeSet(1, 8), [0.02]).entries
+        inverted = []
+        real_inv = np.linalg.inv
+
+        def counting_inv(a):
+            inverted.append(math.prod(a.shape[:-2]))
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        assert projector_by_riesz(fiber, CircleContour(const.d0)).nodes == 256
+        assert sum(inverted) == 65 + 64
+
     def test_contour_too_close(self):
         d0 = 3.0
         a = np.diag([2.0 * d0 / 3.0, 2.0 * d0])   # eigenvalue on the contour
