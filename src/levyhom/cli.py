@@ -260,7 +260,10 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
     for msg in result.warnings:
         report.add("alpha_singularity_warning", "skip", detail=msg)
 
-    solved = f"{result.solved_points} of {len(grid)} grid points solved"
+    (cert, pairs), (cert_d, pairs_d) = result.certified
+    solved = (f"{result.solved_points} of {len(grid)} grid points solved; "
+              f"norms certified below the seeds' max: {cert} of {pairs} at N, "
+              f"{cert_d} of {pairs_d} at 2N")
     if truncation_failed:
         report.add("truncation_stability", "fail",
                    detail=f"{truncation_failed}; {solved}")
@@ -381,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--workers", type=int, default=None,
-                       help="parallel map width (default: all cores)")
+                       help="parallel map width (default: all CPUs this "
+                            "process may run on)")
         p.add_argument("--truncation", type=int, default=None,
                        help="override the configured truncation")
         if name == "fiber":

@@ -42,7 +42,8 @@ def slope_widening(alpha: float) -> float:
 # Resolvent differences
 # ----------------------------------------------------------------------
 
-def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts) -> np.ndarray:
+def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts,
+                     floors=None) -> np.ndarray:
     """||(A(xi) + s)^-1 - diag(1 / (symbol + s))|| for each shift s.
 
     `symbol` is the comparator's diagonal; an entry of inf removes that mode
@@ -56,7 +57,12 @@ def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts) -> np.ndarray:
     dropped from its block before the eigensolve, which would otherwise
     leave a rounding error of about u ||A|| / s^2 on it (u the unit
     roundoff).
+
+    With per-shift `floors`, each norm is taken by
+    ``hermitian_norm(res, floor)``: a lower bound that is exact whenever the
+    norm reaches its shift's floor, so values below the floor may read less.
     """
+    floors = np.zeros(len(shifts)) if floors is None else floors
     fiber = assemble_fiber_matrix(coeff, params, modes, xi)
     entries, z = fiber.entries, modes.zero_index
     if symbol[z] == 0.0 and not entries[z].any() and not entries[:, z].any():
@@ -71,7 +77,7 @@ def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts) -> np.ndarray:
         for i, s in enumerate(shifts):
             res = (vec * (1.0 / (lam + s))) @ vec_h
             res[:, diag, diag] -= 1.0 / (symbol[idx] + s)
-            out[i] = max(out[i], hermitian_norm(res))
+            out[i] = max(out[i], hermitian_norm(res, floors[i]))
     return out
 
 
@@ -148,6 +154,7 @@ class RateStudyResult:
     truncation_stability: float
     exact: bool                     # discrepancy identically zero
     solved_points: int              # grid points solved per pass
+    certified: tuple                # (below floor, non-seed pairs) per pass
     warnings: tuple
 
 
@@ -168,26 +175,44 @@ def _mirror_representatives(grid) -> np.ndarray:
     return rep
 
 
-def _sup_over_grid(coeff, params, modes, grid, shifts, workers):
+def _sup_over_grid(coeff, params, modes, grid, shifts, workers, seeds=()):
     """Per-shift max of the fiber resolvent difference over the grid.
 
-    Returns (values[n_shift], argmax_index[n_shift]).  One point per mirror
-    pair is solved (see `_mirror_representatives`) and its values are
-    given to the mirror; the eigendecomposition at each solved xi is shared
-    across shifts, and the max over the grid-ordered table is
-    scheduling-independent.
+    Returns (values[n_shift], argmax_index[n_shift], (certified, pairs)).
+    One point per mirror pair is solved (see `_mirror_representatives`) and
+    its values are given to the mirror; the eigendecomposition at each
+    solved xi is shared across shifts.
+
+    The representatives of the `seeds` (grid indices) are solved first and
+    exactly; each shift's floor is then their max, and every other point's
+    norms are taken against those floors (see `hermitian_norm`).  A norm
+    below its floor may read less than exact, but the floor is at most the
+    column max, so the max and the first argmax over the grid-ordered table
+    are the exhaustive sweep's, bit for bit.  The floors depend only on the
+    seeds, so the result is scheduling-independent.  `certified` counts the
+    `pairs` non-seed (point, shift) norms that came out below their floor.
     """
     mu0 = effective_mu(coeff)
+    nshift = len(shifts)
 
-    def per_xi(xi):
-        symbol = assemble_effective_fiber(params, mu0, modes, xi)
-        return _resolvent_diffs(coeff, params, modes, xi, symbol, shifts)
+    def solve(indices, floors=None):
+        def per_xi(i):
+            symbol = assemble_effective_fiber(params, mu0, modes, grid[i])
+            return _resolvent_diffs(coeff, params, modes, grid[i], symbol,
+                                    shifts, floors)
+        return np.reshape(parallel_map(per_xi, indices, workers), (-1, nshift))
 
     rep = _mirror_representatives(grid)
     solved, where = np.unique(rep, return_inverse=True)
-    values = np.array(parallel_map(per_xi, [grid[i] for i in solved], workers))
+    seeded = np.isin(solved, rep[np.asarray(seeds, dtype=int)])
+    values = np.empty((len(solved), nshift))
+    values[seeded] = solve(solved[seeded])
+    floors = values[seeded].max(axis=0, initial=0.0)
+    values[~seeded] = solve(solved[~seeded], floors)
+    certified = int(np.count_nonzero(values[~seeded] < floors))
     table = values[where]                                 # (nxi, nshift)
-    return table.max(axis=0), table.argmax(axis=0)
+    return (table.max(axis=0), table.argmax(axis=0),
+            (certified, values[~seeded].size))
 
 
 def discrepancy_study(
@@ -207,6 +232,10 @@ def discrepancy_study(
     attached) when any discrepancy moves by more than 5%.  The coefficient
     must be certified (see :func:`certify`): its checked realness lets the
     study solve one point of each mirror pair xi, -xi.
+
+    Each pass first solves seed points exactly, and their max floors the
+    other norms (see `_sup_over_grid`): the origin at N, and at 2N the
+    origin and the N pass's argmax points.
     """
     if not coeff.certified:
         raise ValueError("coefficient must be certified before a rate study")
@@ -221,7 +250,8 @@ def discrepancy_study(
         warnings.append(msg)
         log.warning(msg)
 
-    sup_vals, arg_idx = _sup_over_grid(coeff, params, modes, grid, shifts, workers)
+    sup_vals, arg_idx, certified = _sup_over_grid(coeff, params, modes, grid,
+                                                  shifts, workers, seeds=(0,))
     disc = shifts * sup_vals
     argmax_norm = np.array([float(np.linalg.norm(grid[i])) for i in arg_idx])
 
@@ -237,7 +267,8 @@ def discrepancy_study(
         ratios = disc / bound
 
     double = ModeSet(params.dimension, 2 * modes.truncation)
-    sup_d, _ = _sup_over_grid(coeff, params, double, grid, shifts, workers)
+    sup_d, _, certified_d = _sup_over_grid(coeff, params, double, grid, shifts,
+                                           workers, seeds=(0, *arg_idx))
     disc_d = shifts * sup_d
     stability = _relative_change(disc, disc_d)
 
@@ -253,6 +284,7 @@ def discrepancy_study(
         truncation_stability=stability,
         exact=exact,
         solved_points=len(np.unique(_mirror_representatives(grid))),
+        certified=(certified, certified_d),
         warnings=tuple(warnings),
     )
     if stability > 0.05:

@@ -17,6 +17,7 @@ from levyhom import (BlockLeak, CircleContour, FiberMatrix, ModeSet, ModelParams
                      PeriodicCoefficient, assemble_effective_fiber,
                      assemble_fiber_matrix, certify, coupling_blocks,
                      eig_hermitian, projector_by_riesz, theory_constants)
+from levyhom._util import hermitian_norm
 from levyhom.homogenization import _resolvent_diffs
 from conftest import make_t2, random_band_limited
 
@@ -179,6 +180,48 @@ class TestRealFibers:
             ref = float(np.linalg.norm(res, 2))
             floor = UNIT_ROUNDOFF * float(np.max(np.abs(lam))) / (lam[0] + s) ** 2
             assert abs(value - ref) <= 1e-13 * ref + 16.0 * floor
+
+
+# the norm sits at floor (1 + k): inside the rounding allowance, at its edge
+# and well away from it, on both sides
+FLOOR_OFFSETS = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-2, -1e-2)
+
+
+@st.composite
+def floored_hermitians(draw):
+    """(mat, floor, k): a real or complex Hermitian matrix or block stack
+    scaled so its norm is floor (1 + k); in some stacks only the first block
+    reaches the norm."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 24))
+    count = draw(st.sampled_from([None, 1, 3]))
+    shape = (n, n) if count is None else (count, n, n)
+    mat = rng.normal(size=shape)
+    if draw(st.booleans()):
+        mat = mat + 1j * rng.normal(size=shape)
+    mat = mat + mat.conj().swapaxes(-1, -2)
+    if count == 3 and draw(st.booleans()):
+        mat[1:] *= 0.5 * hermitian_norm(mat[0]) / hermitian_norm(mat[1:])
+    floor = 10.0 ** draw(st.integers(-6, 6))
+    k = draw(st.sampled_from(FLOOR_OFFSETS))
+    return mat * (floor * (1.0 + k) / hermitian_norm(mat)), floor, k
+
+
+class TestFlooredNorm:
+    @PROPERTY
+    @given(floored_hermitians())
+    def test_exact_at_or_above_the_floor(self, case):
+        mat, floor, k = case
+        exact = hermitian_norm(mat)
+        got = hermitian_norm(mat, floor)
+        assert got <= exact
+        if exact >= floor:
+            assert got == exact
+        # the sharpest case: the floor is the computed norm itself
+        assert hermitian_norm(mat, exact) == exact
+        # well below the floor the two Cholesky factorizations certify it
+        if k <= -1e-6:
+            assert got == 0.0
 
 
 def _d2_blocks_support():

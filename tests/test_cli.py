@@ -157,8 +157,12 @@ def test_rate_study_and_determinism(tmp_path, capsys):
                  "--workers", "1"]) == 0
     assert main(["rate-study", "--config", str(cfg_path), "--out", str(out2),
                  "--workers", "8"]) == 0
-    # the origin, -pi and one point of each of the 18 mirror pairs
-    assert capsys.readouterr().out.count("20 of 38 grid points solved]") == 2
+    # the origin, -pi and one point of each of the 18 mirror pairs; at
+    # either worker count every norm off the seed (the origin) is certified
+    # below the seed's max, 19 points x 8 epsilons per pass
+    out = capsys.readouterr().out
+    assert out.count("20 of 38 grid points solved; norms certified below the "
+                     "seeds' max: 152 of 152 at N, 152 of 152 at 2N]") == 2
     b1 = (out1 / "rate_study.csv").read_bytes()
     b2 = (out2 / "rate_study.csv").read_bytes()
     assert b1 == b2
@@ -370,6 +374,28 @@ def test_rejects_workers_below_one(tmp_path):
     for workers in ("0", "-3"):
         assert main(["validate", "--config", str(cfg_path),
                      "--workers", workers]) == 1
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    import levyhom._util as util
+    widths = []
+
+    class Pool(util.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(util, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(util.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    assert util.parallel_map(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
+    assert widths == [3]
+    monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {2})
+    assert util.parallel_map(abs, [-1, -2]) == [1, 2]
+    assert widths == [3]                    # one CPU: no pool at all
+    monkeypatch.delattr(util.os, "sched_getaffinity")
+    assert util.available_cpus() == 64
 
 
 def test_truncation_override(tmp_path, capsys):

@@ -89,17 +89,27 @@ def _seeded_dense_d2(seed, budget=0.3):
         "epsilons": {"min": 1e-3, "max": 1e-1, "count": 8}})
 
 
-def _study_inputs(name):
-    """(coeff, params, modes, grid, shifts) of a shipped config or the dense d = 2 one."""
+def _study_inputs(name, alpha=None):
+    """(coeff, params, modes, grid, shifts) of a shipped config or the dense d = 2
+    one, at the config's alpha or at `alpha`."""
     if name == "dense-d2":
         cfg = _seeded_dense_d2(seed=7)
     else:
         cfg = StudyConfig.load(REPO / "configs" / f"{name}.json")
-    params = ModelParams(cfg.dimension, cfg.alpha)
+    alpha = cfg.alpha if alpha is None else alpha
+    params = ModelParams(cfg.dimension, alpha)
     coeff = certify(cfg.build_coefficient(), cfg.resolved_positivity_grid)
     modes = ModeSet(cfg.dimension, cfg.resolved_truncation)
     return (coeff, params, modes, cfg.xi_grid.points(cfg.dimension),
-            cfg.epsilons.values() ** cfg.alpha)
+            cfg.epsilons.values() ** alpha)
+
+
+def _random_complex_inputs(seed=3):
+    """A certified random complex coefficient on the default d = 1 study."""
+    coeff = certify(random_band_limited(np.random.default_rng(seed)))
+    assert any(amp.imag for amp in coeff.modes.values())
+    return (coeff, ModelParams(1, 0.5), ModeSet(1, 8), XiGridSpec().points(1),
+            np.geomspace(1e-1, 1e-3, 12) ** 0.5)
 
 
 class TestMirrorPairs:
@@ -133,11 +143,44 @@ class TestMirrorPairs:
             _resolvent_diffs(coeff, params, modes, xi,
                              assemble_effective_fiber(params, mu0, modes, xi), shifts)
             for xi in grid])
-        values, arg = _sup_over_grid(coeff, params, modes, grid, shifts, 1)
+        values, arg, _ = _sup_over_grid(coeff, params, modes, grid, shifts, 1)
         np.testing.assert_allclose(values, table.max(axis=0), rtol=1e-12, atol=0.0)
         norms = [np.linalg.norm(grid[i]) for i in arg]
         ref_norms = [np.linalg.norm(grid[i]) for i in table.argmax(axis=0)]
         np.testing.assert_allclose(norms, ref_norms, rtol=1e-12, atol=0.0)
+
+
+class TestSeededSweep:
+    # t2_d2 checks its N pass only: the exhaustive 2N reference (1089 modes
+    # in 66 blocks) alone takes 4 s, and the other cases cover the 2N seeds
+    @pytest.mark.parametrize("name,alpha,passes", [
+        ("t1_alpha1", None, 2), ("t2_alpha05", None, 2), ("t2_d2", None, 1),
+        ("dense-d2", None, 2), ("t2_alpha05", 1.5, 2), ("t2_alpha05", 1.9, 2),
+        ("random-complex", None, 2)])
+    def test_seeded_sweep_equals_exhaustive(self, name, alpha, passes):
+        # the passes of discrepancy_study, seeded as it seeds them, against
+        # the same representatives solved with no floors; at alpha > 1 the
+        # argmax moves with eps
+        if name == "random-complex":
+            coeff, params, modes, grid, shifts = _random_complex_inputs()
+        else:
+            coeff, params, modes, grid, shifts = _study_inputs(name, alpha)
+        double = ModeSet(params.dimension, 2 * modes.truncation)
+        seeds = (0,)
+        for pass_modes in (modes, double)[:passes]:
+            ref, ref_arg, (none, _) = _sup_over_grid(
+                coeff, params, pass_modes, grid, shifts, 1)
+            assert none == 0
+            runs = [_sup_over_grid(coeff, params, pass_modes, grid, shifts,
+                                   workers, seeds) for workers in (1, 2)]
+            for values, arg, certified in runs:
+                assert np.array_equal(values, ref)
+                assert np.array_equal(arg, ref_arg)
+                assert certified == runs[0][2]
+            seeds = (0, *ref_arg)
+        # the last pass certifies most of its norms below the seeds' max
+        certified, pairs = runs[0][2]
+        assert 2 * certified > pairs
 
 
 class TestResolventDiff:
@@ -322,11 +365,12 @@ class TestDiscrepancyStudy:
         import levyhom.homogenization as hom
         real = hom._sup_over_grid
 
-        def skewed(coeff, params, modes, grid, shifts, workers):
-            vals, idx = real(coeff, params, modes, grid, shifts, workers)
+        def skewed(coeff, params, modes, grid, shifts, workers, seeds):
+            vals, idx, certified = real(coeff, params, modes, grid, shifts,
+                                        workers, seeds)
             if modes.truncation > 8:
                 vals = vals * 1.2
-            return vals, idx
+            return vals, idx, certified
 
         monkeypatch.setattr(hom, "_sup_over_grid", skewed)
         with pytest.raises(hom.TruncationUnstable) as err:
