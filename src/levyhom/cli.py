@@ -260,10 +260,11 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
     for msg in result.warnings:
         report.add("alpha_singularity_warning", "skip", detail=msg)
 
-    (cert, pairs), (cert_d, pairs_d) = result.certified
+    (cert, pairs, skip), (cert_d, pairs_d, skip_d) = result.certified
     solved = (f"{result.solved_points} of {len(grid)} grid points solved; "
-              f"norms certified below the seeds' max: {cert} of {pairs} at N, "
-              f"{cert_d} of {pairs_d} at 2N")
+              f"norms certified below the running max: {cert} of {pairs} at N, "
+              f"{cert_d} of {pairs_d} at 2N; solved points with no "
+              f"eigensolve: {skip} at N, {skip_d} at 2N")
     if truncation_failed:
         report.add("truncation_stability", "fail",
                    detail=f"{truncation_failed}; {solved}")

@@ -18,7 +18,8 @@ from levyhom import (BlockLeak, CircleContour, FiberMatrix, ModeSet, ModelParams
                      assemble_fiber_matrix, certify, coupling_blocks,
                      eig_hermitian, projector_by_riesz, theory_constants)
 from levyhom._util import hermitian_norm
-from levyhom.homogenization import _resolvent_diffs
+from levyhom.homogenization import (_below_floors, _eig_route_norms,
+                                    _resolvent_diffs)
 from conftest import make_t2, random_band_limited
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None,
@@ -134,7 +135,7 @@ class TestPartitionProperties:
         assume(np.any(xi != 0.0))
         symbol = assemble_effective_fiber(params, 1.0, modes, xi)
         shifts = np.geomspace(1e-1, 1e-3, 8) ** params.alpha
-        got = _resolvent_diffs(coeff, params, modes, xi, symbol, shifts)
+        got, _ = _resolvent_diffs(coeff, params, modes, xi, symbol, shifts)
 
         a = assemble_fiber_matrix(coeff, params, modes, xi).entries
         lam, vec = np.linalg.eigh(a)
@@ -168,7 +169,7 @@ class TestRealFibers:
         assume(np.any(xi != 0.0))
         symbol = assemble_effective_fiber(params, 1.0, modes, xi)
         shifts = np.geomspace(1e-1, 1e-3, 8) ** params.alpha
-        got = _resolvent_diffs(coeff, params, modes, xi, symbol, shifts)
+        got, _ = _resolvent_diffs(coeff, params, modes, xi, symbol, shifts)
 
         a = assemble_fiber_matrix(coeff, params, modes, xi).entries
         assert a.dtype == np.float64
@@ -222,6 +223,58 @@ class TestFlooredNorm:
         # well below the floor the two Cholesky factorizations certify it
         if k <= -1e-6:
             assert got == 0.0
+
+
+@st.composite
+def certificate_cases(draw):
+    """(stack, sigma, shifts, norms, ks, well): a real or complex positive
+    semidefinite block stack, a nonnegative diagonal with some modes at
+    t e >= 1, one, two or eight shifts, the eig route's norm at each shift,
+    and per-shift offsets k drawn from FLOOR_OFFSETS.
+
+    In a `well` draw the spectrum of the stack and the diagonal lie in
+    [1, 2], so t e < 1 on every mode but those scaled by 1e8, and dropping
+    those loses only terms of order 1e-8 (their coupling squared over their
+    diagonal)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 24))
+    shape = (draw(st.sampled_from([1, 3])), n, n)
+    g = rng.normal(size=shape)
+    if draw(st.booleans()):
+        g = g + 1j * rng.normal(size=shape)
+    well = draw(st.booleans())
+    lo, hi, big = (1.0, 2.0, 1e8) if well else (0.0, 10.0, 1e4)
+    q = np.linalg.qr(g)[0]
+    lam = rng.uniform(lo, hi, shape[:2])
+    stack = (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)
+    stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    sigma = rng.uniform(lo, hi, shape[:2])
+    sigma[rng.random(shape[:2]) < 0.3] *= big
+    shifts = 10.0 ** rng.uniform(-2.0, 0.0, draw(st.sampled_from([1, 2, 8])))
+    ks = np.array([draw(st.sampled_from(FLOOR_OFFSETS)) for _ in shifts])
+    norms = _eig_route_norms(stack, sigma, shifts, np.zeros(len(shifts)))
+    return stack, sigma, shifts, norms, ks, well
+
+
+class TestNormCertificate:
+    @PROPERTY
+    @given(certificate_cases())
+    def test_certifies_only_below_every_floor(self, case):
+        # each norm sits at floor (1 + k): one k for every shift, then the
+        # drawn per-shift mix
+        stack, sigma, shifts, norms, ks, well = case
+        for k in [*FLOOR_OFFSETS, ks]:
+            k = np.broadcast_to(k, shifts.shape)
+            got = _below_floors(stack, sigma, shifts, norms / (1.0 + k))
+            # one norm at or above its floor, even by rounding, blocks it
+            if np.any(k >= 0.0):
+                assert not got
+            # with one shift and no coupled mode dropped, the pair is exact
+            # up to its allowance, far below 1e-2 here, so it certifies;
+            # several shifts share the min of their diagonals, which only
+            # suffices
+            if well and len(shifts) == 1 and k[0] == -1e-2:
+                assert got
 
 
 def _d2_blocks_support():

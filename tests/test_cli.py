@@ -159,10 +159,12 @@ def test_rate_study_and_determinism(tmp_path, capsys):
                  "--workers", "8"]) == 0
     # the origin, -pi and one point of each of the 18 mirror pairs; at
     # either worker count every norm off the seed (the origin) is certified
-    # below the seed's max, 19 points x 8 epsilons per pass
+    # below the running max, 19 points x 8 epsilons per pass, and none of
+    # those 19 points needs an eigensolve
     out = capsys.readouterr().out
     assert out.count("20 of 38 grid points solved; norms certified below the "
-                     "seeds' max: 152 of 152 at N, 152 of 152 at 2N]") == 2
+                     "running max: 152 of 152 at N, 152 of 152 at 2N; solved "
+                     "points with no eigensolve: 19 at N, 19 at 2N]") == 2
     b1 = (out1 / "rate_study.csv").read_bytes()
     b2 = (out2 / "rate_study.csv").read_bytes()
     assert b1 == b2

@@ -23,8 +23,9 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 def effective_diff(coeff, params, modes, xi, eps):
     """Fiber resolvent difference against the effective fiber at shift eps^alpha."""
     symbol = assemble_effective_fiber(params, effective_mu(coeff), modes, xi)
-    return float(_resolvent_diffs(coeff, params, modes, xi, symbol,
-                                  [eps ** params.alpha])[0])
+    norms, _ = _resolvent_diffs(coeff, params, modes, xi, symbol,
+                                [eps ** params.alpha])
+    return float(norms[0])
 
 
 class TestXiGrid:
@@ -141,7 +142,7 @@ class TestMirrorPairs:
         mu0 = effective_mu(coeff)
         table = np.array([
             _resolvent_diffs(coeff, params, modes, xi,
-                             assemble_effective_fiber(params, mu0, modes, xi), shifts)
+                             assemble_effective_fiber(params, mu0, modes, xi), shifts)[0]
             for xi in grid])
         values, arg, _ = _sup_over_grid(coeff, params, modes, grid, shifts, 1)
         np.testing.assert_allclose(values, table.max(axis=0), rtol=1e-12, atol=0.0)
@@ -159,8 +160,8 @@ class TestSeededSweep:
         ("random-complex", None, 2)])
     def test_seeded_sweep_equals_exhaustive(self, name, alpha, passes):
         # the passes of discrepancy_study, seeded as it seeds them, against
-        # the same representatives solved with no floors; at alpha > 1 the
-        # argmax moves with eps
+        # the same representatives solved with no floors (every point a
+        # seed); at alpha > 1 the argmax moves with eps
         if name == "random-complex":
             coeff, params, modes, grid, shifts = _random_complex_inputs()
         else:
@@ -168,8 +169,9 @@ class TestSeededSweep:
         double = ModeSet(params.dimension, 2 * modes.truncation)
         seeds = (0,)
         for pass_modes in (modes, double)[:passes]:
-            ref, ref_arg, (none, _) = _sup_over_grid(
-                coeff, params, pass_modes, grid, shifts, 1)
+            ref, ref_arg, (none, _, _) = _sup_over_grid(
+                coeff, params, pass_modes, grid, shifts, 1,
+                seeds=range(len(grid)))
             assert none == 0
             runs = [_sup_over_grid(coeff, params, pass_modes, grid, shifts,
                                    workers, seeds) for workers in (1, 2)]
@@ -178,8 +180,8 @@ class TestSeededSweep:
                 assert np.array_equal(arg, ref_arg)
                 assert certified == runs[0][2]
             seeds = (0, *ref_arg)
-        # the last pass certifies most of its norms below the seeds' max
-        certified, pairs = runs[0][2]
+        # the last pass certifies most of its norms below the running max
+        certified, pairs, _ = runs[0][2]
         assert 2 * certified > pairs
 
 
@@ -206,8 +208,8 @@ class TestResolventDiff:
                                              modes, [0.3])
         symbol = np.full(modes.size, np.inf)
         symbol[modes.zero_index] = effective[modes.zero_index]
-        shifted = _resolvent_diffs(t2, params_three_halves, modes, [0.3],
-                                   symbol, [0.01 ** 1.5])
+        shifted, _ = _resolvent_diffs(t2, params_three_halves, modes, [0.3],
+                                      symbol, [0.01 ** 1.5])
         assert a == shifted[0]
 
     def test_threshold_diff_constant_diagonal(self, t0, params_half):
