@@ -19,7 +19,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,7 @@ class ModeSet:
         self.size = self.modes.shape[0]
         self.zero_index = self.index_of(np.zeros(dimension, dtype=int))
         self._blocks: dict = {}     # coupling_blocks cache, keyed by shift set
+        self._plans: dict = {}      # assembly plans, keyed by sorted support
 
     def index_of(self, mode) -> int:
         """Position of a single mode vector in the ordering."""
@@ -113,28 +115,26 @@ def _components(modes: ModeSet, shifts) -> list:
 class FiberMatrix:
     """Hermitian Galerkin matrix of the fiber operator at one quasimomentum.
 
-    `entries` is the dense matrix (float64 or complex128); `blocks` the
-    index arrays of its diagonal blocks grouped by size (:func:`group_blocks`),
-    one block of every mode by default; `stacks` the blocks' entries, one
-    (count, size, size) array of the same dtype per group.  Dense work runs
-    on the stacks, one batched numpy call per group.  A wrapper rather than
-    a bare array also because ``bench/traced.py`` counts the assembled bytes
-    as ``entries.nbytes`` of the returned object.
+    `blocks` are the index arrays of its diagonal blocks grouped by size
+    (:func:`group_blocks`), partitioning the modes; `stacks` the blocks'
+    entries, one (count, size, size) array per group, float64 or complex128.
+    Dense work runs on the stacks, one batched numpy call per group.  The
+    dense matrix `entries` is built from the stacks on first read, in their
+    dtype, for the callers that need it (the `fiber` CSV, the threshold
+    report, the d = 1 form-element oracle); the rate study never reads it.
     """
 
-    entries: np.ndarray
-    blocks: tuple | None = None
-    stacks: tuple = field(init=False)
+    stacks: tuple
+    blocks: tuple
 
-    def __post_init__(self):
-        if self.blocks is None:
-            object.__setattr__(self, "blocks", (np.arange(len(self.entries))[None, :],))
-        object.__setattr__(self, "stacks", tuple(
-            self.entries[idx[:, :, None], idx[:, None, :]] for idx in self.blocks))
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return self.embed(self.stacks)
 
     def embed(self, stacks) -> np.ndarray:
         """Dense matrix holding `stacks` (shaped like `self.stacks`), zero elsewhere."""
-        out = np.zeros(self.entries.shape, dtype=complex)
+        size = sum(idx.size for idx in self.blocks)
+        out = np.zeros((size, size), dtype=np.result_type(*stacks))
         for idx, stack in zip(self.blocks, stacks):
             out[idx[:, :, None], idx[:, None, :]] = stack
         return out
@@ -150,6 +150,89 @@ def _sym_pow(vecs: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
     return r ** alpha
 
 
+@dataclass(frozen=True, eq=False)
+class _AssemblyPlan:
+    """Where each support pair writes, for one mode set and support.
+
+    `pairs` is the support in sorted order; `lk` its l vectors, then its k
+    vectors; `box` the lattice vectors |v|_inf <= N + max |l|_inf.  Per
+    entry written, in pair order: `pair` its pair's place in `pairs`, `pos`
+    its flat position in the concatenated block stacks (`size` entries in
+    all), `head` and `tail` the box indices of m - l and n + l.  No position
+    repeats within a pair.
+    """
+
+    pairs: tuple
+    lk: np.ndarray
+    box: np.ndarray
+    pair: np.ndarray
+    pos: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
+    blocks: tuple
+    size: int
+
+    def stacks(self, flat: np.ndarray) -> tuple:
+        """The block stacks as views of `flat`, laid out as `pos` indexes them."""
+        out, start = [], 0
+        for idx in self.blocks:
+            count, n = idx.shape
+            out.append(flat[start:start + count * n * n].reshape(count, n, n))
+            start += count * n * n
+        return tuple(out)
+
+
+def _assembly_plan(coeff: PeriodicCoefficient, modes: ModeSet) -> _AssemblyPlan:
+    """The assembly plan of the coefficient's support on `modes`, cached on
+    the mode set.  Raises BlockLeak, and caches nothing, if a support pair
+    writes outside the coupling blocks: a row mode in no block, or its
+    column mode in another block.
+    """
+    pairs = tuple(sorted(coeff.modes))
+    cached = modes._plans.get(pairs)
+    if cached is None:
+        # worker threads racing here build and store equal plans
+        cached = modes._plans[pairs] = _build_plan(
+            pairs, coupling_blocks(coeff, modes), modes)
+    return cached
+
+
+def _build_plan(pairs, blocks, modes: ModeSet) -> _AssemblyPlan:
+    # each mode's block, named by the flat position of the block's first
+    # entry (-1 for a mode in no block), and the mode's place in the block
+    start = np.full(modes.size, -1)
+    local = np.zeros(modes.size, dtype=int)
+    width = np.zeros(modes.size, dtype=int)
+    offset = 0
+    for idx in blocks:
+        count, n = idx.shape
+        start[idx] = offset + n * n * np.arange(count)[:, None]
+        local[idx] = np.arange(n)
+        width[idx] = n
+        offset += count * n * n
+
+    reach = modes.truncation + max(abs(v) for _, l in pairs for v in l)
+    box = ModeSet(modes.dimension, reach)
+    mvec = modes.modes
+    pair, pos, head, tail = [], [], [], []
+    for p, (k, l) in enumerate(pairs):
+        lv = np.asarray(l, dtype=int)
+        nvec = mvec - (np.asarray(k, dtype=int) + lv)
+        rows = np.nonzero(np.all(np.abs(nvec) <= modes.truncation, axis=1))[0]
+        cols = modes._ravel(nvec[rows])
+        if np.any((start[rows] < 0) | (start[rows] != start[cols])):
+            raise BlockLeak(f"support pair ({k}, {l}) couples modes outside the "
+                            f"coupling blocks")
+        pair.append(np.full(rows.size, p))
+        pos.append(start[rows] + local[rows] * width[rows] + local[cols])
+        head.append(box._ravel(mvec[rows] - lv))
+        tail.append(box._ravel(nvec[rows] + lv))
+    lk = np.array([l for _, l in pairs] + [k for k, _ in pairs], dtype=int)
+    return _AssemblyPlan(pairs, lk, box.modes,
+                         *map(np.concatenate, (pair, pos, head, tail)), blocks,
+                         offset)
+
+
 def assemble_fiber_matrix(
     coeff: PeriodicCoefficient,
     params: ModelParams,
@@ -158,12 +241,14 @@ def assemble_fiber_matrix(
 ) -> FiberMatrix:
     """Assemble the closed-form Galerkin matrix of the fiber operator.
 
-    The result carries the coupling blocks (:func:`coupling_blocks`);
-    BlockLeak if a support pair writes an entry outside them: a coupled row
-    mode in no block, or its column mode in another block.  With every
-    amplitude real each entry is a real sum, so the matrix is real symmetric
-    and is assembled in float64; otherwise in complex128.  The real parts
-    agree bit for bit between the two.
+    The entries go straight into the stacks of the coupling blocks
+    (:func:`coupling_blocks`), through the support's assembly plan, which
+    is built once per mode set and raises BlockLeak if a support pair writes
+    outside the blocks.  Per xi one table of |2 pi v + xi|^alpha over the
+    plan's box serves every pair, and each entry sums its pairs' terms in
+    sorted pair order.  With every amplitude real each entry is a real sum,
+    so the matrix is real symmetric and is assembled in float64; otherwise
+    in complex128.  The real parts agree bit for bit between the two.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (params.dimension,) or not np.all(np.isfinite(xi)):
@@ -176,41 +261,28 @@ def assemble_fiber_matrix(
             f"|k+l|_inf={span}; increase N to at least {span}"
         )
 
+    plan = _assembly_plan(coeff, modes)
     alpha, c0 = params.alpha, params.c0
-    n_trunc = modes.truncation
-    mvec = modes.modes
-    real = all(amp.imag == 0.0 for amp in coeff.modes.values())
-    entries = np.zeros((modes.size,) * 2, dtype=float if real else complex)
-    zero_xi = np.zeros_like(xi)
-    blocks = coupling_blocks(coeff, modes)
-    label = np.full(modes.size, -1)  # block number of each mode, -1 for none
-    for idx in blocks:
-        label[idx] = label.max() + 1 + np.arange(len(idx))[:, None]
-
-    for (k, l), amp in sorted(coeff.modes.items()):
-        if real:
-            amp = amp.real
-        kv = np.asarray(k, dtype=int)
-        lv = np.asarray(l, dtype=int)
-        shift = kv + lv
-        nvec = mvec - shift
-        ok = np.all(np.abs(nvec) <= n_trunc, axis=1)
-        rows = np.nonzero(ok)[0]
-        if rows.size == 0:
-            continue
-        cols = modes._ravel(nvec[rows])
-        if np.any((label[rows] < 0) | (label[rows] != label[cols])):
-            raise BlockLeak(f"support pair ({k}, {l}) couples modes outside the "
-                            f"coupling blocks")
-        a = _sym_pow(mvec[rows] - lv, xi, alpha)
-        b = _sym_pow(nvec[rows] + lv, xi, alpha)
-        c3 = _sym_pow(lv[None, :], zero_xi, alpha)[0]
-        c4 = _sym_pow(kv[None, :], zero_xi, alpha)[0]
-        # grouping (a - c4) + (b - c3) makes the zero-mode column at xi = 0
-        # cancel exactly instead of to rounding
-        entries[rows, cols] += (0.5 * c0 * amp) * ((a - c4) + (b - c3))
-
-    return FiberMatrix(entries, blocks)
+    amps = [coeff.modes[key] for key in plan.pairs]
+    real = all(amp.imag == 0.0 for amp in amps)
+    scale = np.array([0.5 * c0 * (amp.real if real else amp) for amp in amps],
+                     dtype=float if real else complex)
+    table = _sym_pow(plan.box, xi, alpha)
+    const = _sym_pow(plan.lk, np.zeros_like(xi), alpha)
+    c3, c4 = const[:len(amps)], const[len(amps):]
+    p = plan.pair
+    # grouping (|m - l|^a - c4) + (|n + l|^a - c3) makes the zero-mode
+    # column at xi = 0 cancel exactly instead of to rounding
+    values = scale[p] * ((table[plan.head] - c4[p]) + (table[plan.tail] - c3[p]))
+    # bincount adds in input order from zero: each entry is the sum of its
+    # pairs' terms in sorted pair order
+    if real:
+        flat = np.bincount(plan.pos, values, plan.size)
+    else:
+        flat = np.empty(plan.size, dtype=complex)
+        flat.real = np.bincount(plan.pos, values.real, plan.size)
+        flat.imag = np.bincount(plan.pos, values.imag, plan.size)
+    return FiberMatrix(plan.stacks(flat), plan.blocks)
 
 
 def assemble_effective_fiber(

@@ -20,8 +20,8 @@ from .coefficient import (RATE_TABLE, ModelParams, PeriodicCoefficient,
                           effective_mu, rate_function, rate_profile)
 from .config import _validate_epsilons
 from .errors import DegenerateFit, TruncationUnstable
-from .fiber import (FiberMatrix, ModeSet, assemble_effective_fiber,
-                    assemble_fiber_matrix, group_blocks)
+from .fiber import (ModeSet, assemble_effective_fiber, assemble_fiber_matrix,
+                    group_blocks)
 from .spectral import eig_hermitian
 
 log = logging.getLogger(__name__)
@@ -144,6 +144,23 @@ def _below_floors(stack, sigma, shifts, floors) -> bool:
     return True
 
 
+def _drop_null_mode(fiber, z):
+    """The fiber's blocks and stacks with mode z dropped from its block when
+    z's row and column there are exactly zero; else the fiber's own.  The
+    shortened blocks are regrouped as :func:`group_blocks` groups them.
+    """
+    kept = []
+    for idx, stack in zip(fiber.blocks, fiber.stacks):
+        for b, mat in zip(idx, stack):
+            keep = b != z
+            if not keep.all() and (mat[~keep].any() or mat[:, ~keep].any()):
+                return fiber.blocks, fiber.stacks
+            kept.append((b[keep], mat[keep][:, keep]))
+    blocks = group_blocks(b for b, _ in kept)
+    return blocks, tuple(np.array([m for b, m in kept if b.size == idx.shape[1]])
+                         for idx in blocks)
+
+
 def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts, floors=None):
     """||(A(xi) + s)^-1 - diag(1 / (symbol + s))|| for each shift s.
 
@@ -171,13 +188,12 @@ def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts, floors=None):
     floors = np.zeros(len(shifts)) if floors is None else np.asarray(floors)
     try_pair = np.all(floors > 0.0)
     fiber = assemble_fiber_matrix(coeff, params, modes, xi)
-    entries, z = fiber.entries, modes.zero_index
-    if symbol[z] == 0.0 and not entries[z].any() and not entries[:, z].any():
-        blocks = group_blocks(b[b != z] for idx in fiber.blocks for b in idx)
-        fiber = FiberMatrix(entries, blocks)
+    blocks, stacks = fiber.blocks, fiber.stacks
+    if symbol[modes.zero_index] == 0.0:
+        blocks, stacks = _drop_null_mode(fiber, modes.zero_index)
     out = np.zeros(len(shifts))
     skipped = True
-    for idx, stack in zip(fiber.blocks, fiber.stacks):
+    for idx, stack in zip(blocks, stacks):
         sigma = symbol[idx]
         if try_pair and _below_floors(stack, sigma, shifts, floors):
             continue

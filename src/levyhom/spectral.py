@@ -182,8 +182,10 @@ def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
     sits within d0/30 of the curve, QuadratureNotConverged if no
     doubling up to RIESZ_MAX_NODES nodes converges.
     """
-    fiber = (matrix if isinstance(matrix, FiberMatrix)
-             else FiberMatrix(np.asarray(matrix)))
+    fiber = matrix
+    if not isinstance(fiber, FiberMatrix):
+        a = np.asarray(matrix)
+        fiber = FiberMatrix((a[None],), (np.arange(len(a))[None],))
     d0 = contour.d0
     lam = np.concatenate([np.linalg.eigvalsh(s).ravel() for s in fiber.stacks])
     min_dist = min(contour.distance_to_real(float(v)) for v in lam)

@@ -17,10 +17,11 @@ from levyhom import (BlockLeak, CircleContour, FiberMatrix, ModeSet, ModelParams
                      PeriodicCoefficient, assemble_effective_fiber,
                      assemble_fiber_matrix, certify, coupling_blocks,
                      eig_hermitian, projector_by_riesz, theory_constants)
-from levyhom._util import hermitian_norm
+from levyhom._util import hermitian_norm, parallel_map
 from levyhom.homogenization import (_below_floors, _eig_route_norms,
-                                    _resolvent_diffs)
+                                    _resolvent_diffs, discrepancy_study)
 from conftest import make_t2, random_band_limited
+from test_homogenization import _random_complex_inputs, _study_inputs
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None,
                     derandomize=True)
@@ -322,8 +323,10 @@ class TestPartition:
         singletons = (np.arange(modes.size)[:, None],)
         monkeypatch.setattr(fiber_mod, "coupling_blocks",
                             lambda coeff, ms: singletons)
-        with pytest.raises(BlockLeak):
-            assemble_fiber_matrix(t2, params_half, modes, [0.3])
+        # a failed plan is not cached, so the second call checks again
+        for _ in range(2):
+            with pytest.raises(BlockLeak):
+                assemble_fiber_matrix(t2, params_half, modes, [0.3])
 
     @pytest.mark.parametrize("xi", [0.0, 0.3])
     def test_partition_missing_a_mode_raises(self, t2, params_half, monkeypatch, xi):
@@ -335,15 +338,133 @@ class TestPartition:
         short = fiber_mod.group_blocks(b[b != modes.zero_index]
                                        for idx in blocks for b in idx)
         monkeypatch.setattr(fiber_mod, "coupling_blocks", lambda coeff, ms: short)
-        with pytest.raises(BlockLeak):
-            assemble_fiber_matrix(t2, params_half, modes, [xi])
+        for _ in range(2):
+            with pytest.raises(BlockLeak):
+                assemble_fiber_matrix(t2, params_half, modes, [xi])
 
     def test_one_block_wrap_is_the_dense_matrix(self, t2, params_half):
         a = assemble_fiber_matrix(t2, params_half, ModeSet(1, 4), [0.3]).entries
-        whole = FiberMatrix(a)
+        whole = FiberMatrix((a[None],), (np.arange(len(a))[None],))
         assert len(whole.stacks) == 1
         assert np.array_equal(whole.stacks[0][0], a)
         assert np.array_equal(whole.embed(whole.stacks), a)
+        assert whole.entries.dtype == a.dtype
+
+
+def _per_pair_dense(coeff, params, modes, xi):
+    """Reference assembly, one support pair at a time into a dense matrix,
+    and the block stacks gathered from it."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    real = all(amp.imag == 0.0 for amp in coeff.modes.values())
+    entries = np.zeros((modes.size,) * 2, dtype=float if real else complex)
+    zero_xi = np.zeros_like(xi)
+    for (k, l), amp in sorted(coeff.modes.items()):
+        if real:
+            amp = amp.real
+        kv, lv = np.asarray(k, dtype=int), np.asarray(l, dtype=int)
+        nvec = modes.modes - (kv + lv)
+        rows = np.nonzero(np.all(np.abs(nvec) <= modes.truncation, axis=1))[0]
+        cols = modes._ravel(nvec[rows])
+        a = fiber_mod._sym_pow(modes.modes[rows] - lv, xi, params.alpha)
+        b = fiber_mod._sym_pow(nvec[rows] + lv, xi, params.alpha)
+        c3 = fiber_mod._sym_pow(lv[None, :], zero_xi, params.alpha)[0]
+        c4 = fiber_mod._sym_pow(kv[None, :], zero_xi, params.alpha)[0]
+        entries[rows, cols] += (0.5 * params.c0 * amp) * ((a - c4) + (b - c3))
+    stacks = tuple(entries[idx[:, :, None], idx[:, None, :]]
+                   for idx in coupling_blocks(coeff, modes))
+    return entries, stacks
+
+
+def _assert_same_bits(fiber, reference):
+    entries, stacks = reference
+    assert len(fiber.stacks) == len(stacks)
+    for got, want in zip(fiber.stacks, stacks):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert fiber.entries.dtype == entries.dtype
+    assert np.array_equal(fiber.entries, entries)
+
+
+def _d3_inputs():
+    """t2 lifted to d = 3 at N = 2, with a few points off the axes."""
+    pts = [np.zeros(3), np.array([0.3, -0.2, 0.1]), np.array([1e-3, 0.0, 0.0]),
+           np.array([-math.pi, 0.5, -1.0])]
+    return make_t2(3), ModelParams(3, 0.5), ModeSet(3, 2), pts
+
+
+class TestAssemblyPlan:
+    @pytest.mark.parametrize("name", ["t1_alpha1", "t2_alpha05", "t2_d2",
+                                      "dense-d2", "random-complex", "t2-d3"])
+    def test_bits_equal_the_per_pair_dense_loop(self, name):
+        # xi = 0, points of the study's grid and their mirrors, at N and 2N
+        if name == "t2-d3":
+            coeff, params, modes, grid = _d3_inputs()
+        elif name == "random-complex":
+            coeff, params, modes, grid, _ = _random_complex_inputs()
+        else:
+            coeff, params, modes, grid, _ = _study_inputs(name)
+        picks = [grid[i] for i in (1, len(grid) // 3, len(grid) // 2, -1)]
+        points = [np.zeros(params.dimension), *picks, *(-p for p in picks)]
+        for pass_modes in (modes, ModeSet(params.dimension, 2 * modes.truncation)):
+            for xi in points:
+                fiber = assemble_fiber_matrix(coeff, params, pass_modes, xi)
+                _assert_same_bits(fiber, _per_pair_dense(coeff, params,
+                                                         pass_modes, xi))
+            assert len(pass_modes._plans) == 1
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_threads_racing_to_build_the_plan(self, workers):
+        # every thread finds no plan on a fresh mode set and builds one
+        coeff, params, modes, grid, _ = _study_inputs("dense-d2")
+        points = grid[:16]
+        serial = [assemble_fiber_matrix(coeff, params, modes, xi).stacks
+                  for xi in points]
+        fresh = ModeSet(modes.dimension, modes.truncation)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            racing = parallel_map(
+                lambda xi: assemble_fiber_matrix(coeff, params, fresh, xi).stacks,
+                points, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(racing, serial):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert len(fresh._plans) == 1
+
+    def test_one_plan_serves_other_amplitudes(self, t2, params_half):
+        # the plan holds no amplitude: a second coefficient on the same
+        # support and mode set gets its own entries
+        other = certify(PeriodicCoefficient(1, {
+            key: amp * (0.5 if key[0] != key[1] else 1.0)
+            for key, amp in t2.modes.items()}))
+        modes = ModeSet(1, 6)
+        for xi in ([0.0], [0.3]):
+            fibers = [assemble_fiber_matrix(c, params_half, modes, xi)
+                      for c in (t2, other)]
+            for coeff, fiber in zip((t2, other), fibers):
+                _assert_same_bits(fiber, _per_pair_dense(coeff, params_half,
+                                                         modes, xi))
+            assert not np.array_equal(fibers[0].entries, fibers[1].entries)
+        assert len(modes._plans) == 1
+
+    @pytest.mark.parametrize("name", ["t2_alpha05", "dense-d2"])
+    def test_rate_study_builds_no_dense_matrix(self, name, monkeypatch):
+        # the study, its xi = 0 deflation included, runs on the block stacks
+        coeff, params, modes, grid, _ = _study_inputs(name)
+        built = []
+        embed = FiberMatrix.embed
+
+        def counting_embed(self, stacks):
+            built.append(1)
+            return embed(self, stacks)
+
+        monkeypatch.setattr(FiberMatrix, "embed", counting_embed)
+        epsilons = np.geomspace(1e-1, 1e-3, 8)
+        discrepancy_study(coeff, params, modes, grid, epsilons)
+        assert built == []
+        assemble_fiber_matrix(coeff, params, modes, grid[0]).entries
+        assert built == [1]
 
 
 class TestBlockwiseSpectral:
@@ -371,9 +492,9 @@ class TestBlockwiseSpectral:
     def test_riesz_sees_an_eigenvalue_in_any_block(self):
         # an eigenvalue of a second block inside the contour doubles the rank
         d0 = 1.0
-        entries = np.diag([0.1, 5.0, 0.2, 6.0]).astype(complex)
+        stacks = (np.array([np.diag([0.1, 5.0]), np.diag([0.2, 6.0])], dtype=complex),)
         blocks = (np.array([[0, 1], [2, 3]]),)
-        proj = projector_by_riesz(FiberMatrix(entries, blocks),
+        proj = projector_by_riesz(FiberMatrix(stacks, blocks),
                                   CircleContour(d0))
         assert np.trace(proj.projector).real == pytest.approx(2.0, abs=1e-9)
 
