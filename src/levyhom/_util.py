@@ -10,45 +10,16 @@ import numpy as np
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def hermitian_norm(mat, floor=0.0) -> float:
-    """Spectral norm of a Hermitian matrix as max |eigenvalue|, or a lower
-    bound on it when it lies below `floor`.
+def hermitian_norm(mat) -> float:
+    """Spectral norm of a Hermitian matrix as max |eigenvalue|.
 
     A stack (..., n, n) of diagonal blocks gives the norm of the
     block-diagonal matrix: the max over the blocks.  eigvalsh reads only the
     lower triangle, so tiny Hermiticity defects from rounding are harmless.
-
-    With floor > 0 the result is a lower bound on the norm, and exact (the
-    same eigvalsh bits as with floor = 0) whenever the norm is at least
-    `floor`.  ||M|| < t holds exactly when t I - M and t I + M are both
-    positive definite, so two Cholesky factorizations at
-    t = floor (1 - 4 (n + 1)^2 u), u the unit roundoff, replace the
-    eigensolve: if both succeed the result is 0.0.  One failing block of a
-    stack sends the whole stack to eigvalsh.  Cholesky reads the lower
-    triangle too, so both routes see the same matrix.
-
-    The allowance: a Cholesky factorization that runs to completion on
-    S = t I -+ M is exact for S + E with ||E|| <= n (n + 1) u ||S|| to first
-    order (Higham, Accuracy and Stability, Thm 10.5), and S + E is positive
-    semidefinite, so ||M|| <= t + n (n + 1) u (t + ||M||), i.e.
-    ||M|| <= t (1 + 2 n (n + 1) u).  With the t above that is
-    floor (1 - 2 (n + 1)(n + 2) u), which leaves 2 (n + 1)(n + 2) u floor
-    for the backward error of eigvalsh (Householder tridiagonalization,
-    O(n) u ||M||): whenever both factorizations succeed, eigvalsh would
-    have returned less than `floor`.
     """
     mat = np.asarray(mat)
     if mat.size == 0:
         return 0.0
-    if floor > 0.0:
-        n = mat.shape[-1]
-        shift = floor * (1.0 - 4.0 * (n + 1) ** 2 * UNIT_ROUNDOFF) * np.eye(n)
-        try:
-            np.linalg.cholesky(shift - mat)
-            np.linalg.cholesky(shift + mat)
-            return 0.0
-        except np.linalg.LinAlgError:
-            pass
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
 

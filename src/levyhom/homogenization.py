@@ -42,11 +42,11 @@ def slope_widening(alpha: float) -> float:
 # Resolvent differences
 # ----------------------------------------------------------------------
 
-def _eig_route_norms(stack, sigma, shifts, floors) -> np.ndarray:
+def _eig_route_norms(stack, sigma, shifts) -> np.ndarray:
     """Per-shift ||(A + s)^-1 - diag(1 / (sigma + s))|| on a block stack.
 
     `stack` is (count, n, n), `sigma` (count, n).  One eigendecomposition
-    serves every shift; each norm is ``hermitian_norm(res, floor)``.
+    serves every shift; each norm is ``hermitian_norm(res)``.
     """
     spectral = eig_hermitian(stack)
     lam, vec = spectral.eigenvalues[:, None, :], spectral.eigenvectors
@@ -56,14 +56,15 @@ def _eig_route_norms(stack, sigma, shifts, floors) -> np.ndarray:
     for i, s in enumerate(shifts):
         res = (vec * (1.0 / (lam + s))) @ vec_h
         res[:, diag, diag] -= 1.0 / (sigma + s)
-        out[i] = hermitian_norm(res, floors[i])
+        out[i] = hermitian_norm(res)
     return out
 
 
-def _below_floors(stack, sigma, shifts, floors) -> bool:
-    """True when two Cholesky factorizations show, for every shift s, that
-    ||R|| = ||(A + s)^-1 - (D + s)^-1|| lies so far below its floor that the
-    eig route (:func:`_eig_route_norms`) would also have read it below.
+def _below_floors(stack, sigma, shifts, floors) -> np.ndarray:
+    """Per-shift mask: True where two Cholesky factorizations show that
+    ||R|| = ||(A + s)^-1 - (D + s)^-1|| lies so far below the shift's floor
+    that the eig route (:func:`_eig_route_norms`) would also have read it
+    below.
 
     `stack` is (count, n, n) with A positive semidefinite, `sigma` (count, n)
     the finite, nonnegative diagonal of D, and every floor positive.
@@ -78,10 +79,14 @@ def _below_floors(stack, sigma, shifts, floors) -> bool:
     become the identity's, and the rest is the principal block on the kept
     modes J.  That still suffices, since (A + s)^-1 dominates the inverse of
     its J block padded with zeros (the block inverse formula).  Both
-    diagonals grow with t and with e, so their elementwise min over the
-    shifts certifies every shift at once: one pair of factorizations.
+    diagonals grow with t and with e, so their elementwise min over a set
+    of shifts certifies every shift of the set at once: one pair of
+    factorizations.  The min can fail where each shift alone would pass, so
+    a failing set is halved and each half tried on its own, down to single
+    shifts.
 
-    The allowance on t.  Let nu = (n + 1)(n + 2) u, u the unit roundoff.
+    The allowance on t, for one set of shifts.  Let nu = (n + 1)(n + 2) u,
+    u the unit roundoff.
     * Cholesky.  A factorization that completes on S is exact for S + E with
       |E_ij| <= gamma_{n+1} |R|^T |R| <= gamma_{n+1} sqrt(S_ii S_jj)
       (Higham, Accuracy and Stability, Thm 10.5), and such an E is at least
@@ -104,44 +109,61 @@ def _below_floors(stack, sigma, shifts, floors) -> bool:
     keep their bits.  delta is taken at t = floor, where m1 is largest and
     z smallest, so it bounds the allowance at the smaller t.  It is
     amplified by 1 / l^2, with l about min e / (1 + t min e), never by
-    1 / s^2.
+    1 / s^2.  Each set takes its own m1 and delta, so the argument holds for
+    every shift the halving certifies.
     """
     n = stack.shape[-1]
     nu = (n + 1) * (n + 2) * UNIT_ROUNDOFF
     diag = np.arange(n)
-    e = sigma + np.asarray(shifts)[:, None, None]   # (shift, block, mode)
-    k = stack.copy()
-    k[:, diag, diag] -= sigma
-    k_diag = k[:, diag, diag].real
-    a_norm = np.max(np.sum(np.abs(stack), axis=-1))
+    floors = np.asarray(floors)
+    e_all = sigma + np.asarray(shifts)[:, None, None]   # (shift, block, mode)
+    k_diag = (stack[:, diag, diag] - sigma).real
+    k_abs = np.abs(k_diag)
+    a_norm = np.abs(stack).sum(axis=-1).max()
 
-    def upper(t):
-        t = t[:, None, None]
-        return np.min(t * e * e / (1.0 + t * e), axis=0)
+    def added(t, e):
+        te = t[:, None, None] * e
+        return te * e / (1.0 + te)
 
-    m1 = upper(floors)
-    z = e - m1 - nu * (np.abs(k_diag) + m1)
-    if np.any(z <= 0.0):
-        return False
-    ell = np.min(z, axis=(1, 2))
-    delta = nu * (np.max((np.abs(k_diag) + m1) / z ** 2, axis=(1, 2))
-                  + a_norm / ell ** 2 + 5.0 / ell + floors)
-    t = floors - 2.0 * delta
-    if np.any(t <= 0.0):
-        return False
-    te = t[:, None, None] * e
-    with np.errstate(divide="ignore"):
-        m2 = np.min(np.where(te < 1.0, te * e / (1.0 - te), np.inf), axis=0)
-    kept = np.isfinite(m2)
-    k[:, diag, diag] += upper(t)
-    try:
-        np.linalg.cholesky(k)
-        second = -stack * (kept[:, :, None] & kept[:, None, :])
-        second[:, diag, diag] = np.where(kept, m2 - k_diag, 1.0)
-        np.linalg.cholesky(second)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    m1_all = added(floors, e_all)
+
+    def pair(subset) -> bool:
+        e, floor = e_all[subset], floors[subset]
+        m1 = m1_all[subset].min(axis=0)
+        z = e - m1 - nu * (k_abs + m1)
+        if (z <= 0.0).any():
+            return False
+        ell = z.min(axis=(1, 2))
+        delta = nu * (((k_abs + m1) / z ** 2).max(axis=(1, 2))
+                      + a_norm / ell ** 2 + 5.0 / ell + floor)
+        t = floor - 2.0 * delta
+        if (t <= 0.0).any():
+            return False
+        te = t[:, None, None] * e
+        with np.errstate(divide="ignore"):
+            m2 = np.where(te < 1.0, te * e / (1.0 - te), np.inf).min(axis=0)
+        kept = np.isfinite(m2)
+        first = stack.copy()
+        first[:, diag, diag] = k_diag + added(t, e).min(axis=0)
+        try:
+            np.linalg.cholesky(first)
+            second = -stack * (kept[:, :, None] & kept[:, None, :])
+            second[:, diag, diag] = np.where(kept, m2 - k_diag, 1.0)
+            np.linalg.cholesky(second)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    mask = np.zeros(len(floors), dtype=bool)
+    todo = [np.arange(len(floors))]
+    while todo:
+        subset = todo.pop()
+        if pair(subset):
+            mask[subset] = True
+        elif len(subset) > 1:
+            half = len(subset) // 2
+            todo += [subset[half:], subset[:half]]
+    return mask
 
 
 def _drop_null_mode(fiber, z):
@@ -164,7 +186,8 @@ def _drop_null_mode(fiber, z):
 def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts, floors=None):
     """||(A(xi) + s)^-1 - diag(1 / (symbol + s))|| for each shift s.
 
-    Returns (norms, skipped): skipped is True when no eigensolve ran.
+    Returns (norms, certified), the mask of shifts that every block group
+    certified below its floor; when it is all True no eigensolve ran.
 
     `symbol` is the comparator's diagonal; an entry of inf removes that mode
     from the comparator, since 1 / (inf + s) is exactly 0.  Both operators
@@ -179,27 +202,28 @@ def _resolvent_diffs(coeff, params, modes, xi, symbol, shifts, floors=None):
     roundoff).
 
     With positive per-shift `floors` (which need a finite `symbol`), each
-    block group first tries :func:`_below_floors`; a group it certifies gives
-    zeros and skips the eigensolve.  Otherwise each norm is taken by
-    ``hermitian_norm(res, floor)``.  Either way a norm is a lower bound that
-    is exact whenever it reaches its shift's floor, so values below the
-    floor may read less.
+    block group first tries :func:`_below_floors`, gives zeros for the
+    shifts it certifies and takes the eig route for the rest only.  So a
+    norm is a lower bound that is exact whenever it reaches its shift's
+    floor, and values below the floor may read less.
     """
-    floors = np.zeros(len(shifts)) if floors is None else np.asarray(floors)
-    try_pair = np.all(floors > 0.0)
+    shifts = np.asarray(shifts)
+    try_pair = floors is not None and bool(np.all(np.asarray(floors) > 0.0))
     fiber = assemble_fiber_matrix(coeff, params, modes, xi)
     blocks, stacks = fiber.blocks, fiber.stacks
     if symbol[modes.zero_index] == 0.0:
         blocks, stacks = _drop_null_mode(fiber, modes.zero_index)
     out = np.zeros(len(shifts))
-    skipped = True
+    certified = np.full(len(shifts), try_pair)
     for idx, stack in zip(blocks, stacks):
         sigma = symbol[idx]
-        if try_pair and _below_floors(stack, sigma, shifts, floors):
-            continue
-        skipped = False
-        out = np.maximum(out, _eig_route_norms(stack, sigma, shifts, floors))
-    return out, skipped
+        rest = (~_below_floors(stack, sigma, shifts, floors) if try_pair
+                else np.ones(len(shifts), dtype=bool))
+        certified &= ~rest
+        if rest.any():
+            out[rest] = np.maximum(out[rest],
+                                   _eig_route_norms(stack, sigma, shifts[rest]))
+    return out, certified
 
 
 def threshold_resolvent_diff(
@@ -276,7 +300,7 @@ class RateStudyResult:
     truncation_stability: float
     exact: bool                     # discrepancy identically zero
     solved_points: int              # grid points solved per pass
-    certified: tuple                # per pass: (below floor, non-seed
+    certified: tuple                # per pass: (certified norms, non-seed
                                     # pairs, points with no eigensolve)
     warnings: tuple
 
@@ -315,8 +339,8 @@ def _sup_over_grid(coeff, params, modes, grid, shifts, workers, seeds=()):
     argmax over the grid-ordered table are the exhaustive sweep's, bit for
     bit.  The waves depend only on grid indices, so the result is
     scheduling-independent.  `certified` counts the `pairs` non-seed
-    (point, shift) norms that came out below their floor, and `skipped` the
-    solved points that needed no eigensolve.
+    (point, shift) norms certified below their floor, and `skipped` the
+    solved points with every norm certified, which needed no eigensolve.
     """
     mu0 = effective_mu(coeff)
     nshift = len(shifts)
@@ -328,7 +352,8 @@ def _sup_over_grid(coeff, params, modes, grid, shifts, workers, seeds=()):
                                     shifts, floors)
         results = parallel_map(per_xi, indices, workers)
         values = np.reshape([norms for norms, _ in results], (-1, nshift))
-        return values, sum(skipped for _, skipped in results)
+        masks = np.reshape([mask for _, mask in results], (-1, nshift))
+        return values, masks
 
     rep = _mirror_representatives(grid)
     solved, where = np.unique(rep, return_inverse=True)
@@ -341,9 +366,9 @@ def _sup_over_grid(coeff, params, modes, grid, shifts, workers, seeds=()):
     start, size = 0, 2
     while start < len(rest):
         wave = rest[start:start + size]
-        values[wave], wave_skipped = solve(solved[wave], floors)
-        certified += int(np.count_nonzero(values[wave] < floors))
-        skipped += wave_skipped
+        values[wave], masks = solve(solved[wave], floors)
+        certified += int(np.count_nonzero(masks))
+        skipped += int(np.count_nonzero(masks.all(axis=1)))
         floors = np.maximum(floors, values[wave].max(axis=0))
         start, size = start + size, 2 * size
     table = values[where]                                 # (nxi, nshift)

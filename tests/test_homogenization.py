@@ -184,6 +184,22 @@ class TestSeededSweep:
         certified, pairs, _ = runs[0][2]
         assert 2 * certified > pairs
 
+    @pytest.mark.parametrize("name,skipped", [("dense-d2", (51, 52)),
+                                              ("random-complex", (23, 23))])
+    def test_points_with_no_eigensolve(self, name, skipped):
+        # solved points of each pass whose every norm is certified; where
+        # the pair fails on the whole shift set the halves are tried alone
+        if name == "random-complex":
+            coeff, params, modes, grid, shifts = _random_complex_inputs()
+        else:
+            coeff, params, modes, grid, shifts = _study_inputs(name)
+        double = ModeSet(params.dimension, 2 * modes.truncation)
+        _, arg, (*_, at_n) = _sup_over_grid(coeff, params, modes, grid,
+                                            shifts, 1, seeds=(0,))
+        *_, (*_, at_2n) = _sup_over_grid(coeff, params, double, grid, shifts,
+                                         1, seeds=(0, *arg))
+        assert (at_n, at_2n) == skipped
+
 
 class TestResolventDiff:
     def test_constant_coefficient_zero(self, t0, params_half):
