@@ -15,10 +15,9 @@ from .errors import (BlockLeak, ContourTooClose, ConvergenceFailure,
                      DegenerateFit, GapViolation, LevyhomError,
                      PositivityUncertified, QuadratureNotConverged,
                      SymmetryViolation, TruncationTooSmall, TruncationUnstable)
-from .fiber import (FiberMatrix, ModeSet, OracleValue,
-                    assemble_effective_fiber, assemble_fiber_matrix,
-                    c1_constant, coupling_blocks, oracle_form_element,
-                    rho_and_rho_star)
+from .fiber import (FiberMatrix, ModeSet, assemble_effective_fiber,
+                    assemble_fiber_matrix, c1_constant, coupling_blocks,
+                    oracle_form_element, rho_and_rho_star)
 from .homogenization import (RateStudyResult, discrepancy_study, loglog_slope,
                              slope_check, slope_widening,
                              threshold_resolvent_diff)

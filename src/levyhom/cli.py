@@ -315,11 +315,11 @@ def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> Run
                 for xi, entries in fibers.items():
                     closed = complex(entries[modes.index_of([m]), modes.index_of([n])])
                     orc = oracle_form_element(coeff, params, m, n, xi)
-                    err = abs(orc.value - closed)
+                    err = abs(orc - closed)
                     rel = err / abs(closed) if abs(closed) > 1e-9 else err
                     worst = max(worst, rel)
                     rows.append([m, n, xi, params.alpha, closed.real, closed.imag,
-                                 orc.value.real, orc.value.imag, rel])
+                                 orc.real, orc.imag, rel])
         report.add("form_elements", "pass" if worst <= tol else "fail",
                    margin=tol - worst, detail=f"worst rel err {worst:.3e}")
     else:

@@ -25,7 +25,7 @@ class TruncationTooSmall(LevyhomError):
 
 
 class QuadratureNotConverged(LevyhomError):
-    """Successive quadrature refinements disagree beyond tolerance."""
+    """A quadrature missed its tolerance: refinements disagree or QUADPACK flags it."""
 
 
 class ConvergenceFailure(LevyhomError):

@@ -16,7 +16,6 @@ of the alpha < 1 bound ||A(xi) - A(0)|| <= mu_plus c1 |xi|^alpha.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -326,32 +325,30 @@ def rho_and_rho_star(
 # ----------------------------------------------------------------------
 
 # The oracle integrates the core [-ORACLE_Z_CUTOFF, ORACLE_Z_CUTOFF] with QUADPACK
-# at these tolerances and subinterval limit; the tails are semi-analytic.
+# at 1/16 of these tolerances and this subinterval limit; the tails are
+# semi-analytic.
 ORACLE_Z_CUTOFF = 40.0
 ORACLE_REL_TOL = 1e-8
 ORACLE_ABS_TOL = 1e-10
 ORACLE_LIMIT = 400
 
 
-@dataclass(frozen=True)
-class OracleValue:
-    value: complex
-    error: float
-
-
-def _tail_cos(omega: float, z_cut: float, alpha: float) -> tuple[float, float]:
+def _tail_cos(omega: float, z_cut: float, alpha: float) -> float:
     """Two-sided tail integral of e^{i omega z} |z|^(-1-alpha) beyond z_cut.
 
     The odd (sine) part cancels over the symmetric tail; the zero-frequency
-    case is an elementary power integral.
+    case is an elementary power integral.  Raises QuadratureNotConverged when
+    QUADPACK flags the Fourier integral.
     """
     if omega == 0.0:
-        return 2.0 * z_cut ** (-alpha) / alpha, 0.0
+        return 2.0 * z_cut ** (-alpha) / alpha
     from scipy.integrate import quad
-    val, err = quad(
-        lambda z: z ** (-1.0 - alpha), z_cut, np.inf, weight="cos", wvar=abs(omega)
-    )
-    return 2.0 * val, 2.0 * err
+    val, _, _, *flag = quad(lambda z: z ** (-1.0 - alpha), z_cut, np.inf,
+                            weight="cos", wvar=abs(omega), full_output=1)
+    if flag:
+        raise QuadratureNotConverged(
+            f"tail quadrature at frequency {omega}: {flag[0].splitlines()[0]}")
+    return 2.0 * val
 
 
 def oracle_form_element(
@@ -360,7 +357,7 @@ def oracle_form_element(
     m: int,
     n: int,
     xi: float,
-) -> OracleValue:
+) -> complex:
     """Numerically integrate the defining singular integral of entry (m, n).
 
     Per supported pair (k, l) with k + l = m - n the integrand is
@@ -369,11 +366,19 @@ def oracle_form_element(
             / (2 |z|^(1 + alpha)),
 
     which is O(|z|^(1-alpha)) at the origin (absolutely integrable) and
-    O(|z|^(-1-alpha)) at infinity.  The core [-Z, Z] is integrated directly;
-    beyond Z the integrand splits into four pure exponentials whose tails are
-    either elementary (zero frequency) or oscillatory integrals evaluated by
-    the QUADPACK Fourier rule.  Raises QuadratureNotConverged when a refined
-    core pass disagrees beyond tolerance.
+    O(|z|^(-1-alpha)) at infinity.  Its frequencies are real, so its
+    imaginary part is odd in z and integrates to zero: only the real part is
+    integrated, in the half-angle form of 1 - e^{it} = -2i sin(t/2) e^{it/2},
+
+        2 sin(a z/2) sin(b z/2) cos((2 pi l + (a - b)/2) z) / |z|^(1 + alpha),
+
+    with a = 2 pi n + xi and b = 2 pi m + xi, which does not cancel as
+    z -> 0.  The core [-Z, Z] is integrated directly; beyond Z the integrand
+    splits into four pure exponentials whose tails are either elementary
+    (zero frequency) or oscillatory integrals evaluated by the QUADPACK
+    Fourier rule.  Raises QuadratureNotConverged when QUADPACK flags a core or
+    tail integral, or when a core error estimate exceeds 1/16 of the oracle
+    tolerance.
     """
     if params.dimension != 1:
         raise ValueError("the form-element oracle is defined for d = 1 only")
@@ -382,57 +387,36 @@ def oracle_form_element(
     xi = float(xi)
     z_cut = ORACLE_Z_CUTOFF
 
-    a_freq = 2.0 * math.pi * n + xi
-    b_freq = 2.0 * math.pi * m + xi
+    a_half = 0.5 * (2.0 * math.pi * n + xi)
+    b_half = 0.5 * (2.0 * math.pi * m + xi)
 
     total = 0.0 + 0.0j
-    total_err = 0.0
     for (k, l), amp in sorted(coeff.modes.items()):
         if k[0] + l[0] != m - n:
             continue
-        w_l = 2.0 * math.pi * l[0]
+        carrier = 2.0 * math.pi * l[0] + a_half - b_half
 
-        # scalar arithmetic; multiplying by the reciprocal rather than dividing
-        # keeps the last bits of the stored oracle outputs
         def integrand(z):
-            return (
-                cmath.exp(1j * w_l * z)
-                * (1.0 - cmath.exp(1j * a_freq * z))
-                * (1.0 - cmath.exp(-1j * b_freq * z))
-                * (1.0 / (2.0 * abs(z) ** (1.0 + alpha)))
-            )
+            return (2.0 * math.sin(a_half * z) * math.sin(b_half * z)
+                    * math.cos(carrier * z) / abs(z) ** (1.0 + alpha))
 
-        def core(eps_scale):
-            # complex_func integrates the real and imaginary parts separately
-            # and returns their error estimates as one complex number
-            val, err = quad(integrand, -z_cut, z_cut, points=[0.0],
-                            limit=ORACLE_LIMIT, epsabs=ORACLE_ABS_TOL * eps_scale,
-                            epsrel=ORACLE_REL_TOL * eps_scale, complex_func=True)
-            return val, err.real + err.imag
-
-        coarse, _ = core(1.0)
-        fine, fine_err = core(1.0 / 16.0)
-        drift = abs(fine - coarse)
-        tol = ORACLE_ABS_TOL + ORACLE_REL_TOL * max(abs(fine), 1.0)
-        if drift > tol or fine_err > tol:
+        core, err, _, *flag = quad(
+            integrand, -z_cut, z_cut, points=[0.0], limit=ORACLE_LIMIT,
+            epsabs=ORACLE_ABS_TOL / 16.0, epsrel=ORACLE_REL_TOL / 16.0, full_output=1)
+        tol = (ORACLE_ABS_TOL + ORACLE_REL_TOL * max(abs(core), 1.0)) / 16.0
+        if flag or err > tol:
             raise QuadratureNotConverged(
-                f"core quadrature for entry ({m},{n}) unstable: refinement "
-                f"drift {drift:.3e}, reported error {fine_err:.3e}, tol {tol:.3e}"
-            )
+                f"core quadrature for entry ({m},{n}) did not converge: error "
+                f"estimate {err:.3e}, tol {tol:.3e}"
+                + (f"; {flag[0].splitlines()[0]}" if flag else ""))
 
-        freqs = (w_l, 2.0 * math.pi * (l[0] + n) + xi,
+        freqs = (2.0 * math.pi * l[0], 2.0 * math.pi * (l[0] + n) + xi,
                  2.0 * math.pi * (l[0] - m) - xi, -2.0 * math.pi * k[0])
         signs = (1.0, -1.0, -1.0, 1.0)
-        tail = 0.0
-        tail_err = 0.0
-        for w, s in zip(freqs, signs):
-            t, te = _tail_cos(w, z_cut, alpha)
-            tail += s * t
-            tail_err += te
-        total += amp * (fine + 0.5 * tail)
-        total_err += abs(amp) * (fine_err + drift + 0.5 * tail_err)
+        tail = sum(s * _tail_cos(w, z_cut, alpha) for w, s in zip(freqs, signs))
+        total += amp * (core + 0.5 * tail)
 
-    return OracleValue(value=total, error=total_err)
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Fiber assembly: closed form, oracle agreement, structure invariants."""
 
+import cmath
 import math
 
 import numpy as np
@@ -142,22 +143,48 @@ class TestRho:
         assert rho == pytest.approx(a[z, z].real, rel=1e-12)
 
 
+def _coupled_pairs(coeff, m, n):
+    return [(k[0], l[0]) for (k, l) in sorted(coeff.modes) if k[0] + l[0] == m - n]
+
+
+# core-integrand sample points; the integrand is even, QUADPACK samples both signs
+SAMPLE_Z = [float(z) for z in np.concatenate([np.geomspace(1e-12, 40.0, 400),
+                                              -np.geomspace(1e-12, 40.0, 37)])]
+
+
+@pytest.fixture
+def quad_spy(monkeypatch):
+    """Record the keywords of every scipy quad call, and a core integrand's
+    values at SAMPLE_Z, taken at call time: the integrands close over loop
+    variables."""
+    import scipy.integrate
+    calls = []
+    real_quad = scipy.integrate.quad
+
+    def spy(func, *args, **kwargs):
+        samples = [func(z) for z in SAMPLE_Z] if "points" in kwargs else None
+        calls.append((kwargs, samples))
+        return real_quad(func, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", spy)
+    return calls
+
+
 class TestOracle:
     def test_constant_reproduces_symbol(self, t0, params_one):
         # entry (0,0) at xi=1 must equal V(1) = pi
         got = oracle_form_element(t0, params_one, 0, 0, 1.0)
-        assert got.value.real == pytest.approx(math.pi, rel=1e-8)
-        assert abs(got.value.imag) < 1e-9
+        assert got.real == pytest.approx(math.pi, rel=1e-8)
+        assert abs(got.imag) < 1e-9
 
     def test_t2_entry(self, t2, params_one):
         got = oracle_form_element(t2, params_one, 1, -1, 1.0)
-        assert got.value.real == pytest.approx((math.pi / 16) * (2 - 4 * math.pi),
-                                               rel=1e-8)
+        assert got.real == pytest.approx((math.pi / 16) * (2 - 4 * math.pi), rel=1e-8)
 
     def test_off_band_zero(self, t2, params_one):
         # m - n = 1 is not a coupling of T2 (sums are -2, 0, 2)
         got = oracle_form_element(t2, params_one, 1, 0, 0.7)
-        assert got.value == 0.0
+        assert got == 0.0
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_matches_closed_form(self, t2, alpha):
@@ -169,14 +196,61 @@ class TestOracle:
             if closed == 0:
                 continue
             got = oracle_form_element(t2, params, m, n, 0.3)
-            assert abs(got.value - closed) / abs(closed) < 1e-3
+            assert abs(got - closed) / abs(closed) < 1e-7
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("m, n", [(1, -1), (0, 0)])
+    def test_one_real_core_pass_per_pair(self, t2, params_one, quad_spy, m, n):
+        oracle_form_element(t2, params_one, m, n, 1.0)
+        core = [kw for kw, _ in quad_spy if "points" in kw]
+        assert len(core) == len(_coupled_pairs(t2, m, n))
+        assert not any(kw.get("complex_func") for kw, _ in quad_spy)
+
+    @pytest.mark.parametrize("m, n", [(1, -1), (0, 0), (2, 0)])
+    def test_half_angle_integrand_matches_product_form(self, t2, params_half, quad_spy,
+                                                       m, n):
+        xi = 1.0
+        oracle_form_element(t2, params_half, m, n, xi)
+        sampled = [samples for kw, samples in quad_spy if "points" in kw]
+        pairs = _coupled_pairs(t2, m, n)
+        assert len(sampled) == len(pairs)
+        a = 2 * math.pi * n + xi
+        b = 2 * math.pi * m + xi
+        for samples, (_, l) in zip(sampled, pairs):
+            for z, got in zip(SAMPLE_Z, samples):
+                product = (cmath.exp(2j * math.pi * l * z) * (1 - cmath.exp(1j * a * z))
+                           * (1 - cmath.exp(-1j * b * z)) / (2 * abs(z) ** 1.5))
+                assert got == pytest.approx(product.real, rel=1e-13)
+
+    def test_imaginary_part_is_exactly_zero(self, t1, t2, params_three_halves):
+        for coeff in (t1, t2):
+            assert all(amp.imag == 0 for amp in map(complex, coeff.modes.values()))
+            for m, n in ((0, 0), (1, -1), (2, 0), (-2, 1)):
+                assert oracle_form_element(coeff, params_three_halves, m, n, 0.3).imag == 0.0
+
     def test_not_converged_raises(self, t2, params_one, monkeypatch):
         import levyhom.fiber as fiber
         monkeypatch.setattr(fiber, "ORACLE_REL_TOL", 1e-300)
         monkeypatch.setattr(fiber, "ORACLE_ABS_TOL", 1e-300)
         with pytest.raises(QuadratureNotConverged):
+            oracle_form_element(t2, params_one, 1, -1, 1.0)
+
+    def test_starved_limit_raises(self, t2, params_one, monkeypatch):
+        import levyhom.fiber as fiber
+        monkeypatch.setattr(fiber, "ORACLE_LIMIT", 2)
+        with pytest.raises(QuadratureNotConverged):
+            oracle_form_element(t2, params_one, 1, -1, 1.0)
+
+    def test_flagged_tail_raises(self, t2, params_one, monkeypatch):
+        import scipy.integrate
+        real_quad = scipy.integrate.quad
+
+        def few_cycles(func, *args, **kwargs):
+            if "weight" in kwargs:
+                kwargs["limlst"] = 3
+            return real_quad(func, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", few_cycles)
+        with pytest.raises(QuadratureNotConverged, match="tail"):
             oracle_form_element(t2, params_one, 1, -1, 1.0)
 
     def test_requires_d1(self, params_one):
