@@ -11,13 +11,13 @@ from .coefficient import (CoefficientCertificate, ModelParams,
                           oracle_c0, rate_function, rate_profile,
                           theory_constants, v_alpha, validate_coefficient)
 from .config import EpsilonSpec, StudyConfig, Tolerances, XiGridSpec
-from .errors import (BlockLeak, ContourTooClose, ConvergenceFailure,
-                     DegenerateFit, GapViolation, LevyhomError,
-                     PositivityUncertified, QuadratureNotConverged,
-                     SymmetryViolation, TruncationTooSmall, TruncationUnstable)
+from .errors import (ContourTooClose, ConvergenceFailure, DegenerateFit,
+                     GapViolation, LevyhomError, PositivityUncertified,
+                     QuadratureNotConverged, SymmetryViolation,
+                     TruncationTooSmall, TruncationUnstable)
 from .fiber import (FiberMatrix, ModeSet, assemble_effective_fiber,
-                    assemble_fiber_matrix, c1_constant, coupling_blocks,
-                    oracle_form_element, rho_and_rho_star)
+                    assemble_fiber_matrix, c1_constant, oracle_form_element,
+                    rho_and_rho_star)
 from .homogenization import (RateStudyResult, discrepancy_study, loglog_slope,
                              slope_check, slope_widening,
                              threshold_resolvent_diff)

@@ -23,14 +23,6 @@ def hermitian_norm(mat) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
 
-def spectral_norm(mat) -> float:
-    """2-norm of a general matrix (largest singular value).
-
-    A stack (..., n, n) of diagonal blocks gives the max over the blocks.
-    """
-    return float(np.max(np.linalg.norm(np.asarray(mat), 2, axis=(-2, -1))))
-
-
 def available_cpus() -> int:
     """CPUs this process may run on: its affinity mask, else the core count."""
     if hasattr(os, "sched_getaffinity"):

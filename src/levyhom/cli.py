@@ -298,7 +298,7 @@ def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> Run
     params, coeff, constants, modes = _prepare(cfg)
     tol = cfg.tolerances.oracle_rel
 
-    c0_quad, c0_err = oracle_c0(params)
+    c0_quad = oracle_c0(params)
     rel_c0 = abs(c0_quad - constants.c0) / constants.c0
     report.add("c0_quadrature", "pass" if rel_c0 <= tol else "fail",
                margin=tol - rel_c0,

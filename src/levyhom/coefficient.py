@@ -16,7 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import PositivityUncertified, SymmetryViolation
+from .errors import (PositivityUncertified, QuadratureNotConverged,
+                     SymmetryViolation)
 
 Mode = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -151,64 +152,69 @@ def compute_c0(params: ModelParams) -> float:
     return math.pi ** (d / 2.0) * abs(_gamma(-a / 2.0)) / (2.0 ** a * _gamma((d + a) / 2.0))
 
 
-def oracle_c0(params: ModelParams) -> tuple[float, float]:
+def oracle_c0(params: ModelParams) -> float:
     """Quadrature cross-check of :func:`compute_c0`, avoiding Gamma identities.
 
     Reduces the defining d-dimensional integral of (1 - cos z_1)/|z|^(d+alpha)
-    to a radial one (angular averages: cos / J0 / sinc for d = 1, 2, 3) and
-    integrates it numerically, with the far tail of the non-oscillatory part
-    done in closed elementary form.  Returns (value, error_estimate).
+    to a radial one of (1 - w(r)) / r^(1+alpha), w the angular average of
+    cos (cos r, J0(r) and sin(r)/r for d = 1, 2, 3).  Over [0, 1], where
+    1 - w(r) cancels, the integral is summed termwise from w's power series
+    (:func:`_series_core`); beyond, it is integrated numerically, with the
+    far tail of the non-oscillatory part in closed elementary form.  Raises
+    QuadratureNotConverged when QUADPACK flags an integral.
     """
-    from scipy.integrate import quad
     from scipy.special import j0 as _bessel_j0
     d, a = params.dimension, params.alpha
-    err = 0.0
 
     if d == 1:
         cut = 50.0
-        core, e1 = quad(lambda z: (1.0 - math.cos(z)) / z ** (1 + a), 0.0, 1.0, limit=200)
-        mid, e2 = quad(lambda z: (1.0 - math.cos(z)) / z ** (1 + a), 1.0, cut, limit=400)
-        osc, e3 = quad(lambda z: z ** (-1 - a), cut, np.inf, weight="cos", wvar=1.0)
-        val = 2.0 * (core + mid + cut ** (-a) / a - osc)
-        err = 2.0 * (e1 + e2 + e3)
-        return val, err
+        core = _series_core(a, lambda j: 1.0 / math.factorial(2 * j))
+        mid = _quad(lambda z: (1.0 - math.cos(z)) / z ** (1 + a), 1.0, cut, limit=400)
+        osc = _quad(lambda z: z ** (-1 - a), cut, np.inf, weight="cos", wvar=1.0)
+        return 2.0 * (core + mid + cut ** (-a) / a - osc)
 
     if d == 2:
         # angular average of cos(r cos t) over the circle is J0(r)
         cut = 200.0
+        core = _series_core(a, lambda j: 1.0 / (4 ** j * math.factorial(j) ** 2))
         f = lambda r: (1.0 - _bessel_j0(r)) / r ** (1 + a)
-        core, e1 = quad(f, 0.0, 1.0, limit=200)
-        err += e1
-        mid = 0.0
-        lo = 1.0
-        while lo < cut:
-            hi = min(lo + 25.0, cut)
-            v, e = quad(f, lo, hi, limit=200)
-            mid += v
-            err += e
-            lo = hi
-        # oscillatory remainder of J0 in short blocks, then the envelope
-        # bound sqrt(2/pi) B^(-1/2-a) / (1/2+a) for what is left
-        tail_j = 0.0
-        lo = cut
-        for _ in range(20):
-            v, e = quad(lambda r: _bessel_j0(r) / r ** (1 + a), lo, lo + 25.0,
-                        limit=200)
-            tail_j += v
-            err += e
-            lo += 25.0
-        err += math.sqrt(2.0 / math.pi) * lo ** (-0.5 - a) / (0.5 + a)
-        val = 2.0 * math.pi * (core + mid + cut ** (-a) / a - tail_j)
-        return val, 2.0 * math.pi * err
+        mid = sum(_quad(f, lo, min(lo + 25.0, cut), limit=200)
+                  for lo in np.arange(1.0, cut, 25.0))
+        # oscillatory remainder of J0 in short blocks; what is left beyond is
+        # below sqrt(2/pi) B^(-1/2-a) / (1/2+a)
+        tail_j = sum(_quad(lambda r: _bessel_j0(r) / r ** (1 + a), lo, lo + 25.0,
+                           limit=200)
+                     for lo in cut + 25.0 * np.arange(20))
+        return 2.0 * math.pi * (core + mid + cut ** (-a) / a - tail_j)
 
     # d == 3: angular average of cos(r cos t) over the sphere is sin(r)/r
     cut = 50.0
-    f = lambda r: (1.0 - math.sin(r) / r) / r ** (1 + a)
-    core, e1 = quad(f, 0.0, 1.0, limit=200)
-    mid, e2 = quad(f, 1.0, cut, limit=800)
-    osc, e3 = quad(lambda r: r ** (-2 - a), cut, np.inf, weight="sin", wvar=1.0)
-    val = 4.0 * math.pi * (core + mid + cut ** (-a) / a - osc)
-    return val, 4.0 * math.pi * (e1 + e2 + e3)
+    core = _series_core(a, lambda j: 1.0 / math.factorial(2 * j + 1))
+    mid = _quad(lambda r: (1.0 - math.sin(r) / r) / r ** (1 + a), 1.0, cut, limit=800)
+    osc = _quad(lambda r: r ** (-2 - a), cut, np.inf, weight="sin", wvar=1.0)
+    return 4.0 * math.pi * (core + mid + cut ** (-a) / a - osc)
+
+
+def _series_core(alpha: float, coef) -> float:
+    """Integral over [0, 1] of (1 - w(r)) / r^(1+alpha), where
+    1 - w(r) = sum_{j>=1} (-1)^(j+1) coef(j) r^(2j):
+
+        sum_{j>=1} (-1)^(j+1) coef(j) / (2j - alpha).
+
+    The coefficients fall factorially; twelve terms exhaust double precision.
+    """
+    return math.fsum((-1) ** (j + 1) * coef(j) / (2 * j - alpha) for j in range(1, 13))
+
+
+def _quad(f, lo: float, hi: float, **kwargs) -> float:
+    """QUADPACK integral of f over [lo, hi]; raises QuadratureNotConverged
+    when QUADPACK flags it."""
+    from scipy.integrate import quad
+    val, _, _, *flag = quad(f, lo, hi, full_output=1, **kwargs)
+    if flag:
+        raise QuadratureNotConverged(
+            f"quadrature over [{lo}, {hi}]: {flag[0].splitlines()[0]}")
+    return val
 
 
 def v_alpha(params: ModelParams, xi) -> float:

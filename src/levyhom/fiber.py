@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .coefficient import ModelParams, PeriodicCoefficient, _gamma, effective_mu
-from .errors import BlockLeak, QuadratureNotConverged, TruncationTooSmall
+from .errors import QuadratureNotConverged, TruncationTooSmall
 
 
 class ModeSet:
@@ -39,7 +39,6 @@ class ModeSet:
         self.modes = np.array(list(itertools.product(rng, repeat=dimension)), dtype=int)
         self.size = self.modes.shape[0]
         self.zero_index = self.index_of(np.zeros(dimension, dtype=int))
-        self._blocks: dict = {}     # coupling_blocks cache, keyed by shift set
         self._plans: dict = {}      # assembly plans, keyed by sorted support
 
     def index_of(self, mode) -> int:
@@ -66,48 +65,6 @@ def group_blocks(blocks) -> tuple:
         if block.size:
             by_size.setdefault(block.size, []).append(block)
     return tuple(np.array(by_size[n]) for n in sorted(by_size))
-
-
-def coupling_blocks(coeff: PeriodicCoefficient, modes: ModeSet) -> tuple:
-    """The fiber's diagonal blocks as index arrays grouped by size.
-
-    A(xi)[m, n] sums over support pairs with k + l = m - n, so A(xi) is
-    block-diagonal for every xi: the blocks are the connected components of
-    the graph m <-> m - (k + l) on the box |m|_inf <= N.  Clipping to the box
-    can split a coset of the lattice the shifts generate, so the components
-    come from a graph search, not from coset arithmetic.  Each block lists
-    its mode indices ascending; see :func:`group_blocks` for the grouping.
-    Computed once per mode set and set of shifts.
-    """
-    shifts = frozenset(tuple(a + b for a, b in zip(k, l)) for k, l in coeff.modes)
-    cached = modes._blocks.get(shifts)
-    if cached is None:
-        # worker threads racing here compute and store the same partition
-        cached = modes._blocks[shifts] = group_blocks(_components(modes, shifts))
-    return cached
-
-
-def _components(modes: ModeSet, shifts) -> list:
-    """Connected components of m <-> m - s over the box, by union-find."""
-    parent = list(range(modes.size))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for shift in sorted(shifts):
-        nvec = modes.modes - np.asarray(shift, dtype=int)
-        rows = np.nonzero(np.all(np.abs(nvec) <= modes.truncation, axis=1))[0]
-        for i, j in zip(rows.tolist(), modes._ravel(nvec[rows]).tolist()):
-            ri, rj = root(i), root(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    members: dict = {}
-    for i in range(modes.size):
-        members.setdefault(root(i), []).append(i)
-    return [np.array(m) for m in members.values()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,23 +140,45 @@ class _AssemblyPlan:
 
 def _assembly_plan(coeff: PeriodicCoefficient, modes: ModeSet) -> _AssemblyPlan:
     """The assembly plan of the coefficient's support on `modes`, cached on
-    the mode set.  Raises BlockLeak, and caches nothing, if a support pair
-    writes outside the coupling blocks: a row mode in no block, or its
-    column mode in another block.
-    """
+    the mode set."""
     pairs = tuple(sorted(coeff.modes))
     cached = modes._plans.get(pairs)
     if cached is None:
         # worker threads racing here build and store equal plans
-        cached = modes._plans[pairs] = _build_plan(
-            pairs, coupling_blocks(coeff, modes), modes)
+        cached = modes._plans[pairs] = _build_plan(pairs, modes)
     return cached
 
 
-def _build_plan(pairs, blocks, modes: ModeSet) -> _AssemblyPlan:
+def _build_plan(pairs, modes: ModeSet) -> _AssemblyPlan:
+    """Plan of `pairs` on `modes`, its blocks found from the couplings.
+
+    A(xi)[m, n] sums over the pairs with k + l = m - n, so A(xi) is
+    block-diagonal for every xi: the blocks are the connected components of
+    the couplings m <-> m - (k + l) inside the box.  Clipping to the box can
+    split a coset of the lattice the shifts generate, so the components come
+    from the coupling graph, not from coset arithmetic.  Blocks are ordered
+    by their smallest mode, list their modes ascending and are grouped by
+    :func:`group_blocks`.
+    """
+    lk = np.array([l for _, l in pairs] + [k for k, _ in pairs], dtype=int)
+    lvec = lk[:len(pairs)]
+    shift = lvec + lk[len(pairs):]
+    mvec = modes.modes
+    # each pair's couplings (rows, cols), rows ascending, pairs in order
+    rows = [np.nonzero(np.all(np.abs(mvec - s) <= modes.truncation, axis=1))[0]
+            for s in shift]
+    pair = np.repeat(np.arange(len(pairs)), [r.size for r in rows])
+    rows = np.concatenate(rows)
+    cols = modes._ravel(mvec[rows] - shift[pair])
+
+    label = _smallest_in_component(modes.size, rows, cols)
+    order = np.argsort(label, kind="stable")
+    counts = np.unique(label, return_counts=True)[1]
+    blocks = group_blocks(np.split(order, np.cumsum(counts)[:-1]))
+
     # each mode's block, named by the flat position of the block's first
-    # entry (-1 for a mode in no block), and the mode's place in the block
-    start = np.full(modes.size, -1)
+    # entry, and the mode's place in the block
+    start = np.zeros(modes.size, dtype=int)
     local = np.zeros(modes.size, dtype=int)
     width = np.zeros(modes.size, dtype=int)
     offset = 0
@@ -210,26 +189,33 @@ def _build_plan(pairs, blocks, modes: ModeSet) -> _AssemblyPlan:
         width[idx] = n
         offset += count * n * n
 
-    reach = modes.truncation + max(abs(v) for _, l in pairs for v in l)
+    reach = modes.truncation + int(np.abs(lvec).max())
     box = ModeSet(modes.dimension, reach)
-    mvec = modes.modes
-    pair, pos, head, tail = [], [], [], []
-    for p, (k, l) in enumerate(pairs):
-        lv = np.asarray(l, dtype=int)
-        nvec = mvec - (np.asarray(k, dtype=int) + lv)
-        rows = np.nonzero(np.all(np.abs(nvec) <= modes.truncation, axis=1))[0]
-        cols = modes._ravel(nvec[rows])
-        if np.any((start[rows] < 0) | (start[rows] != start[cols])):
-            raise BlockLeak(f"support pair ({k}, {l}) couples modes outside the "
-                            f"coupling blocks")
-        pair.append(np.full(rows.size, p))
-        pos.append(start[rows] + local[rows] * width[rows] + local[cols])
-        head.append(box._ravel(mvec[rows] - lv))
-        tail.append(box._ravel(nvec[rows] + lv))
-    lk = np.array([l for _, l in pairs] + [k for k, _ in pairs], dtype=int)
-    return _AssemblyPlan(pairs, lk, box.modes,
-                         *map(np.concatenate, (pair, pos, head, tail)), blocks,
-                         offset)
+    lv = lvec[pair]
+    return _AssemblyPlan(pairs, lk, box.modes, pair,
+                         start[rows] + local[rows] * width[rows] + local[cols],
+                         box._ravel(mvec[rows] - lv), box._ravel(mvec[cols] + lv),
+                         blocks, offset)
+
+
+def _smallest_in_component(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's connected component in the graph with
+    edges rows <-> cols, by min-label propagation with pointer jumping.
+
+    Each label stays a node of its node's component and never grows; at the
+    fixed point labels agree across every edge and every label labels
+    itself, so a component carries its smallest node.
+    """
+    label = np.arange(size)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        np.minimum.at(low, cols, label[rows])
+        while not np.array_equal(low[low], low):
+            low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
 
 
 def assemble_fiber_matrix(
@@ -240,10 +226,9 @@ def assemble_fiber_matrix(
 ) -> FiberMatrix:
     """Assemble the closed-form Galerkin matrix of the fiber operator.
 
-    The entries go straight into the stacks of the coupling blocks
-    (:func:`coupling_blocks`), through the support's assembly plan, which
-    is built once per mode set and raises BlockLeak if a support pair writes
-    outside the blocks.  Per xi one table of |2 pi v + xi|^alpha over the
+    The entries go straight into the stacks of the coupling blocks, through
+    the support's assembly plan, which is built once per mode set and finds
+    the blocks from the couplings (:func:`_build_plan`).  Per xi one table of |2 pi v + xi|^alpha over the
     plan's box serves every pair, and each entry sums its pairs' terms in
     sorted pair order.  With every amplitude real each entry is a real sum,
     so the matrix is real symmetric and is assembled in float64; otherwise

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import hermitian_norm, spectral_norm
+from ._util import hermitian_norm
 from .coefficient import (ModelParams, PeriodicCoefficient, theory_constants,
                           v_alpha)
 from .errors import (ContourTooClose, ConvergenceFailure, GapViolation,
@@ -205,7 +205,7 @@ def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
         odd = CircleContour(d0, n)
         f_next = [f / 2 + _riesz_sum(s, odd, first=1, stride=2)
                   for f, s in zip(f_prev, fiber.stacks)]
-        change = max(spectral_norm(b - a) for a, b in zip(f_prev, f_next))
+        change = max(hermitian_norm(b - a) for a, b in zip(f_prev, f_next))
         if change < RIESZ_TOL:
             return RieszProjection(projector=fiber.embed(f_next), nodes=n)
         f_prev = f_next
@@ -266,7 +266,7 @@ def threshold_report(
 
     contour = CircleContour(constants.d0)
     riesz = projector_by_riesz(fiber, contour)
-    mismatch = spectral_norm(riesz.projector - f_eig)
+    mismatch = hermitian_norm(riesz.projector - f_eig)
     if mismatch > projector_tol:
         raise QuadratureNotConverged(
             f"projector routes disagree: ||F_riesz - F_eig|| = {mismatch:.3e} "
@@ -279,7 +279,7 @@ def threshold_report(
 
     rho, rho_star = rho_and_rho_star(coeff, params, xi)
     af = lam[0] * f_eig
-    f_minus_p = spectral_norm(f_eig - proj_const)
+    f_minus_p = hermitian_norm(f_eig - proj_const)
     phi_norm = hermitian_norm(af - rho * proj_const)
     af_eff = hermitian_norm(af - constants.mu_eff * v_alpha(params, xi) * proj_const)
 

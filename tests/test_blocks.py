@@ -13,10 +13,10 @@ from scipy.sparse.csgraph import connected_components
 
 import levyhom
 import levyhom.fiber as fiber_mod
-from levyhom import (BlockLeak, CircleContour, FiberMatrix, ModeSet, ModelParams,
+from levyhom import (CircleContour, FiberMatrix, ModeSet, ModelParams,
                      PeriodicCoefficient, assemble_effective_fiber,
-                     assemble_fiber_matrix, certify, coupling_blocks,
-                     eig_hermitian, projector_by_riesz, theory_constants)
+                     assemble_fiber_matrix, certify, eig_hermitian,
+                     projector_by_riesz, theory_constants)
 from levyhom._util import parallel_map
 from levyhom.homogenization import (_below_floors, _eig_route_norms,
                                     _resolvent_diffs, discrepancy_study)
@@ -251,58 +251,65 @@ def _d2_blocks_support():
     return certify(PeriodicCoefficient(2, modes))
 
 
+def _blocks(coeff, modes):
+    """The fiber's blocks, as the assembly plan finds them."""
+    return assemble_fiber_matrix(coeff, ModelParams(coeff.dimension, 0.5), modes,
+                                 np.full(coeff.dimension, 0.3)).blocks
+
+
+def _clipped_coset_support():
+    """Shifts +-(1, 2), +-(2, 1): a lattice of index 3 that the 5 x 5 box
+    clips, leaving (2, -2) and (-2, 2) with no neighbour inside it."""
+    zero = (0, 0)
+    modes = {(zero, zero): 1.0}
+    for v in ((1, 2), (2, 1), (-1, -2), (-2, -1)):
+        modes[(v, zero)] = modes[(zero, v)] = 0.05
+    return certify(PeriodicCoefficient(2, modes))
+
+
 class TestPartition:
     @pytest.mark.parametrize("truncation,count,sizes",
                              [(3, 14, {4: 7, 3: 7}), (6, 26, {7: 13, 6: 13})])
     def test_d2_blocks_counts(self, truncation, count, sizes):
-        blocks = coupling_blocks(_d2_blocks_support(), ModeSet(2, truncation))
+        blocks = _blocks(_d2_blocks_support(), ModeSet(2, truncation))
         assert sum(len(idx) for idx in blocks) == count
         assert {idx.shape[1]: idx.shape[0] for idx in blocks} == sizes
 
     def test_cached_per_mode_set(self, t2):
         modes = ModeSet(1, 8)
-        assert coupling_blocks(t2, modes) is coupling_blocks(t2, modes)
-        assert [idx.shape for idx in coupling_blocks(t2, modes)] == [(1, 8), (1, 9)]
+        assert _blocks(t2, modes) is _blocks(t2, modes)
+        assert [idx.shape for idx in _blocks(t2, modes)] == [(1, 8), (1, 9)]
 
     def test_clipping_splits_a_coset(self):
-        # shifts +-(1, 2), +-(2, 1) generate a lattice of index 3, so the
-        # 5 x 5 box meets 3 cosets; but (2, -2) and (-2, 2) have no
-        # neighbour inside the box and form blocks of their own
-        zero = (0, 0)
-        modes = {(zero, zero): 1.0}
-        for v in ((1, 2), (2, 1), (-1, -2), (-2, -1)):
-            modes[(v, zero)] = modes[(zero, v)] = 0.05
-        coeff = certify(PeriodicCoefficient(2, modes))
+        # the shifts' lattice meets the box in 3 cosets, but the two corner
+        # modes form blocks of their own
         ms = ModeSet(2, 2)
         blocks = [[tuple(ms.modes[i]) for i in row]
-                  for idx in coupling_blocks(coeff, ms) for row in idx]
+                  for idx in _blocks(_clipped_coset_support(), ms) for row in idx]
         assert sorted(len(b) for b in blocks) == [1, 1, 7, 8, 8]
         assert [b for b in blocks if len(b) == 1] == [[(-2, 2)], [(2, -2)]]
-        assemble_fiber_matrix(coeff, ModelParams(2, 0.5), ms, [0.1, 0.2])
 
-    def test_leak_outside_blocks_raises(self, t2, params_half, monkeypatch):
-        modes = ModeSet(1, 4)
-        singletons = (np.arange(modes.size)[:, None],)
-        monkeypatch.setattr(fiber_mod, "coupling_blocks",
-                            lambda coeff, ms: singletons)
-        # a failed plan is not cached, so the second call checks again
-        for _ in range(2):
-            with pytest.raises(BlockLeak):
-                assemble_fiber_matrix(t2, params_half, modes, [0.3])
-
-    @pytest.mark.parametrize("xi", [0.0, 0.3])
-    def test_partition_missing_a_mode_raises(self, t2, params_half, monkeypatch, xi):
-        # at xi = 0 every entry of the zero mode's row and column is exactly
-        # zero, yet the support pairs still write them, so leaving the mode
-        # out of its block is a leak there too
-        modes = ModeSet(1, 4)
-        blocks = coupling_blocks(t2, modes)
-        short = fiber_mod.group_blocks(b[b != modes.zero_index]
-                                       for idx in blocks for b in idx)
-        monkeypatch.setattr(fiber_mod, "coupling_blocks", lambda coeff, ms: short)
-        for _ in range(2):
-            with pytest.raises(BlockLeak):
-                assemble_fiber_matrix(t2, params_half, modes, [xi])
+    @pytest.mark.parametrize("case", ["clipped-coset", "d2-blocks", "d2-blocks-2N",
+                                      "dense-d2"])
+    def test_block_order(self, case):
+        # sizes ascend; within a size blocks follow their smallest mode, and
+        # each block lists its modes ascending: the order every stored CSV
+        # was written in
+        if case == "clipped-coset":
+            coeff, modes = _clipped_coset_support(), ModeSet(2, 2)
+        elif case == "dense-d2":
+            coeff, _, modes, _, _ = _study_inputs("dense-d2")
+        else:
+            coeff = _d2_blocks_support()
+            modes = ModeSet(2, 6 if case.endswith("2N") else 3)
+        blocks = _blocks(coeff, modes)
+        sizes = [idx.shape[1] for idx in blocks]
+        assert sizes == sorted(set(sizes))
+        for idx in blocks:
+            assert np.all(np.diff(idx, axis=1) > 0)
+            assert np.all(np.diff(idx[:, 0]) > 0)
+        assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx in blocks])),
+                              np.arange(modes.size))
 
     def test_one_block_wrap_is_the_dense_matrix(self, t2, params_half):
         a = assemble_fiber_matrix(t2, params_half, ModeSet(1, 4), [0.3]).entries
@@ -332,8 +339,12 @@ def _per_pair_dense(coeff, params, modes, xi):
         c3 = fiber_mod._sym_pow(lv[None, :], zero_xi, params.alpha)[0]
         c4 = fiber_mod._sym_pow(kv[None, :], zero_xi, params.alpha)[0]
         entries[rows, cols] += (0.5 * params.c0 * amp) * ((a - c4) + (b - c3))
-    stacks = tuple(entries[idx[:, :, None], idx[:, None, :]]
-                   for idx in coupling_blocks(coeff, modes))
+    # the blocks are gathered from the structural graph, apart from the plan
+    label = _structural_components(coeff, modes)
+    roots = np.unique(label, return_index=True)[1]
+    blocks = fiber_mod.group_blocks(np.nonzero(label == label[r])[0]
+                                    for r in np.sort(roots))
+    stacks = tuple(entries[idx[:, :, None], idx[:, None, :]] for idx in blocks)
     return entries, stacks
 
 
