@@ -160,7 +160,8 @@ def oracle_c0(params: ModelParams) -> float:
     cos (cos r, J0(r) and sin(r)/r for d = 1, 2, 3).  Over [0, 1], where
     1 - w(r) cancels, the integral is summed termwise from w's power series
     (:func:`_series_core`); beyond, it is integrated numerically, with the
-    far tail of the non-oscillatory part in closed elementary form.  Raises
+    far tail of the non-oscillatory part in closed elementary form and, at
+    d = 2, that of J0 from its leading Hankel terms.  Raises
     QuadratureNotConverged when QUADPACK flags an integral.
     """
     from scipy.special import j0 as _bessel_j0
@@ -180,11 +181,16 @@ def oracle_c0(params: ModelParams) -> float:
         f = lambda r: (1.0 - _bessel_j0(r)) / r ** (1 + a)
         mid = sum(_quad(f, lo, min(lo + 25.0, cut), limit=200)
                   for lo in np.arange(1.0, cut, 25.0))
-        # oscillatory remainder of J0 in short blocks; what is left beyond is
-        # below sqrt(2/pi) B^(-1/2-a) / (1/2+a)
-        tail_j = sum(_quad(lambda r: _bessel_j0(r) / r ** (1 + a), lo, lo + 25.0,
-                           limit=200)
-                     for lo in cut + 25.0 * np.arange(20))
+        # beyond the cut, J0(r) = sqrt(2/(pi r)) [cos(r - pi/4) + sin(r - pi/4)/(8r)]
+        # up to Hankel remainders no larger than the first neglected terms
+        # (Watson, Bessel Functions, 7.32), so the tail is off by at most
+        # sqrt(2/pi) [9/128 B^(-5/2-a)/(5/2+a) + 75/1024 B^(-7/2-a)/(7/2+a)]
+        # at B = cut, 2.6e-9 of c0 at a = 0.2.  With cos(r - pi/4) =
+        # (cos r + sin r)/sqrt(2) and sin(r - pi/4) = (sin r - cos r)/sqrt(2)
+        # the two terms are four Fourier integrals of powers of r.
+        lead = [_quad(lambda r, p=p: r ** -p, cut, np.inf, weight=w, wvar=1.0)
+                for p in (1.5 + a, 2.5 + a) for w in ("cos", "sin")]
+        tail_j = (lead[0] + lead[1] + (lead[3] - lead[2]) / 8.0) / math.sqrt(math.pi)
         return 2.0 * math.pi * (core + mid + cut ** (-a) / a - tail_j)
 
     # d == 3: angular average of cos(r cos t) over the sphere is sin(r)/r
@@ -206,14 +212,24 @@ def _series_core(alpha: float, coef) -> float:
     return math.fsum((-1) ** (j + 1) * coef(j) / (2 * j - alpha) for j in range(1, 13))
 
 
-def _quad(f, lo: float, hi: float, **kwargs) -> float:
-    """QUADPACK integral of f over [lo, hi]; raises QuadratureNotConverged
-    when QUADPACK flags it."""
+def _quad(f, lo: float, hi: float, tol=None, label: str = "quadrature",
+          **kwargs) -> float:
+    """QUADPACK integral of f over [lo, hi], the package's one `quad` call.
+
+    With `tol = (epsabs, epsrel)` QUADPACK aims at that tolerance and an
+    error estimate above epsabs + epsrel max(|value|, 1) is refused too.
+    Raises QuadratureNotConverged when QUADPACK flags the integral or
+    refuses it; `label` names the integral in the message.
+    """
     from scipy.integrate import quad
-    val, _, _, *flag = quad(f, lo, hi, full_output=1, **kwargs)
-    if flag:
-        raise QuadratureNotConverged(
-            f"quadrature over [{lo}, {hi}]: {flag[0].splitlines()[0]}")
+    if tol is not None:
+        kwargs.update(epsabs=tol[0], epsrel=tol[1])
+    val, err, _, *flag = quad(f, lo, hi, full_output=1, **kwargs)
+    limit = math.inf if tol is None else tol[0] + tol[1] * max(abs(val), 1.0)
+    if flag or err > limit:
+        reason = (flag[0].splitlines()[0] if flag
+                  else f"error estimate {err:.3e} > {limit:.3e}")
+        raise QuadratureNotConverged(f"{label} over [{lo}, {hi}]: {reason}")
     return val
 
 

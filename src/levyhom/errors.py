@@ -25,7 +25,7 @@ class TruncationTooSmall(LevyhomError):
 
 
 class QuadratureNotConverged(LevyhomError):
-    """A quadrature missed its tolerance: refinements disagree or QUADPACK flags it."""
+    """QUADPACK flagged or refused an integral, or the two projector routes disagree."""
 
 
 class ConvergenceFailure(LevyhomError):

@@ -23,8 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficient import ModelParams, PeriodicCoefficient, _gamma, effective_mu
-from .errors import QuadratureNotConverged, TruncationTooSmall
+from .coefficient import (ModelParams, PeriodicCoefficient, _gamma, _quad,
+                          effective_mu)
+from .errors import TruncationTooSmall
 
 
 class ModeSet:
@@ -327,13 +328,8 @@ def _tail_cos(omega: float, z_cut: float, alpha: float) -> float:
     """
     if omega == 0.0:
         return 2.0 * z_cut ** (-alpha) / alpha
-    from scipy.integrate import quad
-    val, _, _, *flag = quad(lambda z: z ** (-1.0 - alpha), z_cut, np.inf,
-                            weight="cos", wvar=abs(omega), full_output=1)
-    if flag:
-        raise QuadratureNotConverged(
-            f"tail quadrature at frequency {omega}: {flag[0].splitlines()[0]}")
-    return 2.0 * val
+    return 2.0 * _quad(lambda z: z ** (-1.0 - alpha), z_cut, np.inf, weight="cos",
+                       wvar=abs(omega), label=f"tail quadrature at frequency {omega}")
 
 
 def oracle_form_element(
@@ -367,7 +363,6 @@ def oracle_form_element(
     """
     if params.dimension != 1:
         raise ValueError("the form-element oracle is defined for d = 1 only")
-    from scipy.integrate import quad
     alpha = params.alpha
     xi = float(xi)
     z_cut = ORACLE_Z_CUTOFF
@@ -385,15 +380,9 @@ def oracle_form_element(
             return (2.0 * math.sin(a_half * z) * math.sin(b_half * z)
                     * math.cos(carrier * z) / abs(z) ** (1.0 + alpha))
 
-        core, err, _, *flag = quad(
-            integrand, -z_cut, z_cut, points=[0.0], limit=ORACLE_LIMIT,
-            epsabs=ORACLE_ABS_TOL / 16.0, epsrel=ORACLE_REL_TOL / 16.0, full_output=1)
-        tol = (ORACLE_ABS_TOL + ORACLE_REL_TOL * max(abs(core), 1.0)) / 16.0
-        if flag or err > tol:
-            raise QuadratureNotConverged(
-                f"core quadrature for entry ({m},{n}) did not converge: error "
-                f"estimate {err:.3e}, tol {tol:.3e}"
-                + (f"; {flag[0].splitlines()[0]}" if flag else ""))
+        core = _quad(integrand, -z_cut, z_cut, points=[0.0], limit=ORACLE_LIMIT,
+                     tol=(ORACLE_ABS_TOL / 16.0, ORACLE_REL_TOL / 16.0),
+                     label=f"core quadrature for entry ({m},{n})")
 
         freqs = (2.0 * math.pi * l[0], 2.0 * math.pi * (l[0] + n) + xi,
                  2.0 * math.pi * (l[0] - m) - xi, -2.0 * math.pi * k[0])
@@ -412,30 +401,25 @@ def c1_constant(params: ModelParams) -> float:
     """Upper bound of the kernel constant controlling ||A(xi) - A(0)||.
 
     c1(d, a) = int 2 |sin(z_1 / 2)| / |z|^(d + a) dz for a < 1.  The integral
-    over the transverse coordinates is an elementary Beta factor, leaving a
-    1D integral summed over the kink periods of |sin|.  The first 60 periods
-    are integrated numerically, their error estimates added; the rest are
-    bounded in closed form.
+    over the transverse coordinates is an elementary Beta factor.  On the
+    line, |sin t| = (4/pi) sum_k (1 - cos 2kt) / (4k^2 - 1) and
+    int_0^inf (1 - cos bt) t^(-1-a) dt = pi b^a / (2 Gamma(1+a) sin(pi a/2))
+    give c1(1, a) = 8 S / (Gamma(1+a) sin(pi a/2)) with
+    S = sum_{k>=1} k^a / (4k^2 - 1), summed to K = 1024 and its tail bounded
+    above; the result is rounded up.
     """
     d, a = params.dimension, params.alpha
     if not a < 1.0:
         raise ValueError("c1 is defined for alpha < 1 only")
-    from scipy.integrate import quad
-    from scipy.special import zeta as _zeta
-    total = 0.0
-    for j in range(60):
-        # the j = 0 panel has an integrable z^(-a) endpoint singularity;
-        # QAGS never evaluates at the endpoints, so starting at 0 is safe
-        lo = 2.0 * math.pi * j
-        hi = 2.0 * math.pi * (j + 1)
-        v, err = quad(lambda z: abs(math.sin(z / 2.0)) / z ** (1 + a), lo, hi,
-                      limit=200)
-        total += v + err
-    # z^(-1-a) decreases on each period [2 pi j, 2 pi (j + 1)] and |sin(z/2)|
-    # integrates to 4 over it, so period j contributes at most
-    # 4 (2 pi j)^(-1-a); summed over j >= 60 that is a Hurwitz zeta value
-    total += 4.0 * (2.0 * math.pi) ** (-1.0 - a) * _zeta(1.0 + a, 60)
-    core = 4.0 * total
+    terms = 1024
+    k = np.arange(1.0, terms + 1.0)
+    head = math.fsum(k ** a / (4.0 * k * k - 1.0))
+    # the terms are convex in k, so the tail is below the integral from
+    # K + 1/2, where x^a / (4x^2 - 1) <= x^(a-2) / (4 - (K + 1/2)^-2)
+    top = terms + 0.5
+    tail = top ** (a - 1.0) / ((1.0 - a) * (4.0 - top ** -2.0))
+    core = 8.0 * (head + tail) / (_gamma(1.0 + a) * math.sin(math.pi * a / 2.0))
+    core *= 1.0 + 1e-13          # covers the rounding of the few steps above
     if d == 1:
         return core
     cross = math.pi ** ((d - 1) / 2.0) * _gamma((1 + a) / 2.0) / _gamma((d + a) / 2.0)

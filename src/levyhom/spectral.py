@@ -99,22 +99,22 @@ def projector_by_eig(spectral: SpectralData, cutoff: float) -> np.ndarray:
 # Circular contour and the Riesz integral
 # ----------------------------------------------------------------------
 
-# Riesz node doubling stops once a doubling moves the projector by less than
-# RIESZ_TOL in the 2-norm, and fails past RIESZ_MAX_NODES nodes.
+# The node count is the first doubling from the contour's whose exact
+# trapezoid error bound falls to RIESZ_TOL in the 2-norm.
 RIESZ_TOL = 1e-9
-RIESZ_MAX_NODES = 1 << 16
 
 
 class CircleContour:
     """Circle through -d0/3 and 2 d0/3, enclosing the segment [0, d0/3].
 
     Centre d0/6, radius d0/2, traversed counterclockwise from the rightmost
-    point.  Equispaced trapezoid nodes on a circle converge geometrically for
-    a resolvent analytic in an annulus around it (Trefethen & Weideman, SIAM
-    Rev. 2014), so no grading or weight renormalization is needed.
+    point.  For a Hermitian matrix the n-node trapezoid sum of the Riesz
+    integral over this circle is exactly f_n(A), f_n(lambda) = 1 / (1 - x^n)
+    with x = (lambda - centre) / radius (Trefethen & Weideman, SIAM Rev.
+    2014), so no grading or weight renormalization is needed.
     """
 
-    def __init__(self, d0: float, num_nodes: int = 128):
+    def __init__(self, d0: float, num_nodes: int = 256):
         if d0 <= 0.0:
             raise ValueError("d0 must be positive")
         if num_nodes < 8:
@@ -135,29 +135,27 @@ class CircleContour:
 
 @dataclass(frozen=True, eq=False)
 class RieszProjection:
-    """Converged contour-integral projector."""
+    """Contour-integral projector and the node count it was summed at."""
 
     projector: np.ndarray
     nodes: int
 
 
-def _riesz_sum(a: np.ndarray, contour: CircleContour, first: int = 0,
-               stride: int = 1) -> np.ndarray:
+def _riesz_sum(a: np.ndarray, contour: CircleContour) -> np.ndarray:
     """Trapezoid sum of the Riesz integral for a Hermitian stack (count, n, n).
 
-    The sum runs over the contour nodes k = first, first + stride, ... on the
-    closed upper half-circle (k <= num_nodes / 2) and their conjugates.  For
-    Hermitian `a` and a real centre, R(z-bar) = R(z)^H and w(z-bar) =
-    -conj(w(z)), so a conjugate pair adds X - X^H with X = w R(z), and a real
-    node, its own conjugate, adds X = (X - X^H) / 2: only the upper
-    half-circle is inverted.
+    The sum runs over the contour nodes on the closed upper half-circle
+    (k <= num_nodes / 2) and their conjugates.  For Hermitian `a` and a real
+    centre, R(z-bar) = R(z)^H and w(z-bar) = -conj(w(z)), so a conjugate pair
+    adds X - X^H with X = w R(z), and a real node, its own conjugate, adds
+    X = (X - X^H) / 2: only the upper half-circle is inverted.
     """
     count, size = a.shape[0], a.shape[-1]
     eye = np.eye(size)
     acc = np.zeros(a.shape, dtype=complex)
     chunk = max(1, int(2**21 // (count * size * size)))
     num = contour.num_nodes
-    k = np.arange(first, num // 2 + 1, stride)
+    k = np.arange(num // 2 + 1)
     pts = contour.points[k]
     wts = contour.weights[k] * np.where((k == 0) | (2 * k == num), 0.5, 1.0)
     for start in range(0, pts.size, chunk):
@@ -169,18 +167,18 @@ def _riesz_sum(a: np.ndarray, contour: CircleContour, first: int = 0,
 
 
 def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
-    """Riesz projector by trapezoidal contour quadrature with node doubling.
+    """Riesz projector by one trapezoidal contour sum.
 
     `matrix` is a :class:`FiberMatrix`, integrated block by block, or a
     Hermitian array, taken as one block.  Every block is integrated, so an
     eigenvalue of any block inside the contour shows in the projector.
-    Starts from the contour's node count (minimum 128) and stops once a
-    doubling changes the projector by less than RIESZ_TOL in the 2-norm
-    (the max over the blocks).  Only the closed upper half-circle is
-    inverted, and a doubling inverts only at its new nodes: a converged
-    256-node call makes 65 + 64 inversions per block.  Raises ContourTooClose if any eigenvalue
-    sits within d0/30 of the curve, QuadratureNotConverged if no
-    doubling up to RIESZ_MAX_NODES nodes converges.
+    With q = radius / (radius + dist), dist the smallest distance from an
+    eigenvalue to the curve, every eigenvalue of the n-node sum is within
+    q^n / (1 - q^n) of its value in the projector.  The node count is the
+    contour's, doubled until that bound is at most RIESZ_TOL; only the
+    closed upper half-circle is inverted, so a 256-node call makes 129
+    inversions per block.  Raises ContourTooClose if any eigenvalue sits
+    within d0/30 of the curve, where q <= 15/16 and 512 nodes suffice.
     """
     fiber = matrix
     if not isinstance(fiber, FiberMatrix):
@@ -194,25 +192,14 @@ def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
             f"eigenvalue within {min_dist:.3e} of contour (< d0/30 = {d0/30:.3e})"
         )
 
-    # the 128-node floor stays: bench/traced.py derives its inversion count
-    # from it.  The 2n nodes hold the n nodes at even places with half the
-    # weight, so each doubling inverts only at the new, odd nodes.
-    n = max(128, contour.num_nodes)
-    current = contour if contour.num_nodes == n else CircleContour(d0, n)
-    f_prev = [_riesz_sum(s, current) for s in fiber.stacks]
-    while 2 * n <= RIESZ_MAX_NODES:
+    q = contour.radius / (contour.radius + min_dist)
+    n = contour.num_nodes
+    while q ** n / (1.0 - q ** n) > RIESZ_TOL:
         n *= 2
-        odd = CircleContour(d0, n)
-        f_next = [f / 2 + _riesz_sum(s, odd, first=1, stride=2)
-                  for f, s in zip(f_prev, fiber.stacks)]
-        change = max(hermitian_norm(b - a) for a, b in zip(f_prev, f_next))
-        if change < RIESZ_TOL:
-            return RieszProjection(projector=fiber.embed(f_next), nodes=n)
-        f_prev = f_next
-    raise QuadratureNotConverged(
-        f"contour quadrature did not stabilize below {RIESZ_TOL} within "
-        f"{RIESZ_MAX_NODES} nodes"
-    )
+    if n != contour.num_nodes:
+        contour = CircleContour(d0, n)
+    projector = fiber.embed([_riesz_sum(s, contour) for s in fiber.stacks])
+    return RieszProjection(projector=projector, nodes=n)
 
 
 # ----------------------------------------------------------------------

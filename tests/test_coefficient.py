@@ -39,6 +39,12 @@ class TestC0:
         val = oracle_c0(params)
         assert val == pytest.approx(compute_c0(params), rel=1e-3)
 
+    @pytest.mark.parametrize("alpha", [0.2, 0.5])
+    def test_d2_bessel_tail_to_the_gamma_value(self, alpha):
+        # small alpha makes the J0 tail beyond the cut matter most
+        params = ModelParams(2, alpha)
+        assert oracle_c0(params) == pytest.approx(compute_c0(params), rel=1e-9)
+
     def test_quadpack_flag_raises(self, monkeypatch):
         import scipy.integrate
 

@@ -317,6 +317,19 @@ class TestFormDifference:
         got = c1_constant(ModelParams(1, alpha))
         assert got == pytest.approx(2.0 * (head + body) + tail, rel=1e-3)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.9, 0.99])
+    def test_c1_bounds_the_exact_series_tightly(self, d, alpha):
+        # S = sum_k k^a / (4k^2 - 1) = (1/4) sum_m 4^-m zeta(2 + 2m - a),
+        # expanding 1 / (4k^2 - 1) in powers of 1 / (4k^2)
+        from scipy.special import gamma, zeta
+        s = 0.25 * math.fsum(4.0 ** -m * zeta(2 + 2 * m - alpha) for m in range(40))
+        exact = 8.0 * s / (gamma(1 + alpha) * math.sin(math.pi * alpha / 2))
+        exact *= (math.pi ** ((d - 1) / 2) * gamma((1 + alpha) / 2)
+                  / gamma((d + alpha) / 2))
+        got = c1_constant(ModelParams(d, alpha))
+        assert exact <= got <= exact * (1.0 + 1e-6)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
     def test_c1_transverse_factor(self, alpha):
         # c1(d) / c1(1) integrates (1 + |w|^2)^(-(d + a)/2) over the d - 1

@@ -7,7 +7,7 @@ import pytest
 
 import levyhom.spectral as spectral_mod
 from levyhom import (CircleContour, ContourTooClose, GapViolation, ModeSet,
-                     ModelParams, QuadratureNotConverged, assemble_fiber_matrix,
+                     ModelParams, assemble_fiber_matrix,
                      compute_c0, eig_hermitian, loglog_slope, projector_by_eig,
                      projector_by_riesz, theory_constants, threshold_report)
 
@@ -126,21 +126,32 @@ class TestRiesz:
         assert np.max(np.abs(f - f.conj().T)) <= 1e-8
         assert np.trace(f).real == pytest.approx(1.0, abs=1e-8)
 
-    def test_doubling_stops_at_the_node_cap(self, monkeypatch):
-        # no doubling meets a zero tolerance, so the contours run up to the
-        # cap and the integral fails; none may have more nodes than the cap
-        built = []
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_sum_is_the_exact_rational_function(self, n):
+        # the n-node sum maps each eigenvalue to 1 / (1 - x^n), x its offset
+        # from the centre in radii, on both sides of the circle
+        contour = CircleContour(3.0, n)
+        x = np.array([0.0, 0.5, -0.7, 0.93, -0.95, 1.06, -1.3, 2.5, -4.0])
+        a = np.diag(contour.center + contour.radius * x)
+        f = spectral_mod._riesz_sum(a[None], contour)[0]
+        assert np.max(np.abs(np.diag(f) - 1.0 / (1.0 - x ** n))) <= 1e-13
+        assert np.max(np.abs(f - np.diag(np.diag(f)))) <= 1e-13
 
-        def spy(d0, num_nodes=128):
-            built.append(num_nodes)
-            return CircleContour(d0, num_nodes)
-
-        monkeypatch.setattr(spectral_mod, "RIESZ_TOL", 0.0)
-        monkeypatch.setattr(spectral_mod, "RIESZ_MAX_NODES", 512)
-        monkeypatch.setattr(spectral_mod, "CircleContour", spy)
-        with pytest.raises(QuadratureNotConverged):
-            projector_by_riesz(np.diag([0.0, 3.0]), CircleContour(1.0))
-        assert built == [256, 512]
+    @pytest.mark.parametrize("start, gap, nodes", [(256, 1.0, 256), (8, 1.0, 64),
+                                                   (256, 0.101, 512), (8, 0.101, 512)])
+    def test_node_count_is_the_first_doubling_within_the_bound(self, start, gap,
+                                                               nodes):
+        # eigenvalue 0 sits 1.0 inside the circle of radius 1.5 about 0.5,
+        # the other `gap` outside it; gap 0.101 is just beyond the d0/30 guard
+        d0 = 3.0
+        contour = CircleContour(d0, start)
+        q = contour.radius / (contour.radius + gap)
+        bound = lambda n: q ** n / (1.0 - q ** n)
+        proj = projector_by_riesz(np.diag([0.0, 2.0 * d0 / 3.0 + gap]), contour)
+        assert proj.nodes == nodes
+        assert bound(nodes) <= spectral_mod.RIESZ_TOL
+        assert nodes == start or bound(nodes // 2) > spectral_mod.RIESZ_TOL
+        assert np.linalg.norm(proj.projector - np.diag([1.0, 0.0]), 2) <= 1e-12
 
     @staticmethod
     def _hermitian_stack(dtype):
@@ -166,11 +177,9 @@ class TestRiesz:
             return sum(w * np.linalg.inv(a - z * eye)
                        for z, w in zip(contour.points, contour.weights)) / (-2j * math.pi)
 
-        f128 = spectral_mod._riesz_sum(a, CircleContour(1.0, 128))
-        f256 = f128 / 2 + spectral_mod._riesz_sum(a, CircleContour(1.0, 256),
-                                                  first=1, stride=2)
-        assert np.max(np.abs(f128 - full_circle(128))) <= 1e-13
-        assert np.max(np.abs(f256 - full_circle(256))) <= 1e-13
+        for n in (128, 256):
+            half = spectral_mod._riesz_sum(a, CircleContour(1.0, n))
+            assert np.max(np.abs(half - full_circle(n))) <= 1e-13
 
     def test_converged_call_inverts_the_upper_half_once(self, t2, params_half,
                                                         monkeypatch):
