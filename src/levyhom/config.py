@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ def _record(rec: dict, dimension: int) -> dict:
     unknown = set(rec) - {"k", "l", "re", "im"}
     if unknown:
         raise ValueError(f"unknown coefficient record keys: {sorted(unknown)}")
-    k, l, re, im = rec["k"], rec["l"], rec.get("re", 0.0), rec.get("im", 0.0)
+    k, l, re, im = rec.get("k"), rec.get("l"), rec.get("re", 0.0), rec.get("im", 0.0)
     for name, index in (("k", k), ("l", l)):
         if not (isinstance(index, list) and len(index) == dimension
                 and all(map(_is_int, index))):
@@ -135,6 +135,8 @@ class EpsilonSpec:
         if not (_is_real(self.min) and _is_real(self.max)
                 and 0.0 < self.min < self.max):
             raise ValueError("epsilons must be finite numbers with 0 < min < max")
+        if not _is_int(self.count):
+            raise ValueError("epsilons.count must be an integer")
         _validate_epsilons(self.values())
 
     def values(self):
@@ -174,16 +176,13 @@ class StudyConfig:
             raise ValueError("alpha must be a number in (0, 2)")
         if not self.coefficient:
             raise ValueError("coefficient mode list must not be empty")
-        for name in ("truncation", "positivity_grid", "seed"):
-            value = getattr(self, name)
-            if value is not None and not _is_int(value):
-                raise ValueError(f"{name} must be an integer")
-        if self.resolved_truncation < 1:
-            raise ValueError("truncation must be >= 1")
-        if self.resolved_positivity_grid < 16:
-            raise ValueError("positivity_grid must be >= 16")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, value, least in (("truncation", self.resolved_truncation, 1),
+                                   ("positivity_grid", self.resolved_positivity_grid, 16),
+                                   ("seed", self.seed, 0)):
+            if not _is_int(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
+        if not (isinstance(self.output, str) and self.output):
+            raise ValueError("output must be a non-empty string")
         self.xi_grid.validate()
         self.epsilons.validate()
         self.tolerances.validate()
@@ -216,18 +215,19 @@ class StudyConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        kwargs["coefficient"] = tuple(_record(rec, data.get("dimension", 1))
-                                      for rec in data.get("coefficient", ()))
-        if "xi_grid" in data:
-            kwargs["xi_grid"] = XiGridSpec(**data["xi_grid"])
-        if "epsilons" in data:
-            kwargs["epsilons"] = EpsilonSpec(**data["epsilons"])
-        if "tolerances" in data:
-            kwargs["tolerances"] = Tolerances(**data["tolerances"])
+        records = data.get("coefficient", [])
+        if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
+            raise ValueError("coefficient must be a list of record objects")
+        kwargs = dict(data, coefficient=tuple(records))
+        for name, spec in (("xi_grid", XiGridSpec), ("epsilons", EpsilonSpec),
+                           ("tolerances", Tolerances)):
+            if not isinstance(data.get(name, {}), dict):
+                raise ValueError(f"{name} must be an object")
+            kwargs[name] = spec(**data.get(name, {}))
         cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        cfg.validate()   # dimension first: the records are read against it
+        return replace(cfg, coefficient=tuple(_record(rec, cfg.dimension)
+                                              for rec in records))
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":

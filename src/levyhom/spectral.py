@@ -99,9 +99,9 @@ def projector_by_eig(spectral: SpectralData, cutoff: float) -> np.ndarray:
 # Circular contour and the Riesz integral
 # ----------------------------------------------------------------------
 
-# The node count is the first doubling from the contour's whose exact
-# trapezoid error bound falls to RIESZ_TOL in the 2-norm.
-RIESZ_TOL = 1e-9
+# The node count is the smallest, at least the contour's, whose exact
+# trapezoid error bound q^n / (1 - q^n) is at most RIESZ_TOL in the 2-norm.
+RIESZ_TOL = 1e-12
 
 
 class CircleContour:
@@ -114,7 +114,7 @@ class CircleContour:
     2014), so no grading or weight renormalization is needed.
     """
 
-    def __init__(self, d0: float, num_nodes: int = 256):
+    def __init__(self, d0: float, num_nodes: int = 8):
         if d0 <= 0.0:
             raise ValueError("d0 must be positive")
         if num_nodes < 8:
@@ -174,11 +174,11 @@ def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
     eigenvalue of any block inside the contour shows in the projector.
     With q = radius / (radius + dist), dist the smallest distance from an
     eigenvalue to the curve, every eigenvalue of the n-node sum is within
-    q^n / (1 - q^n) of its value in the projector.  The node count is the
-    contour's, doubled until that bound is at most RIESZ_TOL; only the
-    closed upper half-circle is inverted, so a 256-node call makes 129
+    q^n / (1 - q^n) of its value in the projector: n, at least the contour's,
+    is the smallest with that bound at most RIESZ_TOL (41-55 on the shipped
+    configs).  Only the closed upper half-circle is inverted: n // 2 + 1
     inversions per block.  Raises ContourTooClose if any eigenvalue sits
-    within d0/30 of the curve, where q <= 15/16 and 512 nodes suffice.
+    within d0/30 of the curve, where q <= 15/16 and 429 nodes suffice.
     """
     fiber = matrix
     if not isinstance(fiber, FiberMatrix):
@@ -193,11 +193,11 @@ def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
         )
 
     q = contour.radius / (contour.radius + min_dist)
-    n = contour.num_nodes
-    while q ** n / (1.0 - q ** n) > RIESZ_TOL:
-        n *= 2
-    if n != contour.num_nodes:
-        contour = CircleContour(d0, n)
+    # the bound holds exactly when n >= log(tol / (1 + tol)) / log(q)
+    n = max(contour.num_nodes, math.ceil(math.log(RIESZ_TOL / (1 + RIESZ_TOL), q)))
+    if q ** n / (1.0 - q ** n) > RIESZ_TOL:   # log rounding landed one short
+        n += 1
+    contour = CircleContour(d0, n)
     projector = fiber.embed([_riesz_sum(s, contour) for s in fiber.stacks])
     return RieszProjection(projector=projector, nodes=n)
 

@@ -309,9 +309,10 @@ def test_fractional_count_exits_1(tmp_path, field, value):
                  "--out", str(tmp_path / "art")]) == 1
 
 
-def assert_one_line_config_error(capsys):
+def assert_one_line_config_error(capsys, field=""):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert field in err, err
 
 
 def _scaled(records, factor):
@@ -329,6 +330,8 @@ def _scaled(records, factor):
     # a misspelt key used to be dropped, certifying the constant coefficient
     T2_RECORDS[:1] + [{"k": r["k"], "l": r["l"], "real": r["re"], "im": r["im"]}
                       for r in T2_RECORDS[1:]],
+    [{"k": [0], "re": 1.0}] + T2_RECORDS[1:],          # used to say only 'l'
+    T2_RECORDS[0],                                      # a record, not a list
 ])
 def test_bad_coefficient_record_exits_1(tmp_path, capsys, records):
     cfg_path = tmp_path / "cfg.json"
@@ -336,7 +339,7 @@ def test_bad_coefficient_record_exits_1(tmp_path, capsys, records):
     for command in ("validate", "thresholds"):
         assert main([command, "--config", str(cfg_path),
                      "--out", str(tmp_path / "art")]) == 1
-        assert_one_line_config_error(capsys)
+        assert_one_line_config_error(capsys, "coefficient")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -347,6 +350,11 @@ def test_bad_coefficient_record_exits_1(tmp_path, capsys, records):
     ("tolerances", {"oracle_rel": 1e-3, "projector_abs": 1e-8, "slope_margin": True}),
     ("xi_grid", {"radial_min_exp": True, "radial_max_exp": 2.0}),
     ("epsilons", {"min": 1e-3, "max": True, "count": 8}),
+    # each of these used to load, or to fail with Python's own error text
+    ("output", 5), ("seed", None), ("dimension", "1"),
+    ("epsilons", {"min": 1e-3, "max": 1e-1, "count": 12.0}),
+    ("epsilons", {"min": 1e-3, "max": 1e-1, "count": True}),
+    ("xi_grid", [16]), ("epsilons", 8), ("tolerances", "strict"),
 ])
 def test_float_or_bool_count_exits_1(tmp_path, capsys, field, value):
     # json's true is an int to Python, and 1.0 == 1; neither is a count, and
@@ -355,7 +363,7 @@ def test_float_or_bool_count_exits_1(tmp_path, capsys, field, value):
     write_config(cfg_path, **{field: value})
     assert main(["thresholds", "--config", str(cfg_path),
                  "--out", str(tmp_path / "art")]) == 1
-    assert_one_line_config_error(capsys)
+    assert_one_line_config_error(capsys, field)
 
 
 def test_fiber_non_finite_xi_exits_1(tmp_path, capsys):
