@@ -4,12 +4,11 @@ spectral projectors by two routes, and operator-norm convergence-rate
 measurements against the theoretical envelopes.
 """
 
-from .coefficient import (CoefficientCertificate, ModelParams,
-                          PeriodicCoefficient, TheoryConstants, certify,
-                          coefficient_from_records, compute_c0,
-                          constant_coefficient, delta0_and_d0, effective_mu,
-                          oracle_c0, rate_function, rate_profile,
-                          theory_constants, v_alpha, validate_coefficient)
+from .coefficient import (ModelParams, PeriodicCoefficient, TheoryConstants,
+                          certify, coefficient_from_records, compute_c0,
+                          constant_coefficient, effective_mu, oracle_c0,
+                          rate_function, rate_profile, theory_constants,
+                          v_alpha)
 from .config import EpsilonSpec, StudyConfig, Tolerances, XiGridSpec
 from .errors import (ContourTooClose, ConvergenceFailure, DegenerateFit,
                      GapViolation, LevyhomError, PositivityUncertified,

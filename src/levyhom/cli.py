@@ -412,7 +412,7 @@ def main(argv=None) -> int:
         if args.truncation is not None:
             cfg = replace(cfg, truncation=args.truncation)
             cfg.validate()
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -283,19 +283,6 @@ def effective_mu(coeff: PeriodicCoefficient) -> float:
 # Certification
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientCertificate:
-    """Outcome of symmetry and positivity validation."""
-
-    grid_points_per_dim: int
-    grid_min: float
-    grid_max: float
-    lipschitz: float
-    margin: float
-    mu_minus: float
-    mu_plus: float
-
-
 def _check_map_symmetries(coeff: PeriodicCoefficient) -> None:
     modes = coeff.modes
     for (k, l), amp in modes.items():
@@ -341,14 +328,14 @@ def _grid_min_max(coeff: PeriodicCoefficient, grid: int) -> tuple[float, float]:
     return lo, hi
 
 
-def validate_coefficient(
+def certify(
     coeff: PeriodicCoefficient, grid_points_per_dim: int | None = None
-) -> CoefficientCertificate:
-    """Check symmetries exactly and certify global bounds for mu.
+) -> PeriodicCoefficient:
+    """Check symmetries exactly; return a copy carrying certified mu_minus / mu_plus.
 
     The grid min/max are widened by L * h * sqrt(2d) / 2, where L is the
     gradient bound sum(2 pi (|k|_1 + |l|_1) |mu_hat|) and h the grid spacing,
-    so the returned bounds hold everywhere, not just on grid points.
+    so the bounds hold everywhere, not just on grid points.
     """
     if grid_points_per_dim is None:
         grid_points_per_dim = DEFAULT_POSITIVITY_GRID[coeff.dimension]
@@ -365,43 +352,12 @@ def validate_coefficient(
     h = 1.0 / grid_points_per_dim
     margin = lip * h * math.sqrt(2 * coeff.dimension) / 2.0
     mu_minus = lo - margin
-    mu_plus = hi + margin
     if mu_minus <= 0.0:
         raise PositivityUncertified(
             f"certified lower bound {mu_minus:.6g} is not positive "
             f"(grid min {lo:.6g}, Lipschitz margin {margin:.3g})"
         )
-    return CoefficientCertificate(
-        grid_points_per_dim=grid_points_per_dim,
-        grid_min=lo,
-        grid_max=hi,
-        lipschitz=lip,
-        margin=margin,
-        mu_minus=mu_minus,
-        mu_plus=mu_plus,
-    )
-
-
-def certify(
-    coeff: PeriodicCoefficient, grid_points_per_dim: int | None = None
-) -> PeriodicCoefficient:
-    """Return a copy of `coeff` carrying certified mu_minus / mu_plus."""
-    cert = validate_coefficient(coeff, grid_points_per_dim)
-    return replace(coeff, mu_minus=cert.mu_minus, mu_plus=cert.mu_plus)
-
-
-def delta0_and_d0(
-    params: ModelParams, coeff: PeriodicCoefficient
-) -> tuple[float, float]:
-    """Threshold radius delta0 = pi (mu-/(3 mu+))^(1/alpha) and gap floor d0."""
-    if not coeff.certified:
-        raise ValueError("coefficient must be certified before computing delta0/d0")
-    if coeff.mu_minus <= 0.0:
-        raise PositivityUncertified("certified mu_minus must be positive")
-    delta0 = math.pi * (coeff.mu_minus / (3.0 * coeff.mu_plus)) ** (1.0 / params.alpha)
-    d0 = coeff.mu_minus * params.c0 * math.pi ** params.alpha
-    assert delta0 < math.pi
-    return delta0, d0
+    return replace(coeff, mu_minus=mu_minus, mu_plus=hi + margin)
 
 
 @dataclass(frozen=True)
@@ -417,8 +373,18 @@ class TheoryConstants:
 
 
 def theory_constants(params: ModelParams, coeff: PeriodicCoefficient) -> TheoryConstants:
-    """Compute all scalar constants for a certified coefficient."""
-    delta0, d0 = delta0_and_d0(params, coeff)
+    """All scalar constants of a certified coefficient.
+
+    Threshold radius delta0 = pi (mu-/(3 mu+))^(1/alpha), gap floor
+    d0 = mu- c0 pi^alpha.  ValueError if `coeff` is not certified.
+    """
+    if not coeff.certified:
+        raise ValueError("coefficient must be certified before computing delta0/d0")
+    if coeff.mu_minus <= 0.0:
+        raise PositivityUncertified("certified mu_minus must be positive")
+    delta0 = math.pi * (coeff.mu_minus / (3.0 * coeff.mu_plus)) ** (1.0 / params.alpha)
+    d0 = coeff.mu_minus * params.c0 * math.pi ** params.alpha
+    assert delta0 < math.pi
     return TheoryConstants(
         c0=params.c0,
         mu_eff=effective_mu(coeff),

@@ -30,11 +30,19 @@ def _is_real(value) -> bool:
             and math.isfinite(value))
 
 
+def _object(value, keys, name: str) -> dict:
+    """`value` if it is a JSON object with no key outside `keys`; else ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
+    return value
+
+
 def _record(rec: dict, dimension: int) -> dict:
     """Canonical copy of a coefficient record; ValueError unless it is valid."""
-    unknown = set(rec) - {"k", "l", "re", "im"}
-    if unknown:
-        raise ValueError(f"unknown coefficient record keys: {sorted(unknown)}")
+    _object(rec, ("k", "l", "re", "im"), "coefficient record")
     k, l, re, im = rec.get("k"), rec.get("l"), rec.get("re", 0.0), rec.get("im", 0.0)
     for name, index in (("k", k), ("l", l)):
         if not (isinstance(index, list) and len(index) == dimension
@@ -212,18 +220,15 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        _object(data, [f.name for f in fields(cls)], "config")
         records = data.get("coefficient", [])
-        if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
+        if not isinstance(records, list):
             raise ValueError("coefficient must be a list of record objects")
         kwargs = dict(data, coefficient=tuple(records))
         for name, spec in (("xi_grid", XiGridSpec), ("epsilons", EpsilonSpec),
                            ("tolerances", Tolerances)):
-            if not isinstance(data.get(name, {}), dict):
-                raise ValueError(f"{name} must be an object")
-            kwargs[name] = spec(**data.get(name, {}))
+            section = _object(data.get(name, {}), [f.name for f in fields(spec)], name)
+            kwargs[name] = spec(**section)
         cfg = cls(**kwargs)
         cfg.validate()   # dimension first: the records are read against it
         return replace(cfg, coefficient=tuple(_record(rec, cfg.dimension)

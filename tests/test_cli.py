@@ -56,6 +56,14 @@ def test_config_rejects_unknown_fields(tmp_path):
     assert main(["validate", "--config", str(cfg_path)]) == 1
 
 
+@pytest.mark.parametrize("body", ["5", "[1, 2]", '"abc"', "null"])
+def test_non_object_config_exits_1(tmp_path, capsys, body):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(body)
+    assert main(["validate", "--config", str(cfg_path)]) == 1
+    assert_one_line_config_error(capsys, "config must be a JSON object")
+
+
 def test_validate_pass(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -355,6 +363,7 @@ def test_bad_coefficient_record_exits_1(tmp_path, capsys, records):
     ("epsilons", {"min": 1e-3, "max": 1e-1, "count": 12.0}),
     ("epsilons", {"min": 1e-3, "max": 1e-1, "count": True}),
     ("xi_grid", [16]), ("epsilons", 8), ("tolerances", "strict"),
+    ("xi_grid", {"foo": 1}), ("epsilons", {"foo": 1}), ("tolerances", {"foo": 1}),
 ])
 def test_float_or_bool_count_exits_1(tmp_path, capsys, field, value):
     # json's true is an int to Python, and 1.0 == 1; neither is a count, and

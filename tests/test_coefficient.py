@@ -8,10 +8,9 @@ from scipy.special import gamma as scipy_gamma
 
 from levyhom import (ModelParams, PeriodicCoefficient, PositivityUncertified,
                      QuadratureNotConverged, SymmetryViolation, certify, compute_c0,
-                     constant_coefficient, delta0_and_d0, effective_mu,
-                     oracle_c0, rate_function, theory_constants, v_alpha,
-                     validate_coefficient)
-from levyhom.coefficient import _gamma
+                     constant_coefficient, effective_mu, oracle_c0,
+                     rate_function, theory_constants, v_alpha)
+from levyhom.coefficient import _gamma, _grid_min_max
 from conftest import make_t1, make_t2, random_band_limited
 
 
@@ -120,16 +119,16 @@ class TestEffectiveMu:
 
 class TestValidation:
     def test_constant_exact(self):
-        cert = validate_coefficient(constant_coefficient(1, 1.0))
-        assert cert.lipschitz == 0.0
-        assert cert.mu_minus == 1.0
-        assert cert.mu_plus == 1.0
+        # a zero Lipschitz margin leaves the grid extremes untouched
+        coeff = certify(constant_coefficient(1, 1.0))
+        assert coeff.mu_minus == 1.0
+        assert coeff.mu_plus == 1.0
 
     def test_t1_bounds(self):
-        cert = validate_coefficient(make_t1())
+        coeff = certify(make_t1())
         # exact range of 1 + 0.5 cos is [0.5, 1.5]; certification is conservative
-        assert 0.5 - 0.05 <= cert.mu_minus <= 0.5
-        assert 1.5 <= cert.mu_plus <= 1.5 + 0.05
+        assert 0.5 - 0.05 <= coeff.mu_minus <= 0.5
+        assert 1.5 <= coeff.mu_plus <= 1.5 + 0.05
 
     def test_exchange_violation(self):
         bad = PeriodicCoefficient(1, {
@@ -138,25 +137,25 @@ class TestValidation:
             ((0,), (1,)): 0.2, ((0,), (-1,)): 0.2,
         })
         with pytest.raises(SymmetryViolation):
-            validate_coefficient(bad)
+            certify(bad)
 
     def test_conjugate_violation(self):
         bad = PeriodicCoefficient(1, {((0,), (0,)): 1.0,
                                       ((1,), (-1,)): 0.1 + 0.05j,
                                       ((-1,), (1,)): 0.1 + 0.05j})
         with pytest.raises(SymmetryViolation):
-            validate_coefficient(bad)
+            certify(bad)
 
     def test_positivity_uncertified(self):
         # 1 + 1.2 cos(2 pi (x - y)) dips to -0.2
         bad = PeriodicCoefficient(1, {((0,), (0,)): 1.0,
                                       ((1,), (-1,)): 0.6, ((-1,), (1,)): 0.6})
         with pytest.raises(PositivityUncertified):
-            validate_coefficient(bad)
+            certify(bad)
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
-            validate_coefficient(constant_coefficient(1, 1.0), grid_points_per_dim=8)
+            certify(constant_coefficient(1, 1.0), grid_points_per_dim=8)
 
     def test_certified_random_mu_eff_in_bounds(self):
         rng = np.random.default_rng(7)
@@ -166,27 +165,28 @@ class TestValidation:
             assert coeff.mu_minus <= mu0 <= coeff.mu_plus
 
     def test_d2_certification(self):
-        cert = validate_coefficient(make_t2(dimension=2), grid_points_per_dim=32)
-        assert cert.mu_minus > 0.0
-        assert cert.mu_plus < 2.0
+        coeff = certify(make_t2(dimension=2), grid_points_per_dim=32)
+        assert coeff.mu_minus > 0.0
+        assert coeff.mu_plus < 2.0
 
-    @pytest.mark.parametrize(
-        "coeff", [make_t2(dimension=2),
-                  random_band_limited(np.random.default_rng(3), 2)],
-        ids=["t2", "random"])
-    def test_grid_extremes_match_pointwise_mu_d2(self, coeff):
-        # 32 points per coordinate make a 1024 x 1024 (x, y) grid, several
-        # chunks of the separable product; here mu is summed term by term
-        grid = 32
+    @pytest.mark.parametrize("dimension,grid", [(1, 64), (2, 32), (3, 12)],
+                             ids=["d1", "d2", "d3"])
+    @pytest.mark.parametrize("draw", ["t2", "random"])
+    def test_grid_extremes_match_pointwise_mu(self, draw, dimension, grid):
+        # grid^d points make a grid^d x grid^d (x, y) grid, several chunks of
+        # the separable product at d = 2 and 3; here mu is summed term by term
+        coeff = (make_t2(dimension) if draw == "t2"
+                 else random_band_limited(np.random.default_rng(3), dimension))
         axis = np.arange(grid) / grid
-        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
-        mu = np.zeros((len(pts), len(pts)), dtype=complex)
+        pts = np.stack(np.meshgrid(*([axis] * dimension), indexing="ij"),
+                       -1).reshape(-1, dimension)
+        mu = np.zeros((len(pts), len(pts)))
         for (k, l), amp in coeff.modes.items():
             phase = (pts @ np.array(k))[:, None] + (pts @ np.array(l))[None, :]
-            mu += amp * np.exp(2j * np.pi * phase)
-        cert = validate_coefficient(coeff, grid_points_per_dim=grid)
-        assert cert.grid_min == pytest.approx(mu.real.min(), rel=0.0, abs=1e-14)
-        assert cert.grid_max == pytest.approx(mu.real.max(), rel=0.0, abs=1e-14)
+            mu += (amp * np.exp(2j * np.pi * phase)).real
+        lo, hi = _grid_min_max(coeff, grid)
+        assert lo == pytest.approx(mu.min(), rel=0.0, abs=1e-14)
+        assert hi == pytest.approx(mu.max(), rel=0.0, abs=1e-14)
 
 
 class TestGapConstants:
@@ -195,22 +195,22 @@ class TestGapConstants:
         from dataclasses import replace
         coeff = replace(constant_coefficient(1, 1.0), mu_minus=0.5, mu_plus=1.5)
         params = ModelParams(1, 1.0)
-        delta0, d0 = delta0_and_d0(params, coeff)
-        assert delta0 == pytest.approx(math.pi / 9, rel=1e-12)
-        assert d0 == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
+        const = theory_constants(params, coeff)
+        assert const.delta0 == pytest.approx(math.pi / 9, rel=1e-12)
+        assert const.d0 == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
 
     def test_constant_delta0(self):
         for alpha in (0.5, 1.0, 1.5):
             params = ModelParams(1, alpha)
             coeff = certify(constant_coefficient(1, 1.0))
-            delta0, _ = delta0_and_d0(params, coeff)
+            delta0 = theory_constants(params, coeff).delta0
             assert delta0 == pytest.approx(math.pi * 3 ** (-1 / alpha), rel=1e-12)
             assert delta0 < math.pi
 
     def test_requires_certification(self):
         params = ModelParams(1, 1.0)
         with pytest.raises(ValueError):
-            delta0_and_d0(params, constant_coefficient(1, 1.0))
+            theory_constants(params, constant_coefficient(1, 1.0))
 
 
 class TestTheta:
