@@ -23,6 +23,18 @@ def hermitian_norm(mat) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
 
+def max_abs(x, axes=(-2, -1)) -> np.ndarray:
+    """max |x_ij| of a matrix, or of each matrix of a stack (..., n, n)."""
+    return np.max(np.abs(x), axis=axes, initial=0.0)
+
+
+def hermitian_defect(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max |A - A^H| of a matrix or of each matrix of a stack, and whether
+    it passes: defect <= 1e-12 max(1, max |A_ij|)."""
+    defect = max_abs(a - a.conj().swapaxes(-1, -2))
+    return defect, defect <= 1e-12 * np.maximum(1.0, max_abs(a))
+
+
 def available_cpus() -> int:
     """CPUs this process may run on: its affinity mask, else the core count."""
     if hasattr(os, "sched_getaffinity"):

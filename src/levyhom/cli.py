@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import fmt, hermitian_norm, parallel_map, write_csv
+from ._util import fmt, hermitian_defect, hermitian_norm, parallel_map, write_csv
 from .coefficient import (ModelParams, certify, oracle_c0, rate_function,
                           theory_constants)
 from .config import StudyConfig
@@ -144,10 +144,9 @@ def cmd_fiber(cfg: StudyConfig, out_dir: str, workers: int | None,
         write_csv(path, header, fiber.entries.astype(complex).view(float),
                   digest=cfg.digest())
         report.artifacts.append(path)
-        herm = float(np.max(np.abs(fiber.entries - fiber.entries.conj().T)))
-        scale = max(1.0, float(np.max(np.abs(fiber.entries))))
-        report.add(f"hermitian_xi{idx}", "pass" if herm <= 1e-12 * scale else "fail",
-                   margin=herm)
+        herm, hermitian = hermitian_defect(fiber.entries)
+        report.add(f"hermitian_xi{idx}", "pass" if hermitian else "fail",
+                   margin=float(herm))
     return report
 
 

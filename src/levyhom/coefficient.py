@@ -299,30 +299,35 @@ def _check_map_symmetries(coeff: PeriodicCoefficient) -> None:
 
 
 def _grid_min_max(coeff: PeriodicCoefficient, grid: int) -> tuple[float, float]:
-    """Min/max of mu on the (x, y) product grid via separable phase matrices."""
+    """Min/max of mu on the (x, y) product grid via separable phase matrices.
+
+    Needs the exchange symmetry mu(x, y) = mu(y, x), which `certify` checks
+    exactly first.  So the k's and the l's are one index set, and each row
+    chunk evaluates only the columns from its first row on.
+    """
     d = coeff.dimension
     ks = sorted({k for (k, _) in coeff.modes})
-    ls = sorted({l for (_, l) in coeff.modes})
     kidx = {k: i for i, k in enumerate(ks)}
-    lidx = {l: i for i, l in enumerate(ls)}
-    amp = np.zeros((len(ks), len(ls)), dtype=complex)
+    amp = np.zeros((len(ks), len(ks)), dtype=complex)
     for (k, l), a in coeff.modes.items():
-        amp[kidx[k], lidx[l]] = a
+        amp[kidx[k], kidx[l]] = a
 
     axis = np.arange(grid) / grid
     pts = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
     ek = np.exp(2j * np.pi * (pts @ np.asarray(ks, dtype=float).T))
-    el = np.exp(2j * np.pi * (pts @ np.asarray(ls, dtype=float).T))
 
     # mu is real: Re(ek @ right) = [ek.re, -ek.im] @ [right.re; right.im],
     # one real GEMM
-    right = amp @ el.T  # (K, npts)
+    right = amp @ ek.T  # (K, npts)
     right = np.concatenate([right.real, right.imag])
     ek = np.concatenate([ek.real, -ek.imag], axis=1)
     lo, hi = np.inf, -np.inf
-    chunk = max(1, int(2**19 // max(right.shape[1], 1)))  # 4 MB float blocks
-    for start in range(0, ek.shape[0], chunk):
-        vals = ek[start : start + chunk] @ right
+    chunk = min(len(ek), max(1, 2**19 // len(ek)))  # rows of a 4 MB float block
+    # one block for every chunk: freed blocks of shrinking size stay on the heap
+    buf = np.empty((chunk, len(ek)))
+    for start in range(0, len(ek), chunk):
+        vals = np.matmul(ek[start : start + chunk], right[:, start:],
+                         out=buf[: len(ek) - start, start:])
         lo = min(lo, float(vals.min()))
         hi = max(hi, float(vals.max()))
     return lo, hi

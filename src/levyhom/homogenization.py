@@ -305,75 +305,63 @@ class RateStudyResult:
     warnings: tuple
 
 
-def _mirror_representatives(grid) -> np.ndarray:
-    """For each grid point, the index of the first point in grid order that
-    is it or its mirror -xi (bit for bit; -0.0 == 0.0 pairs axis points).
+def _mirror_reduced(grid) -> list:
+    """The grid with each mirror pair xi, -xi reduced to its first point in
+    grid order (bit for bit; -0.0 == 0.0 pairs axis points).
 
     A certified coefficient is real, so A(-xi) is the reflection n -> -n of
     conj A(xi), and the effective fiber reflects the same way: the resolvent
     difference has the same norm at xi and -xi.
     """
-    first: dict = {}
-    rep = np.empty(len(grid), dtype=int)
-    for i, xi in enumerate(grid):
+    points, seen = [], set()
+    for xi in grid:
         key = tuple(float(v) for v in xi)
-        rep[i] = first.get(tuple(-v for v in key), i)
-        first[key] = i
-    return rep
+        if key not in seen:
+            points.append(xi)
+            seen.update((key, tuple(-v for v in key)))
+    return points
 
 
-def _sup_over_grid(coeff, params, modes, grid, shifts, workers, seeds=()):
-    """Per-shift max of the fiber resolvent difference over the grid.
+def _sup_over_points(coeff, params, modes, points, shifts, workers, seeds=()):
+    """Per-shift max of the fiber resolvent difference over `points`.
 
     Returns (values[n_shift], argmax_index[n_shift],
-    (certified, pairs, skipped)).  One point per mirror pair is solved (see
-    `_mirror_representatives`) and its values are given to the mirror; the
-    eigendecomposition at each solved xi is shared across shifts.
+    (certified, pairs, skipped)); the eigendecomposition at each point is
+    shared across shifts.
 
-    The representatives of the `seeds` (grid indices) are solved first and
-    exactly.  The other representatives follow in grid order, in waves of
-    2, 4, 8, ... points, and each wave's norms are taken against floors
-    equal to the running max of everything solved before it (see
+    The `seeds` (indices into `points`) are the first wave, solved against
+    zero floors and so exactly.  The other points follow in list order, in
+    waves of 2, 4, 8, ... points, and each wave's norms are taken against
+    floors equal to the running max of everything solved before it (see
     `_resolvent_diffs`).  A norm below its floor may read less than exact,
     but the floor is at most the column max, so the max and the first
-    argmax over the grid-ordered table are the exhaustive sweep's, bit for
-    bit.  The waves depend only on grid indices, so the result is
+    argmax over the list are the exhaustive sweep's, bit for bit.  The
+    waves depend only on list indices, so the result is
     scheduling-independent.  `certified` counts the `pairs` non-seed
     (point, shift) norms certified below their floor, and `skipped` the
-    solved points with every norm certified, which needed no eigensolve.
+    points with every norm certified, which needed no eigensolve.
     """
     mu0 = effective_mu(coeff)
-    nshift = len(shifts)
+    seeds = np.unique(np.asarray(seeds, dtype=int))
+    rest = np.setdiff1d(np.arange(len(points)), seeds)
+    # after the seeds, waves of 2, 4, 8, ... points: rest[:2], rest[2:6], ...
+    cuts = 2 ** np.arange(2, len(rest).bit_length() + 1) - 2
+    waves = [seeds, *np.split(rest, cuts)]
+    values = np.zeros((len(points), len(shifts)))
+    masks = np.zeros(values.shape, dtype=bool)
 
-    def solve(indices, floors=None):
-        def per_xi(i):
-            symbol = assemble_effective_fiber(params, mu0, modes, grid[i])
-            return _resolvent_diffs(coeff, params, modes, grid[i], symbol,
-                                    shifts, floors)
-        results = parallel_map(per_xi, indices, workers)
-        values = np.reshape([norms for norms, _ in results], (-1, nshift))
-        masks = np.reshape([mask for _, mask in results], (-1, nshift))
-        return values, masks
+    def per_point(i):
+        symbol = assemble_effective_fiber(params, mu0, modes, points[i])
+        return _resolvent_diffs(coeff, params, modes, points[i], symbol,
+                                shifts, floors)
 
-    rep = _mirror_representatives(grid)
-    solved, where = np.unique(rep, return_inverse=True)
-    seeded = np.isin(solved, rep[np.asarray(seeds, dtype=int)])
-    values = np.empty((len(solved), nshift))
-    values[seeded], _ = solve(solved[seeded])
-    floors = values[seeded].max(axis=0, initial=0.0)
-    rest = np.flatnonzero(~seeded)
-    certified = skipped = 0
-    start, size = 0, 2
-    while start < len(rest):
-        wave = rest[start:start + size]
-        values[wave], masks = solve(solved[wave], floors)
-        certified += int(np.count_nonzero(masks))
-        skipped += int(np.count_nonzero(masks.all(axis=1)))
-        floors = np.maximum(floors, values[wave].max(axis=0))
-        start, size = start + size, 2 * size
-    table = values[where]                                 # (nxi, nshift)
-    return (table.max(axis=0), table.argmax(axis=0),
-            (certified, len(rest) * nshift, skipped))
+    for wave in waves:
+        floors = values.max(axis=0)     # unsolved rows are 0, norms are >= 0
+        for i, (norms, mask) in zip(wave, parallel_map(per_point, wave, workers)):
+            values[i], masks[i] = norms, mask
+    return (values.max(axis=0), values.argmax(axis=0),
+            (int(masks.sum()), len(rest) * len(shifts),
+             int(masks.all(axis=1).sum())))
 
 
 def discrepancy_study(
@@ -392,10 +380,11 @@ def discrepancy_study(
     re-runs at doubled truncation and raises TruncationUnstable (result
     attached) when any discrepancy moves by more than 5%.  The coefficient
     must be certified (see :func:`certify`): its checked realness lets the
-    study solve one point of each mirror pair xi, -xi.
+    study reduce the grid once to one point of each mirror pair xi, -xi
+    (see `_mirror_reduced`), and both passes sweep that point list.
 
     Each pass first solves seed points exactly, and the running max floors
-    the other norms (see `_sup_over_grid`): the seeds are the origin at N,
+    the other norms (see `_sup_over_points`): the seeds are the origin at N,
     and at 2N the origin and the N pass's argmax points.
     """
     if not coeff.certified:
@@ -411,10 +400,11 @@ def discrepancy_study(
         warnings.append(msg)
         log.warning(msg)
 
-    sup_vals, arg_idx, certified = _sup_over_grid(coeff, params, modes, grid,
-                                                  shifts, workers, seeds=(0,))
+    points = _mirror_reduced(grid)
+    sup_vals, arg_idx, certified = _sup_over_points(
+        coeff, params, modes, points, shifts, workers, seeds=(0,))
     disc = shifts * sup_vals
-    argmax_norm = np.array([float(np.linalg.norm(grid[i])) for i in arg_idx])
+    argmax_norm = np.array([float(np.linalg.norm(points[i])) for i in arg_idx])
 
     exact = bool(np.all(disc == 0.0))
     if exact:
@@ -428,10 +418,9 @@ def discrepancy_study(
         ratios = disc / bound
 
     double = ModeSet(params.dimension, 2 * modes.truncation)
-    sup_d, _, certified_d = _sup_over_grid(coeff, params, double, grid, shifts,
-                                           workers, seeds=(0, *arg_idx))
-    disc_d = shifts * sup_d
-    stability = _relative_change(disc, disc_d)
+    sup_d, _, certified_d = _sup_over_points(
+        coeff, params, double, points, shifts, workers, seeds=(0, *arg_idx))
+    stability = _relative_change(disc, shifts * sup_d)
 
     result = RateStudyResult(
         alpha=alpha,
@@ -444,7 +433,7 @@ def discrepancy_study(
         log_corrected_slope=corrected,
         truncation_stability=stability,
         exact=exact,
-        solved_points=len(np.unique(_mirror_representatives(grid))),
+        solved_points=len(points),
         certified=(certified, certified_d),
         warnings=tuple(warnings),
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import hermitian_norm
+from ._util import hermitian_defect, hermitian_norm, max_abs
 from .coefficient import (ModelParams, PeriodicCoefficient, theory_constants,
                           v_alpha)
 from .errors import (ContourTooClose, ConvergenceFailure, GapViolation,
@@ -40,35 +40,29 @@ class SpectralData:
     eigenvectors: np.ndarray
 
 
-def _block_max(x: np.ndarray, axes) -> np.ndarray:
-    return np.max(np.abs(x), axis=axes, initial=0.0)
-
-
 def eig_hermitian(matrix: np.ndarray) -> SpectralData:
     """Full eigendecomposition of a Hermitian matrix or stack, validated.
 
     Each matrix of a stack (..., n, n) is checked against its own scale:
-    Hermiticity defect <= 1e-12 max(1, max |A_ij|), residual <= 1e-9
+    Hermiticity by :func:`hermitian_defect`, residual <= 1e-9
     max(1, ||A||) and orthonormality defect <= 1e-10.  A diagonal block's
     scale is at most the full matrix's, so blockwise checks are no looser.
     LAPACK failures surface as ConvergenceFailure.
     """
     a = np.asarray(matrix)
-    mats = (-2, -1)
-    scale = np.maximum(1.0, _block_max(a, mats))
-    herm_defect = _block_max(a - a.conj().swapaxes(-1, -2), mats)
-    if np.any(herm_defect > 1e-12 * scale):
+    herm_defect, hermitian = hermitian_defect(a)
+    if not np.all(hermitian):
         raise ValueError(f"matrix is not Hermitian: defect {np.max(herm_defect):.3e}")
     try:
         lam, vec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
 
-    norm_a = _block_max(lam, -1)
-    residual = _block_max(a @ vec - vec * lam[..., None, :], mats)
+    norm_a = max_abs(lam, -1)
+    residual = max_abs(a @ vec - vec * lam[..., None, :])
     if np.any(residual > 1e-9 * np.maximum(norm_a, 1.0)):
         raise ConvergenceFailure(f"eigen residual {np.max(residual):.3e} too large")
-    ortho = _block_max(vec.conj().swapaxes(-1, -2) @ vec - np.eye(lam.shape[-1]), mats)
+    ortho = max_abs(vec.conj().swapaxes(-1, -2) @ vec - np.eye(lam.shape[-1]))
     if np.any(ortho > 1e-10):
         raise ConvergenceFailure(f"orthonormality defect {np.max(ortho):.3e} too large")
     return SpectralData(eigenvalues=lam, eigenvectors=vec)

@@ -188,6 +188,22 @@ class TestValidation:
         assert lo == pytest.approx(mu.min(), rel=0.0, abs=1e-14)
         assert hi == pytest.approx(mu.max(), rel=0.0, abs=1e-14)
 
+    def test_grid_extremes_in_one_chunk_each_d3(self):
+        # mu = 1 + c (g(x) + g(y)), g(x) = sum_j cos(2 pi x_j), on a 10^3
+        # point grid: two row chunks of 524 and 476.  The max sits only at
+        # x = y = 0 (row 0, first chunk) and the min only at
+        # x = y = (1/2, 1/2, 1/2) (row 555, last chunk), both on the
+        # diagonal, so no chunk and no diagonal block can be skipped
+        c = 0.05
+        modes = {((0, 0, 0), (0, 0, 0)): complex(1.0)}
+        for j in range(3):
+            for sign in (1, -1):
+                e = tuple(sign * int(i == j) for i in range(3))
+                modes[(e, (0, 0, 0))] = modes[((0, 0, 0), e)] = complex(c / 2)
+        lo, hi = _grid_min_max(PeriodicCoefficient(3, modes), 10)
+        assert lo == pytest.approx(1.0 - 6 * c, rel=0.0, abs=1e-14)
+        assert hi == pytest.approx(1.0 + 6 * c, rel=0.0, abs=1e-14)
+
 
 class TestGapConstants:
     def test_delta0_formula(self):

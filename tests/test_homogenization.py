@@ -12,8 +12,8 @@ from levyhom import (DegenerateFit, ModeSet, ModelParams, XiGridSpec,
                      rate_function, slope_check, threshold_resolvent_diff,
                      theory_constants)
 from levyhom.config import StudyConfig
-from levyhom.homogenization import (_mirror_representatives, _resolvent_diffs,
-                                    _sup_over_grid)
+from levyhom.homogenization import (_mirror_reduced, _resolvent_diffs,
+                                    _sup_over_points)
 
 from conftest import make_t2, random_band_limited
 
@@ -124,16 +124,20 @@ class TestMirrorPairs:
         assert (len(grid), len(inner)) == (points, paired)
         for p in inner:
             assert tuple(float(-v) for v in p) in keys
-        rep = _mirror_representatives(grid)
-        assert len(np.unique(rep)) == solved
-        # each point is solved itself or through its mirror, the earlier of the two
-        for i, j in enumerate(rep):
-            assert j <= i
-            assert j == i or np.array_equal(grid[j], -grid[i])
+        points = _mirror_reduced(grid)
+        assert len(points) == solved
+        # the kept points come in grid order, and each dropped point's
+        # mirror is a kept point earlier in the grid
+        index = {tuple(float(v) for v in p): i for i, p in enumerate(grid)}
+        kept = [index[tuple(float(v) for v in p)] for p in points]
+        assert kept == sorted(kept)
+        for i in sorted(set(range(len(grid))) - set(kept)):
+            j = index[tuple(float(-v) for v in grid[i])]
+            assert j < i and j in kept
 
     def test_bench_d2_grid_solve_count(self):
         grid = XiGridSpec(points_per_dim=4).points(2)
-        assert (len(grid), len(np.unique(_mirror_representatives(grid)))) == (106, 57)
+        assert (len(grid), len(_mirror_reduced(grid))) == (106, 57)
 
     @pytest.mark.parametrize("name", ["t1_alpha1", "t2_alpha05", "t2_d2",
                                       "dense-d2"])
@@ -144,9 +148,10 @@ class TestMirrorPairs:
             _resolvent_diffs(coeff, params, modes, xi,
                              assemble_effective_fiber(params, mu0, modes, xi), shifts)[0]
             for xi in grid])
-        values, arg, _ = _sup_over_grid(coeff, params, modes, grid, shifts, 1)
+        points = _mirror_reduced(grid)
+        values, arg, _ = _sup_over_points(coeff, params, modes, points, shifts, 1)
         np.testing.assert_allclose(values, table.max(axis=0), rtol=1e-12, atol=0.0)
-        norms = [np.linalg.norm(grid[i]) for i in arg]
+        norms = [np.linalg.norm(points[i]) for i in arg]
         ref_norms = [np.linalg.norm(grid[i]) for i in table.argmax(axis=0)]
         np.testing.assert_allclose(norms, ref_norms, rtol=1e-12, atol=0.0)
 
@@ -160,21 +165,22 @@ class TestSeededSweep:
         ("random-complex", None, 2)])
     def test_seeded_sweep_equals_exhaustive(self, name, alpha, passes):
         # the passes of discrepancy_study, seeded as it seeds them, against
-        # the same representatives solved with no floors (every point a
-        # seed); at alpha > 1 the argmax moves with eps
+        # the same points solved with no floors (every point a seed); at
+        # alpha > 1 the argmax moves with eps
         if name == "random-complex":
             coeff, params, modes, grid, shifts = _random_complex_inputs()
         else:
             coeff, params, modes, grid, shifts = _study_inputs(name, alpha)
+        points = _mirror_reduced(grid)
         double = ModeSet(params.dimension, 2 * modes.truncation)
         seeds = (0,)
         for pass_modes in (modes, double)[:passes]:
-            ref, ref_arg, (none, _, _) = _sup_over_grid(
-                coeff, params, pass_modes, grid, shifts, 1,
-                seeds=range(len(grid)))
+            ref, ref_arg, (none, _, _) = _sup_over_points(
+                coeff, params, pass_modes, points, shifts, 1,
+                seeds=range(len(points)))
             assert none == 0
-            runs = [_sup_over_grid(coeff, params, pass_modes, grid, shifts,
-                                   workers, seeds) for workers in (1, 2)]
+            runs = [_sup_over_points(coeff, params, pass_modes, points, shifts,
+                                     workers, seeds) for workers in (1, 2)]
             for values, arg, certified in runs:
                 assert np.array_equal(values, ref)
                 assert np.array_equal(arg, ref_arg)
@@ -193,12 +199,38 @@ class TestSeededSweep:
             coeff, params, modes, grid, shifts = _random_complex_inputs()
         else:
             coeff, params, modes, grid, shifts = _study_inputs(name)
+        points = _mirror_reduced(grid)
         double = ModeSet(params.dimension, 2 * modes.truncation)
-        _, arg, (*_, at_n) = _sup_over_grid(coeff, params, modes, grid,
-                                            shifts, 1, seeds=(0,))
-        *_, (*_, at_2n) = _sup_over_grid(coeff, params, double, grid, shifts,
-                                         1, seeds=(0, *arg))
+        _, arg, (*_, at_n) = _sup_over_points(coeff, params, modes, points,
+                                              shifts, 1, seeds=(0,))
+        *_, (*_, at_2n) = _sup_over_points(coeff, params, double, points,
+                                           shifts, 1, seeds=(0, *arg))
         assert (at_n, at_2n) == skipped
+
+    @pytest.mark.parametrize("name,alpha", [("t2_alpha05", 1.5),
+                                            ("random-complex", None)])
+    def test_sweep_over_any_point_list(self, name, alpha):
+        # the sweep reads a plain list: shuffled and not mirror-closed, it
+        # still gives the max and the first argmax of every point solved
+        # with no floors
+        if name == "random-complex":
+            coeff, params, modes, grid, shifts = _random_complex_inputs()
+        else:
+            coeff, params, modes, grid, shifts = _study_inputs(name, alpha)
+        rng = np.random.default_rng(5)
+        points = [grid[i] for i in rng.permutation(len(grid))[:len(grid) - 9]]
+        keys = {tuple(float(v) for v in p) for p in points}
+        assert any(tuple(float(-v) for v in p) not in keys for p in points)
+        mu0 = effective_mu(coeff)
+        table = np.array([
+            _resolvent_diffs(coeff, params, modes, xi,
+                             assemble_effective_fiber(params, mu0, modes, xi), shifts)[0]
+            for xi in points])
+        for workers in (1, 2):
+            values, arg, _ = _sup_over_points(coeff, params, modes, points,
+                                              shifts, workers, seeds=(0,))
+            assert np.array_equal(values, table.max(axis=0))
+            assert np.array_equal(arg, table.argmax(axis=0))
 
 
 class TestResolventDiff:
@@ -381,16 +413,16 @@ class TestDiscrepancyStudy:
         # band-limited coefficients are stable in practice; force the
         # doubled-truncation pass to disagree to exercise the error contract
         import levyhom.homogenization as hom
-        real = hom._sup_over_grid
+        real = hom._sup_over_points
 
-        def skewed(coeff, params, modes, grid, shifts, workers, seeds):
-            vals, idx, certified = real(coeff, params, modes, grid, shifts,
+        def skewed(coeff, params, modes, points, shifts, workers, seeds):
+            vals, idx, certified = real(coeff, params, modes, points, shifts,
                                         workers, seeds)
             if modes.truncation > 8:
                 vals = vals * 1.2
             return vals, idx, certified
 
-        monkeypatch.setattr(hom, "_sup_over_grid", skewed)
+        monkeypatch.setattr(hom, "_sup_over_points", skewed)
         with pytest.raises(hom.TruncationUnstable) as err:
             discrepancy_study(t2, params_half, ModeSet(1, 8), small_grid,
                               np.geomspace(1e-1, 1e-3, 8))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import levyhom.spectral as spectral_mod
+from levyhom._util import hermitian_defect
 from levyhom import (CircleContour, ContourTooClose, GapViolation, ModeSet,
                      ModelParams, assemble_fiber_matrix,
                      compute_c0, eig_hermitian, loglog_slope, projector_by_eig,
@@ -44,6 +45,20 @@ class TestEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_one_hermiticity_rule_per_matrix_scale(self):
+        # the rule `fiber` reports and eig_hermitian enforces: defect
+        # <= 1e-12 max(1, max |A_ij|), each matrix of a stack on its own scale
+        def mat(scale, defect):
+            return np.array([[scale, 0.0], [defect, scale]])
+        stack = np.array([mat(1e3, 0.99e-9), mat(1.0, 0.99e-9), mat(1e3, 1.01e-9)])
+        defect, ok = hermitian_defect(stack)
+        assert np.array_equal(defect, [0.99e-9, 0.99e-9, 1.01e-9])
+        assert ok.tolist() == [True, False, False]
+        eig_hermitian(stack[0])
+        for bad in (stack[1], stack[2], stack):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                eig_hermitian(bad)
 
 
 class TestProjectorByEig:
