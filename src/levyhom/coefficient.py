@@ -10,8 +10,12 @@ the threshold radius delta0) is a certified bound rather than an assumption.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Mapping
 
 import numpy as np
@@ -161,10 +165,11 @@ def oracle_c0(params: ModelParams) -> float:
     1 - w(r) cancels, the integral is summed termwise from w's power series
     (:func:`_series_core`); beyond, it is integrated numerically, with the
     far tail of the non-oscillatory part in closed elementary form and, at
-    d = 2, that of J0 from its leading Hankel terms.  Raises
-    QuadratureNotConverged when QUADPACK flags an integral.
+    d = 2, that of J0 from its leading Hankel terms.  The integrals go to
+    QUADPACK's compiled routines (:func:`_quad`); only d = 2 loads
+    scipy.special, for J0.  Raises QuadratureNotConverged when QUADPACK
+    flags an integral.
     """
-    from scipy.special import j0 as _bessel_j0
     d, a = params.dimension, params.alpha
 
     if d == 1:
@@ -175,6 +180,8 @@ def oracle_c0(params: ModelParams) -> float:
         return 2.0 * (core + mid + cut ** (-a) / a - osc)
 
     if d == 2:
+        from scipy.special import j0 as _bessel_j0
+
         # angular average of cos(r cos t) over the circle is J0(r)
         cut = 200.0
         core = _series_core(a, lambda j: 1.0 / (4 ** j * math.factorial(j) ** 2))
@@ -212,24 +219,86 @@ def _series_core(alpha: float, coef) -> float:
     return math.fsum((-1) ** (j + 1) * coef(j) / (2 * j - alpha) for j in range(1, 13))
 
 
+@functools.cache
+def _quadpack_module():
+    """scipy's compiled QUADPACK extension `_quadpack`, loaded from its file.
+
+    Importing it through `scipy.integrate` would run that package's
+    `__init__`, which loads scipy.special, scipy.optimize,
+    scipy.sparse.linalg, numpy.testing and numpy.f2py as well.  Loaded by
+    file location, the extension needs numpy alone; it is not registered
+    in `sys.modules`.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    directory = os.path.join(scipy.submodule_search_locations[0], "integrate")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+        "_quadpack")
+    if spec is None:
+        raise ImportError(f"no QUADPACK extension _quadpack in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _quadpack(f, lo: float, hi: float, *, points=None, weight=None, wvar=None,
+              epsabs=1.49e-8, epsrel=1.49e-8, limit=50, limlst=50,
+              maxp1=50) -> tuple[float, float, int]:
+    """(value, error estimate, ier) of QUADPACK on f over [lo, hi].
+
+    The argument handling of `scipy.integrate.quad`, with its defaults, for
+    the three forms the package uses: QAGS on a finite interval, QAGP with
+    break `points`, and QAWF with `weight` "cos" or "sin" times
+    wvar from lo to infinity (QAWF takes no epsrel).
+    """
+    ext = _quadpack_module()
+    if weight is not None:
+        if hi != math.inf or points is not None:
+            raise ValueError("QAWF integrates from lo to infinity, without break points")
+        integr = {"cos": 1, "sin": 2}[weight]
+        return ext._qawfe(f, lo, wvar, integr, (), 0, epsabs, limlst, limit, maxp1)
+    if points is None:
+        return ext._qagse(f, lo, hi, (), 0, epsabs, epsrel, limit)
+    # duplicates would force evaluations at the break points
+    inner = np.unique(points)
+    inner = inner[(lo < inner) & (inner < hi)]
+    return ext._qagpe(f, lo, hi, np.concatenate((inner, (0.0, 0.0))), (), 0,
+                      epsabs, epsrel, limit)
+
+
+# QUADPACK's conditions by ier; QAWF's 1, 4 and 7 concern its cycles
+_QUADPACK_CONDITIONS = {
+    1: "the subdivision limit (QAWF: the cycle limit) was reached",
+    2: "roundoff error prevents the requested tolerance",
+    3: "extremely bad integrand behaviour",
+    4: "roundoff error in the extrapolation table",
+    5: "the integral is probably divergent or slowly convergent",
+    7: "abnormal termination",
+}
+
+
 def _quad(f, lo: float, hi: float, tol=None, label: str = "quadrature",
           **kwargs) -> float:
-    """QUADPACK integral of f over [lo, hi], the package's one `quad` call.
+    """QUADPACK integral of f over [lo, hi], the package's one quadrature.
 
-    With `tol = (epsabs, epsrel)` QUADPACK aims at that tolerance and an
-    error estimate above epsabs + epsrel max(|value|, 1) is refused too.
-    Raises QuadratureNotConverged when QUADPACK flags the integral or
-    refuses it; `label` names the integral in the message.
+    `kwargs` go to :func:`_quadpack`.  With `tol = (epsabs, epsrel)`
+    QUADPACK aims at that tolerance and an error estimate above
+    epsabs + epsrel max(|value|, 1) is refused too.  Raises
+    QuadratureNotConverged when QUADPACK flags the integral (ier != 0) or
+    the estimate is refused, ValueError when QUADPACK rejects its input
+    (ier = 6), as `scipy.integrate.quad` does; `label` names the integral
+    in the message.
     """
-    from scipy.integrate import quad
     if tol is not None:
         kwargs.update(epsabs=tol[0], epsrel=tol[1])
-    val, err, _, *flag = quad(f, lo, hi, full_output=1, **kwargs)
+    val, err, ier = _quadpack(f, lo, hi, **kwargs)
+    where = f"{label} over [{lo}, {hi}]"
+    if ier == 6:
+        raise ValueError(f"{where}: QUADPACK rejected its input (ier = 6)")
     limit = math.inf if tol is None else tol[0] + tol[1] * max(abs(val), 1.0)
-    if flag or err > limit:
-        reason = (flag[0].splitlines()[0] if flag
-                  else f"error estimate {err:.3e} > {limit:.3e}")
-        raise QuadratureNotConverged(f"{label} over [{lo}, {hi}]: {reason}")
+    if ier or err > limit:
+        reason = (f"ier = {ier}, {_QUADPACK_CONDITIONS.get(ier, 'unknown condition')}"
+                  if ier else f"error estimate {err:.3e} > {limit:.3e}")
+        raise QuadratureNotConverged(f"{where}: {reason}")
     return val
 
 

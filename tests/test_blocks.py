@@ -502,3 +502,18 @@ def test_commands_but_oracle_check_leave_scipy_unloaded(tmp_path):
     code = ("from levyhom.cli import main; "
             f"assert all(main(argv) == 0 for argv in {runs!r})")
     assert _scipy_modules_after(code) == "[]"
+
+
+def test_d1_oracle_check_loads_neither_scipy_integrate_nor_special(tmp_path):
+    # QUADPACK's extension is loaded by file, without scipy.integrate's
+    # package; at d = 1 nothing needs scipy.special's J0
+    runs = []
+    for name in ("t1_alpha1", "t2_alpha05"):
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                              f"{name}.json")
+        runs.append(["oracle-check", "--config", config, "--workers", "1",
+                     "--truncation", "8", "--out", str(tmp_path / name)])
+    code = ("from levyhom.cli import main; "
+            f"assert all(main(argv) == 0 for argv in {runs!r})")
+    loaded = _scipy_modules_after(code)
+    assert "scipy.integrate" not in loaded and "scipy.special" not in loaded

@@ -10,7 +10,9 @@ from levyhom import (ModelParams, PeriodicCoefficient, PositivityUncertified,
                      QuadratureNotConverged, SymmetryViolation, certify, compute_c0,
                      constant_coefficient, effective_mu, oracle_c0,
                      rate_function, theory_constants, v_alpha)
-from levyhom.coefficient import _gamma, _grid_min_max
+from levyhom import coefficient
+from levyhom.coefficient import _gamma, _grid_min_max, _quad, _quadpack
+from levyhom.fiber import ORACLE_ABS_TOL, ORACLE_LIMIT, ORACLE_REL_TOL
 from conftest import make_t1, make_t2, random_band_limited
 
 
@@ -45,12 +47,10 @@ class TestC0:
         assert oracle_c0(params) == pytest.approx(compute_c0(params), rel=1e-9)
 
     def test_quadpack_flag_raises(self, monkeypatch):
-        import scipy.integrate
-
         def flagged(*args, **kwargs):
-            return 1.0, 0.0, {}, "The maximum number of subdivisions has been achieved."
+            return 1.0, 0.0, 1  # ier = 1: the subdivision limit was reached
 
-        monkeypatch.setattr(scipy.integrate, "quad", flagged)
+        monkeypatch.setattr(coefficient, "_quadpack", flagged)
         with pytest.raises(QuadratureNotConverged):
             oracle_c0(ModelParams(1, 1.0))
 
@@ -61,6 +61,61 @@ class TestC0:
             ModelParams(1, 2.0)
         with pytest.raises(ValueError):
             ModelParams(1, 0.0)
+
+
+class TestQuadpack:
+    """`_quad` calls QUADPACK's compiled routines without scipy.integrate's
+    package; these pin it to `scipy.integrate.quad` bit for bit in each call
+    form the package makes, guarding the private signatures."""
+
+    ALPHA = 0.5
+
+    def _mid(self, z):
+        return (1.0 - math.cos(z)) / z ** (1 + self.ALPHA)
+
+    def _core(self, z):
+        # scaled to |value| ~ 90, where epsabs and epsrel set different
+        # targets, so swapping them shows
+        return (200.0 * math.sin(0.7 * z) * math.sin(3.5 * z) * math.cos(5.0 * z)
+                / abs(z) ** (1 + self.ALPHA))
+
+    def _tail(self, z):
+        return z ** (-1 - self.ALPHA)
+
+    @pytest.mark.parametrize("form", ["qags", "qagp", "qawf-cos", "qawf-sin"])
+    def test_bitwise_scipy_quad(self, form):
+        from scipy.integrate import quad
+        tol = (ORACLE_ABS_TOL / 16.0, ORACLE_REL_TOL / 16.0)
+        f, lo, hi, kwargs = {
+            "qags": (self._mid, 1.0, 50.0, dict(limit=400)),
+            "qagp": (self._core, -40.0, 40.0,
+                     dict(points=[0.0], limit=ORACLE_LIMIT, epsabs=tol[0],
+                          epsrel=tol[1])),
+            "qawf-cos": (self._tail, 50.0, np.inf, dict(weight="cos", wvar=1.0)),
+            "qawf-sin": (self._tail, 50.0, np.inf, dict(weight="sin", wvar=1.0)),
+        }[form]
+        val, err, _ = quad(f, lo, hi, full_output=1, **kwargs)  # 3 items: ier = 0
+        assert _quadpack(f, lo, hi, **kwargs) == (val, err, 0)
+        assert _quad(f, lo, hi, **kwargs) == val
+
+    def test_starved_limit_raises_with_label(self):
+        from scipy.integrate import quad
+        kwargs = dict(points=[0.0], limit=2)
+        val, err, _, message = quad(self._core, -40.0, 40.0, full_output=1, **kwargs)
+        assert "subdivisions (2)" in message
+        assert _quadpack(self._core, -40.0, 40.0, **kwargs) == (val, err, 1)
+        with pytest.raises(QuadratureNotConverged, match=r"starved core over .*ier = 1"):
+            _quad(self._core, -40.0, 40.0, label="starved core", **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(epsabs=0.0, epsrel=1e-20),
+                                        dict(weight="cos", wvar=1.0, limlst=2)])
+    def test_invalid_input_is_value_error(self, kwargs):
+        from scipy.integrate import quad
+        hi = np.inf if "weight" in kwargs else 50.0
+        with pytest.raises(ValueError):
+            quad(self._tail, 1.0, hi, **kwargs)
+        with pytest.raises(ValueError, match="ier = 6"):
+            _quad(self._tail, 1.0, hi, **kwargs)
 
 
 class TestGamma:

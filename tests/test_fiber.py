@@ -154,19 +154,19 @@ SAMPLE_Z = [float(z) for z in np.concatenate([np.geomspace(1e-12, 40.0, 400),
 
 @pytest.fixture
 def quad_spy(monkeypatch):
-    """Record the keywords of every scipy quad call, and a core integrand's
+    """Record the keywords of every QUADPACK call, and a core integrand's
     values at SAMPLE_Z, taken at call time: the integrands close over loop
     variables."""
-    import scipy.integrate
+    import levyhom.coefficient as coefficient
     calls = []
-    real_quad = scipy.integrate.quad
+    real_quadpack = coefficient._quadpack
 
     def spy(func, *args, **kwargs):
         samples = [func(z) for z in SAMPLE_Z] if "points" in kwargs else None
         calls.append((kwargs, samples))
-        return real_quad(func, *args, **kwargs)
+        return real_quadpack(func, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "quad", spy)
+    monkeypatch.setattr(coefficient, "_quadpack", spy)
     return calls
 
 
@@ -203,7 +203,8 @@ class TestOracle:
         oracle_form_element(t2, params_one, m, n, 1.0)
         core = [kw for kw, _ in quad_spy if "points" in kw]
         assert len(core) == len(_coupled_pairs(t2, m, n))
-        assert not any(kw.get("complex_func") for kw, _ in quad_spy)
+        # the core integrand is real: QUADPACK gets no complex values
+        assert all(type(v) is float for _, samples in quad_spy if samples for v in samples)
 
     @pytest.mark.parametrize("m, n", [(1, -1), (0, 0), (2, 0)])
     def test_half_angle_integrand_matches_product_form(self, t2, params_half, quad_spy,
@@ -241,15 +242,15 @@ class TestOracle:
             oracle_form_element(t2, params_one, 1, -1, 1.0)
 
     def test_flagged_tail_raises(self, t2, params_one, monkeypatch):
-        import scipy.integrate
-        real_quad = scipy.integrate.quad
+        import levyhom.coefficient as coefficient
+        real_quadpack = coefficient._quadpack
 
         def few_cycles(func, *args, **kwargs):
             if "weight" in kwargs:
                 kwargs["limlst"] = 3
-            return real_quad(func, *args, **kwargs)
+            return real_quadpack(func, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.integrate, "quad", few_cycles)
+        monkeypatch.setattr(coefficient, "_quadpack", few_cycles)
         with pytest.raises(QuadratureNotConverged, match="tail"):
             oracle_form_element(t2, params_one, 1, -1, 1.0)
 
