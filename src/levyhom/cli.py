@@ -23,10 +23,9 @@ from .coefficient import (ModelParams, certify, oracle_c0, rate_function,
                           theory_constants)
 from .config import StudyConfig
 from .errors import LevyhomError, TruncationUnstable
-from .fiber import (ModeSet, assemble_fiber_matrix, c1_constant,
-                    oracle_form_element)
-from .homogenization import discrepancy_study, slope_check
-from .spectral import threshold_report
+
+# fiber, spectral and homogenization are imported by the commands that use
+# them, so each command process loads only what it runs
 
 log = logging.getLogger(__name__)
 
@@ -79,9 +78,12 @@ class RunReport:
 def _prepare(cfg: StudyConfig):
     params = ModelParams(cfg.dimension, cfg.alpha)
     coeff = certify(cfg.build_coefficient(), cfg.resolved_positivity_grid)
-    constants = theory_constants(params, coeff)
-    modes = ModeSet(cfg.dimension, cfg.resolved_truncation)
-    return params, coeff, constants, modes
+    return params, coeff, theory_constants(params, coeff)
+
+
+def _modes(cfg: StudyConfig):
+    from .fiber import ModeSet
+    return ModeSet(cfg.dimension, cfg.resolved_truncation)
 
 
 def _constant_values(constants) -> dict:
@@ -115,7 +117,7 @@ def cmd_validate(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRepo
 
 def cmd_constants(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
     report = RunReport("constants", cfg.digest())
-    params, coeff, constants, _ = _prepare(cfg)
+    params, coeff, constants = _prepare(cfg)
     report.values.update(_constant_values(constants))
     report.values.update({
         "theta(1/e)": float(rate_function(params.alpha, "theta", math.exp(-1.0))),
@@ -128,8 +130,10 @@ def cmd_constants(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRep
 
 def cmd_fiber(cfg: StudyConfig, out_dir: str, workers: int | None,
               xi_values=()) -> RunReport:
+    from .fiber import assemble_fiber_matrix
     report = RunReport("fiber", cfg.digest())
-    params, coeff, constants, modes = _prepare(cfg)
+    params, coeff, constants = _prepare(cfg)
+    modes = _modes(cfg)
     if not xi_values:
         raise ValueError("fiber requires --xi with at least one value")
     os.makedirs(out_dir, exist_ok=True)
@@ -151,8 +155,11 @@ def cmd_fiber(cfg: StudyConfig, out_dir: str, workers: int | None,
 
 
 def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
+    from .homogenization import slope_check
+    from .spectral import threshold_report
     report = RunReport("thresholds", cfg.digest())
-    params, coeff, constants, modes = _prepare(cfg)
+    params, coeff, constants = _prepare(cfg)
+    modes = _modes(cfg)
     d = cfg.dimension
 
     radii = cfg.xi_grid.radii()
@@ -230,8 +237,10 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
 
 
 def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
+    from .homogenization import discrepancy_study, slope_check
     report = RunReport("rate-study", cfg.digest())
-    params, coeff, constants, modes = _prepare(cfg)
+    params, coeff, constants = _prepare(cfg)
+    modes = _modes(cfg)
     grid = cfg.xi_grid.points(cfg.dimension)
     eps = cfg.epsilons.values()
     truncation_failed = None
@@ -293,8 +302,10 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
 
 
 def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
+    from .fiber import assemble_fiber_matrix, c1_constant, oracle_form_element
     report = RunReport("oracle-check", cfg.digest())
-    params, coeff, constants, modes = _prepare(cfg)
+    params, coeff, constants = _prepare(cfg)
+    modes = _modes(cfg)
     tol = cfg.tolerances.oracle_rel
 
     c0_quad = oracle_c0(params)

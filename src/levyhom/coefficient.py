@@ -31,6 +31,9 @@ DEFAULT_POSITIVITY_GRID = {1: 256, 2: 64, 3: 24}
 # Galerkin truncation defaults per dimension.
 DEFAULT_TRUNCATION = {1: 32, 2: 8, 3: 4}
 
+# floats in one block of the positivity grid's product: 1 MB stays in cache
+GRID_BLOCK_FLOATS = 2**17
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -391,7 +394,10 @@ def _grid_min_max(coeff: PeriodicCoefficient, grid: int) -> tuple[float, float]:
     right = np.concatenate([right.real, right.imag])
     ek = np.concatenate([ek.real, -ek.imag], axis=1)
     lo, hi = np.inf, -np.inf
-    chunk = min(len(ek), max(1, 2**19 // len(ek)))  # rows of a 4 MB float block
+    # rows of a GRID_BLOCK_FLOATS block, and no fewer than `right` has: each
+    # chunk reads its columns of `right` once, and that read should not cost
+    # more than writing the block
+    chunk = min(len(ek), max(len(right), GRID_BLOCK_FLOATS // len(ek)))
     # one block for every chunk: freed blocks of shrinking size stay on the heap
     buf = np.empty((chunk, len(ek)))
     for start in range(0, len(ek), chunk):

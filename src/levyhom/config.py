@@ -7,11 +7,19 @@ exact inputs that produced them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
+
+# CPython's own SHA-256, so the digest does not map OpenSSL's libcrypto
+try:
+    from _sha2 import sha256 as _sha256      # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 import numpy as np
 
@@ -244,4 +252,4 @@ class StudyConfig:
             return cls.from_json(fh.read())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
+        return _sha256(self.to_json().encode()).hexdigest()[:12]

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, CSV artifacts, digests, determinism."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 
 from levyhom import ModelParams, StudyConfig, c1_constant, certify, compute_c0
 from levyhom.cli import main
+from conftest import make_t2, random_band_limited
 
 T2_RECORDS = [
     {"k": [0], "l": [0], "re": 1.0, "im": 0.0},
@@ -48,6 +50,28 @@ def test_config_roundtrip(tmp_path):
     again = StudyConfig.from_json(cfg.to_json())
     assert cfg == again
     assert cfg.digest() == again.digest()
+
+
+def _sha256_digest(cfg):
+    return hashlib.sha256(cfg.to_json().encode()).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("name", ["t1_alpha1", "t2_alpha05", "t2_d2"])
+def test_shipped_config_digest_is_sha256(name):
+    cfg = StudyConfig.load(REPO / "configs" / f"{name}.json")
+    assert cfg.digest() == _sha256_digest(cfg)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("draw", ["t2", "random"])
+def test_built_config_digest_is_sha256(draw, dimension):
+    coeff = (make_t2(dimension) if draw == "t2"
+             else random_band_limited(np.random.default_rng(3), dimension))
+    records = [{"k": list(k), "l": list(l), "re": complex(a).real,
+                "im": complex(a).imag} for (k, l), a in coeff.modes.items()]
+    cfg = StudyConfig.from_dict({"dimension": dimension, "alpha": 0.5,
+                                 "coefficient": records})
+    assert cfg.digest() == _sha256_digest(cfg)
 
 
 def test_config_rejects_unknown_fields(tmp_path):
@@ -247,7 +271,7 @@ def test_form_difference_constant_coefficient(tmp_path, capsys):
 
 def test_form_difference_violation_exits_2(tmp_path, capsys, monkeypatch):
     # a c1 far too small must trip the bound
-    monkeypatch.setattr("levyhom.cli.c1_constant", lambda p: 1e-3 * c1_constant(p))
+    monkeypatch.setattr("levyhom.fiber.c1_constant", lambda p: 1e-3 * c1_constant(p))
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, truncation=2)
     assert main(["oracle-check", "--config", str(cfg_path),

@@ -243,21 +243,43 @@ class TestValidation:
         assert lo == pytest.approx(mu.min(), rel=0.0, abs=1e-14)
         assert hi == pytest.approx(mu.max(), rel=0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("dimension,grid", [(1, 64), (2, 32), (3, 12)],
+                             ids=["d1", "d2", "d3"])
+    @pytest.mark.parametrize("draw", ["t2", "random"])
+    def test_grid_extremes_do_not_depend_on_the_block(self, draw, dimension, grid,
+                                                      monkeypatch):
+        # the fewest rows a block may hold, and the whole grid in one block,
+        # give the default's min and max bit for bit
+        coeff = (make_t2(dimension) if draw == "t2"
+                 else random_band_limited(np.random.default_rng(3), dimension))
+        default = _grid_min_max(coeff, grid)
+        for floats in (1, grid ** (2 * dimension)):
+            monkeypatch.setattr(coefficient, "GRID_BLOCK_FLOATS", floats)
+            assert _grid_min_max(coeff, grid) == default
+
     def test_grid_extremes_in_one_chunk_each_d3(self):
-        # mu = 1 + c (g(x) + g(y)), g(x) = sum_j cos(2 pi x_j), on a 10^3
-        # point grid: two row chunks of 524 and 476.  The max sits only at
-        # x = y = 0 (row 0, first chunk) and the min only at
-        # x = y = (1/2, 1/2, 1/2) (row 555, last chunk), both on the
-        # diagonal, so no chunk and no diagonal block can be skipped
+        # mu = 1 + c (g(x) + g(y)), g(x) = sum_j s(x_j), on a 10^3 point
+        # grid, with s(t) = sum_{n <= 4} sin(2 pi n t) / n odd: on the grid
+        # its max is at t = 0.1 only and its min at t = 0.9 only.  The 1 MB
+        # block holds 131 rows, so 8 row chunks, the last from row 917.  The
+        # max sits only at x = y = (0.1, 0.1, 0.1) (row 111, first chunk)
+        # and the min only at x = y = (0.9, 0.9, 0.9) (row 999, last chunk),
+        # both on the diagonal, so no chunk and no diagonal block can be
+        # skipped
+        assert 111 < coefficient.GRID_BLOCK_FLOATS // 1000 < 1000
         c = 0.05
         modes = {((0, 0, 0), (0, 0, 0)): complex(1.0)}
         for j in range(3):
-            for sign in (1, -1):
-                e = tuple(sign * int(i == j) for i in range(3))
-                modes[(e, (0, 0, 0))] = modes[((0, 0, 0), e)] = complex(c / 2)
+            for n in range(1, 5):
+                e = tuple(n * int(i == j) for i in range(3))
+                ne = tuple(-v for v in e)
+                # sin(2 pi n t) / n = (e^(2 pi i n t) - e^(-2 pi i n t)) / (2 i n)
+                modes[(e, (0, 0, 0))] = modes[((0, 0, 0), e)] = c / (2j * n)
+                modes[(ne, (0, 0, 0))] = modes[((0, 0, 0), ne)] = -c / (2j * n)
+        peak = sum(math.sin(0.2 * math.pi * n) / n for n in range(1, 5))
         lo, hi = _grid_min_max(PeriodicCoefficient(3, modes), 10)
-        assert lo == pytest.approx(1.0 - 6 * c, rel=0.0, abs=1e-14)
-        assert hi == pytest.approx(1.0 + 6 * c, rel=0.0, abs=1e-14)
+        assert lo == pytest.approx(1.0 - 6 * c * peak, rel=0.0, abs=1e-14)
+        assert hi == pytest.approx(1.0 + 6 * c * peak, rel=0.0, abs=1e-14)
 
 
 class TestGapConstants:
