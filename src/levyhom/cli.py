@@ -3,7 +3,8 @@
 Commands: validate, constants, fiber, thresholds, rate-study, oracle-check.
 Exit codes are a stable contract: 0 all checks pass, 1 usage or I/O error,
 2 verification failure.  The only environment knob is LEVYHOM_LOG (log
-verbosity); identical config plus seed gives byte-identical CSV artifacts.
+verbosity); identical config plus seed gives byte-identical CSV artifacts
+for any --workers, at a fixed BLAS thread count (OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations

@@ -162,64 +162,41 @@ def compute_c0(params: ModelParams) -> float:
 def oracle_c0(params: ModelParams) -> float:
     """Quadrature cross-check of :func:`compute_c0`, avoiding Gamma identities.
 
-    Reduces the defining d-dimensional integral of (1 - cos z_1)/|z|^(d+alpha)
-    to a radial one of (1 - w(r)) / r^(1+alpha), w the angular average of
-    cos (cos r, J0(r) and sin(r)/r for d = 1, 2, 3).  Over [0, 1], where
-    1 - w(r) cancels, the integral is summed termwise from w's power series
-    (:func:`_series_core`); beyond, it is integrated numerically, with the
-    far tail of the non-oscillatory part in closed elementary form and, at
-    d = 2, that of J0 from its leading Hankel terms.  The integrals go to
-    QUADPACK's compiled routines (:func:`_quad`); only d = 2 loads
-    scipy.special, for J0.  Raises QuadratureNotConverged when QUADPACK
-    flags an integral.
+    With z' = |z_1| u the defining integral of (1 - cos z_1) / |z|^(d+alpha)
+    over R^d is the line integral of (1 - cos z) / |z|^(1+alpha) times the
+    transverse factor
+
+        T_d = int_{R^(d-1)} (1 + |u|^2)^(-(d+alpha)/2) du
+            = |S^(d-2)| int_0^(pi/2) sin^(d-2) p cos^alpha p dp
+
+    (|u| = tan p; |S^0| = 2, |S^1| = 2 pi, and T_1 = 1).  On the line,
+    [0, 1], where 1 - cos z cancels, is summed termwise from the cosine
+    series (:func:`_series_core`), [1, 50] is integrated numerically and the
+    tails beyond are :func:`_tail_cos`.  The integrals go to QUADPACK's
+    compiled routines (:func:`_quad`).  Raises QuadratureNotConverged when
+    QUADPACK flags an integral.
     """
     d, a = params.dimension, params.alpha
-
-    if d == 1:
-        cut = 50.0
-        core = _series_core(a, lambda j: 1.0 / math.factorial(2 * j))
-        mid = _quad(lambda z: (1.0 - math.cos(z)) / z ** (1 + a), 1.0, cut, limit=400)
-        osc = _quad(lambda z: z ** (-1 - a), cut, np.inf, weight="cos", wvar=1.0)
-        return 2.0 * (core + mid + cut ** (-a) / a - osc)
-
-    if d == 2:
-        from scipy.special import j0 as _bessel_j0
-
-        # angular average of cos(r cos t) over the circle is J0(r)
-        cut = 200.0
-        core = _series_core(a, lambda j: 1.0 / (4 ** j * math.factorial(j) ** 2))
-        f = lambda r: (1.0 - _bessel_j0(r)) / r ** (1 + a)
-        mid = sum(_quad(f, lo, min(lo + 25.0, cut), limit=200)
-                  for lo in np.arange(1.0, cut, 25.0))
-        # beyond the cut, J0(r) = sqrt(2/(pi r)) [cos(r - pi/4) + sin(r - pi/4)/(8r)]
-        # up to Hankel remainders no larger than the first neglected terms
-        # (Watson, Bessel Functions, 7.32), so the tail is off by at most
-        # sqrt(2/pi) [9/128 B^(-5/2-a)/(5/2+a) + 75/1024 B^(-7/2-a)/(7/2+a)]
-        # at B = cut, 2.6e-9 of c0 at a = 0.2.  With cos(r - pi/4) =
-        # (cos r + sin r)/sqrt(2) and sin(r - pi/4) = (sin r - cos r)/sqrt(2)
-        # the two terms are four Fourier integrals of powers of r.
-        lead = [_quad(lambda r, p=p: r ** -p, cut, np.inf, weight=w, wvar=1.0)
-                for p in (1.5 + a, 2.5 + a) for w in ("cos", "sin")]
-        tail_j = (lead[0] + lead[1] + (lead[3] - lead[2]) / 8.0) / math.sqrt(math.pi)
-        return 2.0 * math.pi * (core + mid + cut ** (-a) / a - tail_j)
-
-    # d == 3: angular average of cos(r cos t) over the sphere is sin(r)/r
     cut = 50.0
-    core = _series_core(a, lambda j: 1.0 / math.factorial(2 * j + 1))
-    mid = _quad(lambda r: (1.0 - math.sin(r) / r) / r ** (1 + a), 1.0, cut, limit=800)
-    osc = _quad(lambda r: r ** (-2 - a), cut, np.inf, weight="sin", wvar=1.0)
-    return 4.0 * math.pi * (core + mid + cut ** (-a) / a - osc)
+    mid = _quad(lambda z: (1.0 - math.cos(z)) / z ** (1 + a), 1.0, cut, limit=400)
+    line = 2.0 * (_series_core(a) + mid) + _tail_cos(0.0, cut, a) - _tail_cos(1.0, cut, a)
+    if d == 1:
+        return line
+    sphere = 2.0 if d == 2 else 2.0 * math.pi
+    return line * sphere * _quad(lambda p: math.sin(p) ** (d - 2) * math.cos(p) ** a,
+                                 0.0, 0.5 * math.pi, label="transverse factor")
 
 
-def _series_core(alpha: float, coef) -> float:
-    """Integral over [0, 1] of (1 - w(r)) / r^(1+alpha), where
-    1 - w(r) = sum_{j>=1} (-1)^(j+1) coef(j) r^(2j):
+def _series_core(alpha: float) -> float:
+    """Integral over [0, 1] of (1 - cos z) / z^(1+alpha), termwise from the
+    cosine series:
 
-        sum_{j>=1} (-1)^(j+1) coef(j) / (2j - alpha).
+        sum_{j>=1} (-1)^(j+1) / ((2j)! (2j - alpha)).
 
-    The coefficients fall factorially; twelve terms exhaust double precision.
+    The terms fall factorially; twelve exhaust double precision.
     """
-    return math.fsum((-1) ** (j + 1) * coef(j) / (2 * j - alpha) for j in range(1, 13))
+    return math.fsum((-1) ** (j + 1) / math.factorial(2 * j) / (2 * j - alpha)
+                     for j in range(1, 13))
 
 
 @functools.cache
@@ -303,6 +280,19 @@ def _quad(f, lo: float, hi: float, tol=None, label: str = "quadrature",
                   if ier else f"error estimate {err:.3e} > {limit:.3e}")
         raise QuadratureNotConverged(f"{where}: {reason}")
     return val
+
+
+def _tail_cos(omega: float, z_cut: float, alpha: float) -> float:
+    """Two-sided tail integral of e^{i omega z} |z|^(-1-alpha) beyond z_cut.
+
+    The odd (sine) part cancels over the symmetric tail; the zero-frequency
+    case is an elementary power integral.  Raises QuadratureNotConverged when
+    QUADPACK flags the Fourier integral.
+    """
+    if omega == 0.0:
+        return 2.0 * z_cut ** (-alpha) / alpha
+    return 2.0 * _quad(lambda z: z ** (-1.0 - alpha), z_cut, np.inf, weight="cos",
+                       wvar=abs(omega), label=f"tail quadrature at frequency {omega}")
 
 
 def v_alpha(params: ModelParams, xi) -> float:

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .coefficient import (ModelParams, PeriodicCoefficient, _gamma, _quad,
-                          effective_mu)
+                          _tail_cos, effective_mu)
 from .errors import TruncationTooSmall
 
 
@@ -317,19 +317,6 @@ ORACLE_Z_CUTOFF = 40.0
 ORACLE_REL_TOL = 1e-8
 ORACLE_ABS_TOL = 1e-10
 ORACLE_LIMIT = 400
-
-
-def _tail_cos(omega: float, z_cut: float, alpha: float) -> float:
-    """Two-sided tail integral of e^{i omega z} |z|^(-1-alpha) beyond z_cut.
-
-    The odd (sine) part cancels over the symmetric tail; the zero-frequency
-    case is an elementary power integral.  Raises QuadratureNotConverged when
-    QUADPACK flags the Fourier integral.
-    """
-    if omega == 0.0:
-        return 2.0 * z_cut ** (-alpha) / alpha
-    return 2.0 * _quad(lambda z: z ** (-1.0 - alpha), z_cut, np.inf, weight="cos",
-                       wvar=abs(omega), label=f"tail quadrature at frequency {omega}")
 
 
 def oracle_form_element(

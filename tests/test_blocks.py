@@ -472,12 +472,13 @@ class TestBlockwiseSpectral:
         assert np.trace(proj.projector).real == pytest.approx(2.0, abs=1e-9)
 
 
-def _scipy_modules_after(code):
-    """scipy modules loaded in a fresh interpreter once `code` has run."""
+def _scipy_modules_after(code, roots=("scipy",)):
+    """Modules under `roots` (scipy's by default) loaded in a fresh
+    interpreter once `code` has run."""
     src = os.path.dirname(os.path.dirname(levyhom.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys; " + code + "; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip().splitlines()[-1]
@@ -504,16 +505,19 @@ def test_commands_but_oracle_check_leave_scipy_unloaded(tmp_path):
     assert _scipy_modules_after(code) == "[]"
 
 
-def test_d1_oracle_check_loads_neither_scipy_integrate_nor_special(tmp_path):
+def test_oracle_check_loads_neither_scipy_integrate_nor_special(tmp_path):
     # QUADPACK's extension is loaded by file, without scipy.integrate's
-    # package; at d = 1 nothing needs scipy.special's J0
+    # package, and c0's oracle is the same line integral at every d, so no
+    # dimension needs scipy.special (nor, through it, OpenSSL's _hashlib)
     runs = []
-    for name in ("t1_alpha1", "t2_alpha05"):
+    for name, truncation in (("t1_alpha1", "8"), ("t2_alpha05", "8"), ("t2_d2", "8"),
+                             ("t2_d3", "2")):
         config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                               f"{name}.json")
         runs.append(["oracle-check", "--config", config, "--workers", "1",
-                     "--truncation", "8", "--out", str(tmp_path / name)])
+                     "--truncation", truncation, "--out", str(tmp_path / name)])
     code = ("from levyhom.cli import main; "
             f"assert all(main(argv) == 0 for argv in {runs!r})")
-    loaded = _scipy_modules_after(code)
+    loaded = _scipy_modules_after(code, roots=("scipy", "_hashlib"))
     assert "scipy.integrate" not in loaded and "scipy.special" not in loaded
+    assert "_hashlib" not in loaded

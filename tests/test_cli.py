@@ -420,15 +420,16 @@ def test_rejects_workers_below_one(tmp_path):
 
 
 def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    import concurrent.futures
     import levyhom._util as util
     widths = []
 
-    class Pool(util.ThreadPoolExecutor):
+    class Pool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             widths.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(util, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(util.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0, 3, 5},
                         raising=False)
