@@ -41,18 +41,33 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def parallel_map(fn, items, workers=None):
+# Threads pay only where an item's work is a few LAPACK calls on matrices of
+# at least this order, which release the GIL.  Smaller matrices mean many
+# short GIL-holding numpy calls, where a second thread adds contention and a
+# second item's matrices to peak RSS.  Dense d = 2 rate studies at
+# --workers 1 -> 2 (2-core Xeon, one BLAS thread, medians of 3-5 runs), by
+# largest block: 169 modes 0.23 -> 0.62 s, 289 modes 0.58 -> 0.66 s,
+# 441 modes 1.06 -> 0.80 s, 625 modes 3.15 -> 2.14 s.
+PARALLEL_MIN_ORDER = 256
+
+
+def parallel_map(fn, items, workers=None, *, order):
     """Map preserving input order; results are independent of worker count.
 
     Each item's computation must be self-contained (pure numpy); the only
-    effect of `workers` is wall time.  The default width is the number of
-    CPUs this process may run on (its affinity mask, where the platform has
-    one), not the machine's core count.
+    effect of `workers` is wall time.  `workers` is an upper bound: helper
+    threads start only when `order`, the order of each item's largest
+    dense matrix, is at least PARALLEL_MIN_ORDER; below it the map runs on
+    the calling thread.  Two threads lose to one at 169 modes, tie at 289
+    and win from 441 on (see PARALLEL_MIN_ORDER for the measurement).  The
+    default width is the number of CPUs this process may run on (its
+    affinity mask, where the platform has one), not the machine's core
+    count.
     """
     items = list(items)
     if workers is None:
         workers = available_cpus()
-    if workers <= 1 or len(items) <= 1:
+    if workers <= 1 or len(items) <= 1 or order < PARALLEL_MIN_ORDER:
         return [fn(x) for x in items]
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as ex:

@@ -5,6 +5,9 @@ Exit codes are a stable contract: 0 all checks pass, 1 usage or I/O error,
 2 verification failure.  The only environment knob is LEVYHOM_LOG (log
 verbosity); identical config plus seed gives byte-identical CSV artifacts
 for any --workers, at a fixed BLAS thread count (OPENBLAS_NUM_THREADS).
+--workers is an upper bound on the thread count: a pass runs on threads
+only where each point's largest dense matrix has at least
+_util.PARALLEL_MIN_ORDER (256) rows, and on the calling thread otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import fmt, hermitian_defect, hermitian_norm, parallel_map, write_csv
+from ._util import (PARALLEL_MIN_ORDER, fmt, hermitian_defect, hermitian_norm,
+                    parallel_map, write_csv)
 from .coefficient import (ModelParams, certify, oracle_c0, rate_function,
                           theory_constants)
 from .config import StudyConfig
@@ -177,7 +181,9 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
 
     rows = []
     failure = None
-    for xi, rep in zip(xis, parallel_map(one_report, xis, workers)):
+    # threshold_report eigensolves the dense fiber, of order modes.size
+    reports = parallel_map(one_report, xis, workers, order=modes.size)
+    for xi, rep in zip(xis, reports):
         if isinstance(rep, LevyhomError):
             failure = f"threshold_report failed at |xi|={np.linalg.norm(xi):.3g}: {rep}"
             break
@@ -396,8 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--workers", type=int, default=None,
-                       help="parallel map width (default: all CPUs this "
-                            "process may run on)")
+                       help="upper bound on the parallel map width; threads "
+                            "start only where each point's largest dense "
+                            f"matrix has at least {PARALLEL_MIN_ORDER} rows "
+                            "(default: all CPUs this process may run on)")
         p.add_argument("--truncation", type=int, default=None,
                        help="override the configured truncation")
         if name == "fiber":

@@ -48,7 +48,7 @@ class ModelParams:
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
 
-    @property
+    @functools.cached_property
     def c0(self) -> float:
         """Normalization constant of (-Delta)^(alpha/2); see :func:`compute_c0`."""
         return compute_c0(self)
@@ -239,9 +239,8 @@ def _quadpack(f, lo: float, hi: float, *, points=None, weight=None, wvar=None,
     if points is None:
         return ext._qagse(f, lo, hi, (), 0, epsabs, epsrel, limit)
     # duplicates would force evaluations at the break points
-    inner = np.unique(points)
-    inner = inner[(lo < inner) & (inner < hi)]
-    return ext._qagpe(f, lo, hi, np.concatenate((inner, (0.0, 0.0))), (), 0,
+    inner = [p for p in sorted(set(map(float, points))) if lo < p < hi]
+    return ext._qagpe(f, lo, hi, np.array([*inner, 0.0, 0.0]), (), 0,
                       epsabs, epsrel, limit)
 
 

@@ -20,8 +20,8 @@ from .coefficient import (RATE_TABLE, ModelParams, PeriodicCoefficient,
                           effective_mu, rate_function, rate_profile)
 from .config import _validate_epsilons
 from .errors import DegenerateFit, TruncationUnstable
-from .fiber import (ModeSet, assemble_effective_fiber, assemble_fiber_matrix,
-                    group_blocks)
+from .fiber import (ModeSet, _assembly_plan, assemble_effective_fiber,
+                    assemble_fiber_matrix, group_blocks)
 from .spectral import eig_hermitian
 
 log = logging.getLogger(__name__)
@@ -339,11 +339,14 @@ def _sup_over_points(coeff, params, modes, points, shifts, workers, seeds=()):
     waves depend only on list indices, so the result is
     scheduling-independent.  `certified` counts the `pairs` non-seed
     (point, shift) norms certified below their floor, and `skipped` the
-    points with every norm certified, which needed no eigensolve.
+    points with every norm certified, which needed no eigensolve.  A wave
+    runs on `workers` threads only if the pass's largest fiber block is
+    large enough (see `parallel_map`).
     """
     mu0 = effective_mu(coeff)
-    seeds = np.unique(np.asarray(seeds, dtype=int))
-    rest = np.setdiff1d(np.arange(len(points)), seeds)
+    order = max(idx.shape[1] for idx in _assembly_plan(coeff, modes).blocks)
+    seeds = sorted({int(i) for i in seeds})
+    rest = sorted(set(range(len(points))) - set(seeds))
     # after the seeds, waves of 2, 4, 8, ... points: rest[:2], rest[2:6], ...
     cuts = 2 ** np.arange(2, len(rest).bit_length() + 1) - 2
     waves = [seeds, *np.split(rest, cuts)]
@@ -357,7 +360,8 @@ def _sup_over_points(coeff, params, modes, points, shifts, workers, seeds=()):
 
     for wave in waves:
         floors = values.max(axis=0)     # unsolved rows are 0, norms are >= 0
-        for i, (norms, mask) in zip(wave, parallel_map(per_point, wave, workers)):
+        results = parallel_map(per_point, wave, workers, order=order)
+        for i, (norms, mask) in zip(wave, results):
             values[i], masks[i] = norms, mask
     return (values.max(axis=0), values.argmax(axis=0),
             (int(masks.sum()), len(rest) * len(shifts),

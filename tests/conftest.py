@@ -91,3 +91,11 @@ def params_one():
 @pytest.fixture
 def params_three_halves():
     return ModelParams(1, 1.5)
+
+
+@pytest.fixture
+def threads_at_any_order(monkeypatch):
+    """Let `parallel_map` start threads for matrices of any order, so that a
+    width-independence test on small fibers compares a threaded run."""
+    import levyhom._util
+    monkeypatch.setattr(levyhom._util, "PARALLEL_MIN_ORDER", 1)

@@ -283,7 +283,7 @@ def test_criterion_9_main_rate_study():
     _verdict(9, ok, "; ".join(parts))
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, threads_at_any_order):
     """Worker count does not change a single byte of the rate-study CSV."""
     config = {
         "dimension": 1,

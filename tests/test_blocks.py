@@ -386,7 +386,8 @@ class TestAssemblyPlan:
             assert len(pass_modes._plans) == 1
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_threads_racing_to_build_the_plan(self, workers):
+    def test_threads_racing_to_build_the_plan(self, workers,
+                                              threads_at_any_order):
         # every thread finds no plan on a fresh mode set and builds one
         coeff, params, modes, grid, _ = _study_inputs("dense-d2")
         points = grid[:16]
@@ -398,7 +399,7 @@ class TestAssemblyPlan:
         try:
             racing = parallel_map(
                 lambda xi: assemble_fiber_matrix(coeff, params, fresh, xi).stacks,
-                points, workers=workers)
+                points, workers=workers, order=modes.size)
         finally:
             sys.setswitchinterval(interval)
         for got, want in zip(racing, serial):

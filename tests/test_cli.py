@@ -181,7 +181,7 @@ def test_thresholds_empty_ladder_fails(tmp_path, capsys):
         assert f"slope_{name}: fail [empty ladder" in out
 
 
-def test_rate_study_and_determinism(tmp_path, capsys):
+def test_rate_study_and_determinism(tmp_path, capsys, threads_at_any_order):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -433,13 +433,61 @@ def test_default_workers_follow_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(util.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0, 3, 5},
                         raising=False)
-    assert util.parallel_map(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
+    order = util.PARALLEL_MIN_ORDER
+    assert util.parallel_map(abs, [-1, -2, -3, -4], order=order) == [1, 2, 3, 4]
     assert widths == [3]
     monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {2})
-    assert util.parallel_map(abs, [-1, -2]) == [1, 2]
+    assert util.parallel_map(abs, [-1, -2], order=order) == [1, 2]
     assert widths == [3]                    # one CPU: no pool at all
     monkeypatch.delattr(util.os, "sched_getaffinity")
     assert util.available_cpus() == 64
+
+
+def test_threads_start_only_at_the_minimum_order(monkeypatch):
+    # --workers is an upper bound: below the order the map stays on the
+    # calling thread, whatever the width
+    import concurrent.futures
+    import levyhom._util as util
+    widths = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    order = util.PARALLEL_MIN_ORDER
+    assert util.parallel_map(abs, [-1, -2, -3], 2, order=order - 1) == [1, 2, 3]
+    assert util.parallel_map(abs, [-1, -2, -3], 8, order=1) == [1, 2, 3]
+    assert widths == []
+    assert util.parallel_map(abs, [-1, -2, -3], 2, order=order) == [1, 2, 3]
+    assert widths == [2]
+
+
+def test_commands_pass_the_order_of_their_dense_work(tmp_path, monkeypatch):
+    # thresholds eigensolves the dense fiber (17 modes at N = 8); the rate
+    # study's passes solve t2's even and odd blocks, of 9 modes at N = 8
+    # and 17 at 2N = 16
+    import levyhom._util as util
+    import levyhom.cli
+    import levyhom.homogenization
+    orders = []
+
+    def spy(fn, items, workers=None, *, order):
+        orders.append(order)
+        return util.parallel_map(fn, items, workers, order=order)
+
+    monkeypatch.setattr(levyhom.cli, "parallel_map", spy)
+    monkeypatch.setattr(levyhom.homogenization, "parallel_map", spy)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    assert main(["thresholds", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "t")]) == 0
+    assert orders == [17]
+    orders.clear()
+    assert main(["rate-study", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "r")]) == 0
+    assert set(orders) == {9, 17} and orders == sorted(orders)
 
 
 def test_truncation_override(tmp_path, capsys):
@@ -544,7 +592,8 @@ def test_thresholds_d2(tmp_path, capsys, kind):
 # block-diagonal one
 @pytest.mark.parametrize("kind,truncation,workers",
                          [("blocks", 2, ("1", "2")), ("one-block", 3, ("1",))])
-def test_rate_study_d2(tmp_path, capsys, kind, truncation, workers):
+def test_rate_study_d2(tmp_path, capsys, kind, truncation, workers,
+                       threads_at_any_order):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, dimension=2, truncation=truncation,
                  positivity_grid=64, xi_grid=COARSE_GRID,
@@ -576,7 +625,7 @@ def test_thresholds_d3_smoke(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
-def test_rate_study_d3(tmp_path, capsys):
+def test_rate_study_d3(tmp_path, capsys, threads_at_any_order):
     # the d = 3 smoke coefficient through the whole sweep, N = 2 doubled to 4
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, dimension=3, truncation=2, positivity_grid=16,

@@ -163,7 +163,8 @@ class TestSeededSweep:
         ("t1_alpha1", None, 2), ("t2_alpha05", None, 2), ("t2_d2", None, 1),
         ("dense-d2", None, 2), ("t2_alpha05", 1.5, 2), ("t2_alpha05", 1.9, 2),
         ("random-complex", None, 2)])
-    def test_seeded_sweep_equals_exhaustive(self, name, alpha, passes):
+    def test_seeded_sweep_equals_exhaustive(self, name, alpha, passes,
+                                            threads_at_any_order):
         # the passes of discrepancy_study, seeded as it seeds them, against
         # the same points solved with no floors (every point a seed); at
         # alpha > 1 the argmax moves with eps
@@ -209,7 +210,7 @@ class TestSeededSweep:
 
     @pytest.mark.parametrize("name,alpha", [("t2_alpha05", 1.5),
                                             ("random-complex", None)])
-    def test_sweep_over_any_point_list(self, name, alpha):
+    def test_sweep_over_any_point_list(self, name, alpha, threads_at_any_order):
         # the sweep reads a plain list: shuffled and not mirror-closed, it
         # still gives the max and the first argmax of every point solved
         # with no floors
@@ -391,7 +392,8 @@ class TestDiscrepancyStudy:
         assert res.truncation_stability <= 0.05
         assert res.epsilons[0] > res.epsilons[-1]
 
-    def test_worker_determinism(self, t2, params_half, small_grid):
+    def test_worker_determinism(self, t2, params_half, small_grid,
+                                threads_at_any_order):
         modes = ModeSet(1, 8)
         eps = np.geomspace(1e-1, 1e-3, 8)
         r1 = discrepancy_study(t2, params_half, modes, small_grid, eps, workers=1)

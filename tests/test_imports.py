@@ -83,6 +83,14 @@ def test_fiber_and_oracle_check_add_only_the_fiber_module(tmp_path):
     assert _package(loaded) == BASE | {"levyhom.fiber"}
 
 
+def test_no_command_loads_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (numpy 2.4), 13-15 ms under -X importtime
+    loaded = _after_commands(tmp_path, ("validate", "constants", "fiber",
+                                        "thresholds", "rate-study",
+                                        "oracle-check"))
+    assert "numpy.ma" not in loaded
+
+
 def test_public_names_unchanged():
     # in a fresh interpreter, as the names of an eager import depend on
     # which submodules have been imported before
