@@ -28,10 +28,10 @@ def max_abs(x, axes=(-2, -1)) -> np.ndarray:
 
 
 def hermitian_defect(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max |A - A^H| of a matrix or of each matrix of a stack, and whether
-    it passes: defect <= 1e-12 max(1, max |A_ij|)."""
+    """max |A - A^H| of a matrix or of each matrix of a stack, and its slack
+    1e-12 max(1, max |A_ij|) - defect: a matrix passes where slack >= 0."""
     defect = max_abs(a - a.conj().swapaxes(-1, -2))
-    return defect, defect <= 1e-12 * np.maximum(1.0, max_abs(a))
+    return defect, 1e-12 * np.maximum(1.0, max_abs(a)) - defect
 
 
 def available_cpus() -> int:

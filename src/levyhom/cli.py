@@ -116,7 +116,8 @@ def cmd_validate(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRepo
     report.values.update(_constant_values(constants))
     report.add("mu_eff_within_bounds",
                "pass" if constants.mu_minus <= constants.mu_eff <= constants.mu_plus
-               else "fail")
+               else "fail", margin=min(constants.mu_eff - constants.mu_minus,
+                                       constants.mu_plus - constants.mu_eff))
     return report
 
 
@@ -153,9 +154,9 @@ def cmd_fiber(cfg: StudyConfig, out_dir: str, workers: int | None,
         write_csv(path, header, fiber.entries.astype(complex).view(float),
                   digest=cfg.digest())
         report.artifacts.append(path)
-        herm, hermitian = hermitian_defect(fiber.entries)
-        report.add(f"hermitian_xi{idx}", "pass" if hermitian else "fail",
-                   margin=float(herm))
+        slack = float(hermitian_defect(fiber.entries)[1])
+        report.add(f"hermitian_xi{idx}", "pass" if slack >= 0.0 else "fail",
+                   margin=slack)
     return report
 
 

@@ -164,39 +164,25 @@ def oracle_c0(params: ModelParams) -> float:
 
     With z' = |z_1| u the defining integral of (1 - cos z_1) / |z|^(d+alpha)
     over R^d is the line integral of (1 - cos z) / |z|^(1+alpha) times the
-    transverse factor
-
-        T_d = int_{R^(d-1)} (1 + |u|^2)^(-(d+alpha)/2) du
-            = |S^(d-2)| int_0^(pi/2) sin^(d-2) p cos^alpha p dp
-
-    (|u| = tan p; |S^0| = 2, |S^1| = 2 pi, and T_1 = 1).  On the line,
-    [0, 1], where 1 - cos z cancels, is summed termwise from the cosine
-    series (:func:`_series_core`), [1, 50] is integrated numerically and the
-    tails beyond are :func:`_tail_cos`.  The integrals go to QUADPACK's
-    compiled routines (:func:`_quad`).  Raises QuadratureNotConverged when
-    QUADPACK flags an integral.
+    transverse factor :func:`_transverse_factor`.  That line integral is the
+    unit coefficient's form element (0, 0) at xi = 1, so it is
+    :func:`_form_line_integral` with k = l = m = n = 0.  Raises
+    QuadratureNotConverged when QUADPACK flags an integral or its error
+    estimate is refused.
     """
-    d, a = params.dimension, params.alpha
-    cut = 50.0
-    mid = _quad(lambda z: (1.0 - math.cos(z)) / z ** (1 + a), 1.0, cut, limit=400)
-    line = 2.0 * (_series_core(a) + mid) + _tail_cos(0.0, cut, a) - _tail_cos(1.0, cut, a)
+    return (_form_line_integral(params.alpha, 0, 0, 0, 0, 1.0)
+            * _transverse_factor(params.dimension, params.alpha))
+
+
+def _transverse_factor(d: int, alpha: float) -> float:
+    """T_d = int_{R^(d-1)} (1 + |u|^2)^(-(d+alpha)/2) du
+    = |S^(d-2)| int_0^(pi/2) sin^(d-2) p cos^alpha p dp (|u| = tan p;
+    |S^0| = 2, |S^1| = 2 pi, and T_1 = 1), to the oracle tolerances."""
     if d == 1:
-        return line
+        return 1.0
     sphere = 2.0 if d == 2 else 2.0 * math.pi
-    return line * sphere * _quad(lambda p: math.sin(p) ** (d - 2) * math.cos(p) ** a,
-                                 0.0, 0.5 * math.pi, label="transverse factor")
-
-
-def _series_core(alpha: float) -> float:
-    """Integral over [0, 1] of (1 - cos z) / z^(1+alpha), termwise from the
-    cosine series:
-
-        sum_{j>=1} (-1)^(j+1) / ((2j)! (2j - alpha)).
-
-    The terms fall factorially; twelve exhaust double precision.
-    """
-    return math.fsum((-1) ** (j + 1) / math.factorial(2 * j) / (2 * j - alpha)
-                     for j in range(1, 13))
+    return sphere * _quad(lambda p: math.sin(p) ** (d - 2) * math.cos(p) ** alpha,
+                          0.0, 0.5 * math.pi, tol=_oracle_tol(), label="transverse factor")
 
 
 @functools.cache
@@ -292,6 +278,54 @@ def _tail_cos(omega: float, z_cut: float, alpha: float) -> float:
         return 2.0 * z_cut ** (-alpha) / alpha
     return 2.0 * _quad(lambda z: z ** (-1.0 - alpha), z_cut, np.inf, weight="cos",
                        wvar=abs(omega), label=f"tail quadrature at frequency {omega}")
+
+
+# The quadrature oracles integrate the core [-ORACLE_Z_CUTOFF, ORACLE_Z_CUTOFF]
+# with QUADPACK at 1/16 of these tolerances and this subinterval limit; the
+# tails are semi-analytic.
+ORACLE_Z_CUTOFF = 40.0
+ORACLE_REL_TOL = 1e-8
+ORACLE_ABS_TOL = 1e-10
+ORACLE_LIMIT = 400
+
+
+def _oracle_tol() -> tuple[float, float]:
+    """(epsabs, epsrel) of every oracle pass: 1/16 of the oracle tolerances."""
+    return ORACLE_ABS_TOL / 16.0, ORACLE_REL_TOL / 16.0
+
+
+def _form_line_integral(alpha: float, k: int, l: int, m: int, n: int,
+                        xi: float) -> float:
+    """Line integral of the form element (m, n) for the pair (k, l), d = 1.
+
+    The real part of e^{2 pi i l z} (1 - e^{i a z}) (1 - e^{-i b z})
+    / (2 |z|^(1 + alpha)), with a = 2 pi n + xi and b = 2 pi m + xi, in the
+    half-angle form of 1 - e^{it} = -2i sin(t/2) e^{it/2}:
+
+        2 sin(a z/2) sin(b z/2) cos((2 pi l + (a - b)/2) z) / |z|^(1 + alpha),
+
+    which does not cancel as z -> 0.  The core [-Z, Z] is one QAGP pass;
+    beyond Z the integrand splits into four pure exponentials, whose tails
+    are :func:`_tail_cos`.  Raises QuadratureNotConverged when QUADPACK
+    flags the core or a tail, or the core's error estimate is refused.
+    """
+    z_cut = ORACLE_Z_CUTOFF
+    a_half = 0.5 * (2.0 * math.pi * n + xi)
+    b_half = 0.5 * (2.0 * math.pi * m + xi)
+    carrier = 2.0 * math.pi * l + a_half - b_half
+
+    def integrand(z):
+        return (2.0 * math.sin(a_half * z) * math.sin(b_half * z)
+                * math.cos(carrier * z) / abs(z) ** (1.0 + alpha))
+
+    core = _quad(integrand, -z_cut, z_cut, points=[0.0], limit=ORACLE_LIMIT,
+                 tol=_oracle_tol(), label=f"core quadrature for entry ({m},{n})")
+
+    freqs = (2.0 * math.pi * l, 2.0 * math.pi * (l + n) + xi,
+             2.0 * math.pi * (l - m) - xi, -2.0 * math.pi * k)
+    signs = (1.0, -1.0, -1.0, 1.0)
+    tail = sum(s * _tail_cos(w, z_cut, alpha) for w, s in zip(freqs, signs))
+    return core + 0.5 * tail
 
 
 def v_alpha(params: ModelParams, xi) -> float:

@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficient import (ModelParams, PeriodicCoefficient, _gamma, _quad,
-                          _tail_cos, effective_mu)
+from .coefficient import (ModelParams, PeriodicCoefficient, _form_line_integral,
+                          _gamma, effective_mu)
 from .errors import TruncationTooSmall
 
 
@@ -310,15 +310,6 @@ def rho_and_rho_star(
 # Quadrature oracle (d = 1)
 # ----------------------------------------------------------------------
 
-# The oracle integrates the core [-ORACLE_Z_CUTOFF, ORACLE_Z_CUTOFF] with QUADPACK
-# at 1/16 of these tolerances and this subinterval limit; the tails are
-# semi-analytic.
-ORACLE_Z_CUTOFF = 40.0
-ORACLE_REL_TOL = 1e-8
-ORACLE_ABS_TOL = 1e-10
-ORACLE_LIMIT = 400
-
-
 def oracle_form_element(
     coeff: PeriodicCoefficient,
     params: ModelParams,
@@ -335,47 +326,17 @@ def oracle_form_element(
 
     which is O(|z|^(1-alpha)) at the origin (absolutely integrable) and
     O(|z|^(-1-alpha)) at infinity.  Its frequencies are real, so its
-    imaginary part is odd in z and integrates to zero: only the real part is
-    integrated, in the half-angle form of 1 - e^{it} = -2i sin(t/2) e^{it/2},
-
-        2 sin(a z/2) sin(b z/2) cos((2 pi l + (a - b)/2) z) / |z|^(1 + alpha),
-
-    with a = 2 pi n + xi and b = 2 pi m + xi, which does not cancel as
-    z -> 0.  The core [-Z, Z] is integrated directly; beyond Z the integrand
-    splits into four pure exponentials whose tails are either elementary
-    (zero frequency) or oscillatory integrals evaluated by the QUADPACK
-    Fourier rule.  Raises QuadratureNotConverged when QUADPACK flags a core or
-    tail integral, or when a core error estimate exceeds 1/16 of the oracle
-    tolerance.
+    imaginary part is odd in z and integrates to zero.  Each pair's real
+    part is :func:`coefficient._form_line_integral`, which
+    :func:`coefficient.oracle_c0` shares; it raises QuadratureNotConverged.
     """
     if params.dimension != 1:
         raise ValueError("the form-element oracle is defined for d = 1 only")
-    alpha = params.alpha
-    xi = float(xi)
-    z_cut = ORACLE_Z_CUTOFF
-
-    a_half = 0.5 * (2.0 * math.pi * n + xi)
-    b_half = 0.5 * (2.0 * math.pi * m + xi)
-
     total = 0.0 + 0.0j
     for (k, l), amp in sorted(coeff.modes.items()):
         if k[0] + l[0] != m - n:
             continue
-        carrier = 2.0 * math.pi * l[0] + a_half - b_half
-
-        def integrand(z):
-            return (2.0 * math.sin(a_half * z) * math.sin(b_half * z)
-                    * math.cos(carrier * z) / abs(z) ** (1.0 + alpha))
-
-        core = _quad(integrand, -z_cut, z_cut, points=[0.0], limit=ORACLE_LIMIT,
-                     tol=(ORACLE_ABS_TOL / 16.0, ORACLE_REL_TOL / 16.0),
-                     label=f"core quadrature for entry ({m},{n})")
-
-        freqs = (2.0 * math.pi * l[0], 2.0 * math.pi * (l[0] + n) + xi,
-                 2.0 * math.pi * (l[0] - m) - xi, -2.0 * math.pi * k[0])
-        signs = (1.0, -1.0, -1.0, 1.0)
-        tail = sum(s * _tail_cos(w, z_cut, alpha) for w, s in zip(freqs, signs))
-        total += amp * (core + 0.5 * tail)
+        total += amp * _form_line_integral(params.alpha, k[0], l[0], m, n, float(xi))
 
     return total
 

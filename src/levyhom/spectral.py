@@ -50,8 +50,8 @@ def eig_hermitian(matrix: np.ndarray) -> SpectralData:
     LAPACK failures surface as ConvergenceFailure.
     """
     a = np.asarray(matrix)
-    herm_defect, hermitian = hermitian_defect(a)
-    if not np.all(hermitian):
+    herm_defect, slack = hermitian_defect(a)
+    if not np.all(slack >= 0.0):
         raise ValueError(f"matrix is not Hermitian: defect {np.max(herm_defect):.3e}")
     try:
         lam, vec = np.linalg.eigh(a)

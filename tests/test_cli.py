@@ -149,6 +149,31 @@ def test_fiber_export(tmp_path):
     assert all(row[1::2] == [0.0] * 17 for row in rows)
 
 
+def test_margins_are_slack(tmp_path, capsys):
+    # a margin is the distance from failing: mu_eff's to the nearer bound,
+    # and the Hermitian rule's bound less the defect, which at xi = 0 (T2's
+    # fiber is exactly symmetric there) is all of the bound
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, truncation=4)
+    cfg = StudyConfig.load(cfg_path)
+    coeff = certify(cfg.build_coefficient(), cfg.resolved_positivity_grid)
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    verdict = _report_checks(capsys)["mu_eff_within_bounds"]
+    assert verdict == (f"pass margin="
+                       f"{min(1.0 - coeff.mu_minus, coeff.mu_plus - 1.0)!r}")
+    out_dir = tmp_path / "art"
+    assert main(["fiber", "--config", str(cfg_path), "--out", str(out_dir),
+                 "--xi", "0", "0.5"]) == 0
+    checks = _report_checks(capsys)
+    for idx in (1, 0):
+        rows = (out_dir / f"fiber_{idx}.csv").read_text().splitlines()[2:]
+        a = np.array([[float(c) for c in row.split(",")] for row in rows]).view(complex)
+        bound = 1e-12 * max(1.0, float(np.abs(a).max()))
+        slack = bound - float(np.abs(a - a.conj().T).max())
+        assert checks[f"hermitian_xi{idx}"] == f"pass margin={slack!r}"
+    assert slack == bound
+
+
 def test_thresholds(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, xi_grid={"points_per_dim": 4, "radial_min_exp": -3.0,
@@ -230,8 +255,8 @@ def test_oracle_check(tmp_path, capsys):
     assert "form_difference: pass" in out
 
 
-def _oracle_checks(capsys):
-    """Verdict name -> the rest of its line, from oracle-check's report."""
+def _report_checks(capsys):
+    """Verdict name -> the rest of its line, from a command's report."""
     return dict(line.strip().split(": ", 1)
                 for line in capsys.readouterr().out.splitlines()
                 if line.startswith("  ") and ": " in line)
@@ -244,7 +269,7 @@ def test_form_difference_skips_at_alpha_ge_1(tmp_path, capsys, alpha):
     write_config(cfg_path, alpha=alpha, truncation=2)
     assert main(["oracle-check", "--config", str(cfg_path),
                  "--out", str(tmp_path / "art")]) == 0
-    assert _oracle_checks(capsys)["form_difference"].startswith("skip")
+    assert _report_checks(capsys)["form_difference"].startswith("skip")
 
 
 def test_form_difference_constant_coefficient(tmp_path, capsys):
@@ -255,7 +280,7 @@ def test_form_difference_constant_coefficient(tmp_path, capsys):
                  coefficient=[{"k": [0], "l": [0], "re": 1.0, "im": 0.0}])
     assert main(["oracle-check", "--config", str(cfg_path),
                  "--out", str(tmp_path / "art")]) == 0
-    verdict = _oracle_checks(capsys)["form_difference"]
+    verdict = _report_checks(capsys)["form_difference"]
     cfg = StudyConfig.load(cfg_path)
     a = cfg.alpha
     params = ModelParams(1, a)
@@ -276,7 +301,7 @@ def test_form_difference_violation_exits_2(tmp_path, capsys, monkeypatch):
     write_config(cfg_path, truncation=2)
     assert main(["oracle-check", "--config", str(cfg_path),
                  "--out", str(tmp_path / "art")]) == 2
-    checks = _oracle_checks(capsys)
+    checks = _report_checks(capsys)
     assert checks["form_difference"].startswith("fail margin=-")
     assert checks["form_elements"].startswith("pass")
 
@@ -652,7 +677,7 @@ def test_oracle_check_beyond_d1(tmp_path, capsys, dimension):
     out_dir = tmp_path / "art"
     assert main(["oracle-check", "--config", str(cfg_path),
                  "--out", str(out_dir)]) == 0
-    checks = _oracle_checks(capsys)
+    checks = _report_checks(capsys)
     assert checks["c0_quadrature"].startswith("pass")
     assert checks["form_elements"].startswith("skip")
     assert checks["form_difference"].startswith("pass")

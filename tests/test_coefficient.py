@@ -9,10 +9,10 @@ from scipy.special import gamma as scipy_gamma
 from levyhom import (ModelParams, PeriodicCoefficient, PositivityUncertified,
                      QuadratureNotConverged, SymmetryViolation, certify, compute_c0,
                      constant_coefficient, effective_mu, oracle_c0,
-                     rate_function, theory_constants, v_alpha)
+                     oracle_form_element, rate_function, theory_constants, v_alpha)
 from levyhom import coefficient
-from levyhom.coefficient import _gamma, _grid_min_max, _quad, _quadpack
-from levyhom.fiber import ORACLE_ABS_TOL, ORACLE_LIMIT, ORACLE_REL_TOL
+from levyhom.coefficient import (ORACLE_ABS_TOL, ORACLE_LIMIT, ORACLE_REL_TOL, _gamma,
+                                 _grid_min_max, _quad, _quadpack)
 from conftest import make_t1, make_t2, random_band_limited
 
 
@@ -32,8 +32,8 @@ class TestC0:
         assert c_hotter / c_hot == pytest.approx(10.0, rel=0.05)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    # near alpha = 2 the series core keeps QUADPACK from flagging roundoff,
-    # which the warnings-as-errors setting would turn into a failure
+    # the line integral's QAGP core stays unflagged up to alpha = 1.99904
+    # and reports divergence (ier = 5) above it, in every dimension
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9, 1.99])
     def test_quadrature_cross_check(self, d, alpha):
         params = ModelParams(d, alpha)
@@ -50,10 +50,21 @@ class TestC0:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_alpha_sweep_to_the_gamma_value(self, d):
         # the line integral times the transverse factor; over 80 alphas the
-        # worst relative error was 4.5e-11, 8.5e-11 and 1.3e-10 at d = 1, 2, 3
+        # worst relative error was 4.7e-11 at d = 1, 2 and 3 alike
         for alpha in np.linspace(0.01, 1.999, 20):
             params = ModelParams(d, float(alpha))
             assert oracle_c0(params) == pytest.approx(compute_c0(params), rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.9, 1.999])
+    def test_line_integral_is_the_unit_form_element(self, alpha):
+        # c0's line integral is the unit coefficient's form element (0, 0) at
+        # xi = 1, bit for bit; d = 2 and 3 multiply it by the transverse factor
+        unit = constant_coefficient(1)
+        line = oracle_form_element(unit, ModelParams(1, alpha), 0, 0, 1.0).real
+        assert oracle_c0(ModelParams(1, alpha)) == line
+        for d in (2, 3):
+            assert (oracle_c0(ModelParams(d, alpha))
+                    == line * coefficient._transverse_factor(d, alpha))
 
     def test_quadpack_flag_raises(self, monkeypatch):
         def flagged(*args, **kwargs):

@@ -155,8 +155,7 @@ SAMPLE_Z = [float(z) for z in np.concatenate([np.geomspace(1e-12, 40.0, 400),
 @pytest.fixture
 def quad_spy(monkeypatch):
     """Record the keywords of every QUADPACK call, and a core integrand's
-    values at SAMPLE_Z, taken at call time: the integrands close over loop
-    variables."""
+    values at SAMPLE_Z, taken at call time."""
     import levyhom.coefficient as coefficient
     calls = []
     real_quadpack = coefficient._quadpack
@@ -229,15 +228,15 @@ class TestOracle:
                 assert oracle_form_element(coeff, params_three_halves, m, n, 0.3).imag == 0.0
 
     def test_not_converged_raises(self, t2, params_one, monkeypatch):
-        import levyhom.fiber as fiber
-        monkeypatch.setattr(fiber, "ORACLE_REL_TOL", 1e-300)
-        monkeypatch.setattr(fiber, "ORACLE_ABS_TOL", 1e-300)
+        import levyhom.coefficient as coefficient
+        monkeypatch.setattr(coefficient, "ORACLE_REL_TOL", 1e-300)
+        monkeypatch.setattr(coefficient, "ORACLE_ABS_TOL", 1e-300)
         with pytest.raises(QuadratureNotConverged):
             oracle_form_element(t2, params_one, 1, -1, 1.0)
 
     def test_starved_limit_raises(self, t2, params_one, monkeypatch):
-        import levyhom.fiber as fiber
-        monkeypatch.setattr(fiber, "ORACLE_LIMIT", 2)
+        import levyhom.coefficient as coefficient
+        monkeypatch.setattr(coefficient, "ORACLE_LIMIT", 2)
         with pytest.raises(QuadratureNotConverged):
             oracle_form_element(t2, params_one, 1, -1, 1.0)
 
