@@ -2,9 +2,13 @@
 
 Commands: validate, constants, fiber, thresholds, rate-study, oracle-check.
 Exit codes are a stable contract: 0 all checks pass, 1 usage or I/O error,
-2 verification failure.  The only environment knob is LEVYHOM_LOG (log
-verbosity); identical config plus seed gives byte-identical CSV artifacts
-for any --workers, at a fixed BLAS thread count (OPENBLAS_NUM_THREADS).
+2 verification failure.  Every numeric verdict goes through RunReport.check:
+its `margin=` is its slack, the distance from the check's limit with the
+check's own tolerance included, and the line passes exactly where that is
+>= 0.  A line without a margin is a structural verdict.  The only
+environment knob is LEVYHOM_LOG (log verbosity); identical config plus seed
+gives byte-identical CSV artifacts for any --workers, at a fixed BLAS
+thread count (OPENBLAS_NUM_THREADS).
 --workers is an upper bound on the thread count: a pass runs on threads
 only where each point's largest dense matrix has at least
 _util.PARALLEL_MIN_ORDER (256) rows, and on the calling thread otherwise.
@@ -52,8 +56,15 @@ class RunReport:
     artifacts: list = field(default_factory=list)
     values: dict = field(default_factory=dict)
 
-    def add(self, name, status, margin=None, detail=""):
-        self.checks.append(CheckVerdict(name, status, margin, detail))
+    def add(self, name, status, detail=""):
+        """A verdict with no number: structure, a skip, or a failure to compute."""
+        self.checks.append(CheckVerdict(name, status, detail=detail))
+
+    def check(self, name, slack, detail=""):
+        """The one numeric verdict rule: pass where slack >= 0, so NaN fails."""
+        slack = float(slack)
+        self.checks.append(CheckVerdict(name, "pass" if slack >= 0.0 else "fail",
+                                        slack, detail))
 
     @property
     def passed(self) -> bool:
@@ -103,21 +114,17 @@ def _constant_values(constants) -> dict:
 
 def cmd_validate(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
     report = RunReport("validate", cfg.digest())
-    params = ModelParams(cfg.dimension, cfg.alpha)
     try:
-        coeff = certify(cfg.build_coefficient(), cfg.resolved_positivity_grid)
+        _, coeff, constants = _prepare(cfg)
     except LevyhomError as exc:
         report.add("symmetry+positivity", "fail", detail=str(exc))
         return report
     report.add("symmetry", "pass")
-    report.add("positivity", "pass", margin=coeff.mu_minus,
-               detail=f"certified mu_minus={coeff.mu_minus:.6g}")
-    constants = theory_constants(params, coeff)
+    report.check("positivity", coeff.mu_minus,
+                 detail=f"certified mu_minus={coeff.mu_minus:.6g}")
     report.values.update(_constant_values(constants))
-    report.add("mu_eff_within_bounds",
-               "pass" if constants.mu_minus <= constants.mu_eff <= constants.mu_plus
-               else "fail", margin=min(constants.mu_eff - constants.mu_minus,
-                                       constants.mu_plus - constants.mu_eff))
+    report.check("mu_eff_within_bounds", min(constants.mu_eff - constants.mu_minus,
+                                             constants.mu_plus - constants.mu_eff))
     return report
 
 
@@ -129,8 +136,7 @@ def cmd_constants(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRep
         "theta(1/e)": float(rate_function(params.alpha, "theta", math.exp(-1.0))),
         "theta(1)": float(rate_function(params.alpha, "theta", 1.0)),
     })
-    report.add("delta0_below_pi", "pass" if constants.delta0 < math.pi else "fail",
-               margin=math.pi - constants.delta0)
+    report.check("delta0_below_pi", math.pi - constants.delta0)
     return report
 
 
@@ -154,9 +160,7 @@ def cmd_fiber(cfg: StudyConfig, out_dir: str, workers: int | None,
         write_csv(path, header, fiber.entries.astype(complex).view(float),
                   digest=cfg.digest())
         report.artifacts.append(path)
-        slack = float(hermitian_defect(fiber.entries)[1])
-        report.add(f"hermitian_xi{idx}", "pass" if slack >= 0.0 else "fail",
-                   margin=slack)
+        report.check(f"hermitian_xi{idx}", hermitian_defect(fiber.entries)[1])
     return report
 
 
@@ -180,67 +184,69 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
         except LevyhomError as exc:
             return exc
 
-    rows = []
+    reps = []
     failure = None
     # threshold_report eigensolves the dense fiber, of order modes.size
-    reports = parallel_map(one_report, xis, workers, order=modes.size)
-    for xi, rep in zip(xis, reports):
+    for xi, rep in zip(xis, parallel_map(one_report, xis, workers, order=modes.size)):
         if isinstance(rep, LevyhomError):
             failure = f"threshold_report failed at |xi|={np.linalg.norm(xi):.3g}: {rep}"
             break
-        rows.append(
-            [float(v) for v in rep.xi] + [rep.xi_norm, rep.lambda1, rep.lambda2,
-                                          rep.f_minus_p_norm, rep.phi_norm,
-                                          rep.af_minus_effective_norm, rep.rho,
-                                          rep.rho_star]
-        )
+        reps.append(rep)
 
     os.makedirs(out_dir, exist_ok=True)
-    header = [f"xi_{j + 1}" for j in range(d)] + [
-        "xi_norm", "lambda1", "lambda2", "f_minus_p", "phi_norm",
-        "af_minus_eff", "rho", "rho_star"]
+    # CSV column -> ThresholdReport field, after the xi_j columns
+    columns = {"xi_norm": "xi_norm", "lambda1": "lambda1", "lambda2": "lambda2",
+               "f_minus_p": "f_minus_p_norm", "phi_norm": "phi_norm",
+               "af_minus_eff": "af_minus_effective_norm", "rho": "rho",
+               "rho_star": "rho_star"}
+    rows = [[float(v) for v in rep.xi] + [getattr(rep, f) for f in columns.values()]
+            for rep in reps]
     path = os.path.join(out_dir, "thresholds.csv")
-    write_csv(path, header, rows, digest=cfg.digest())
+    write_csv(path, [f"xi_{j + 1}" for j in range(d)] + list(columns), rows,
+              digest=cfg.digest())
     report.artifacts.append(path)
     if failure is not None:
         report.add("threshold_rows", "fail", detail=failure)
         return report
-    report.add("threshold_rows", "pass", detail=f"{len(rows)} quasimomenta")
+    report.add("threshold_rows", "pass", detail=f"{len(reps)} quasimomenta")
 
-    arr = np.array(rows)
-    norms = arr[:, d]
-    ladder = norms > 0.0
-    lam1, lam2 = arr[:, d + 1], arr[:, d + 2]
+    mismatch = max(rep.projector_mismatch for rep in reps)
+    report.check("projector_routes", cfg.tolerances.projector_abs - mismatch,
+                 detail=f"max ||F_riesz - F_eig|| = {mismatch:.3e}")
+    report.check("lambda2_gap", min(rep.lambda2 for rep in reps) - constants.d0 + 1e-10)
+    # reps[0] is the origin, where both eigenvalue bounds are 0
+    report.check("lambda1_at_zero", 1e-10 - abs(reps[0].lambda1))
+    ladder = reps[1:]
+    slopes = {"f_minus_p": ("theta", "f_minus_p_norm"), "phi": ("phi", "phi_norm"),
+              "rho_star": ("rho_star", "rho_star")}
+    if not ladder:
+        for name in ["lambda1_bounds", *(f"slope_{q}" for q in slopes)]:
+            report.add(name, "fail", detail=f"empty ladder: no xi_grid radius in "
+                                            f"(0, delta0={constants.delta0:.6g}]")
+        return report
+
+    def field(name):
+        return np.array([getattr(rep, name) for rep in ladder])
+
+    norms, lam1 = field("xi_norm"), field("lambda1")
     lower = constants.mu_minus * constants.c0 * norms ** params.alpha
     upper = constants.mu_plus * constants.c0 * norms ** params.alpha
-    ok1 = bool(np.all(lam1 >= lower - 1e-10) and np.all(lam1 <= upper + 1e-10))
-    report.add("lambda1_bounds", "pass" if ok1 else "fail")
-    ok2 = bool(np.all(lam2 >= constants.d0 - 1e-10))
-    report.add("lambda2_gap", "pass" if ok2 else "fail",
-               margin=float(np.min(lam2) - constants.d0))
+    report.check("lambda1_bounds",
+                 min(np.min(lam1 - lower), np.min(upper - lam1)) + 1e-10)
 
-    quantities = {"f_minus_p": ("theta", arr[:, d + 3]),
-                  "phi": ("phi", arr[:, d + 4]),
-                  "rho_star": ("rho_star", np.abs(arr[:, d + 7]))}
-    for name, (quantity, vals) in quantities.items():
-        r, v = norms[ladder], vals[ladder]
-        if r.size == 0:
-            report.add(f"slope_{name}", "fail",
-                       detail=f"empty ladder: no xi_grid radius in "
-                              f"(0, delta0={constants.delta0:.6g}]")
-            continue
-        if np.all(v <= 1e-12):
+    for name, (quantity, attr) in slopes.items():
+        vals = np.abs(field(attr))
+        if np.all(vals <= 1e-12):
             report.add(f"slope_{name}", "pass", detail="identically zero")
             continue
         try:
-            slope, floor = slope_check(r, v, params.alpha, quantity,
+            slope, floor = slope_check(norms, vals, params.alpha, quantity,
                                        cfg.tolerances.slope_margin)
         except LevyhomError as exc:
             report.add(f"slope_{name}", "fail", detail=str(exc))
             continue
-        status = "pass" if slope >= floor else "fail"
-        report.add(f"slope_{name}", status, margin=slope - floor,
-                   detail=f"slope={slope:.3f} floor={floor:.3f}")
+        report.check(f"slope_{name}", slope - floor,
+                     detail=f"slope={slope:.3f} floor={floor:.3f}")
     return report
 
 
@@ -251,12 +257,10 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
     modes = _modes(cfg)
     grid = cfg.xi_grid.points(cfg.dimension)
     eps = cfg.epsilons.values()
-    truncation_failed = None
     try:
         result = discrepancy_study(coeff, params, modes, grid, eps, workers=workers)
     except TruncationUnstable as exc:
-        result = exc.result
-        truncation_failed = str(exc)
+        result = exc.result   # the verdict below is its truncation_stability slack
 
     os.makedirs(out_dir, exist_ok=True)
     bounds = rate_function(params.alpha, "discrepancy", result.epsilons)
@@ -281,14 +285,8 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
               f"norms certified below the running max: {cert} of {pairs} at N, "
               f"{cert_d} of {pairs_d} at 2N; solved points with no "
               f"eigensolve: {skip} at N, {skip_d} at 2N")
-    if truncation_failed:
-        report.add("truncation_stability", "fail",
-                   detail=f"{truncation_failed}; {solved}")
-    else:
-        report.add("truncation_stability", "pass",
-                   margin=0.05 - result.truncation_stability,
-                   detail=f"{result.truncation_stability:.2%} under N doubling; "
-                          f"{solved}")
+    report.check("truncation_stability", 0.05 - result.truncation_stability,
+                 detail=f"{result.truncation_stability:.2%} under N doubling; {solved}")
 
     if result.exact:
         report.add("slope", "pass", detail="discrepancy identically zero (exact)")
@@ -299,13 +297,12 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
                                params.alpha, "discrepancy",
                                cfg.tolerances.slope_margin)
     kind = "log-corrected " if result.log_corrected_slope is not None else ""
-    report.add("slope", "pass" if slope >= floor else "fail", margin=slope - floor,
-               detail=f"{kind}slope={slope:.3f} floor={floor:.3f}")
+    report.check("slope", slope - floor,
+                 detail=f"{kind}slope={slope:.3f} floor={floor:.3f}")
 
     ratios = result.bound_ratios[result.bound_ratios > 0]
     spread = float(ratios.max() / ratios.min()) if ratios.size else 1.0
-    report.add("bound_ratio", "pass" if spread <= 10.0 else "fail",
-               margin=10.0 - spread, detail=f"max/min={spread:.3f}")
+    report.check("bound_ratio", 10.0 - spread, detail=f"max/min={spread:.3f}")
     return report
 
 
@@ -318,9 +315,8 @@ def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> Run
 
     c0_quad = oracle_c0(params)
     rel_c0 = abs(c0_quad - constants.c0) / constants.c0
-    report.add("c0_quadrature", "pass" if rel_c0 <= tol else "fail",
-               margin=tol - rel_c0,
-               detail=f"gamma={constants.c0:.9g} quad={c0_quad:.9g}")
+    report.check("c0_quadrature", tol - rel_c0,
+                 detail=f"gamma={constants.c0:.9g} quad={c0_quad:.9g}")
 
     rows = []
     if cfg.dimension == 1:
@@ -338,8 +334,7 @@ def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> Run
                     worst = max(worst, rel)
                     rows.append([m, n, xi, params.alpha, closed.real, closed.imag,
                                  orc.real, orc.imag, rel])
-        report.add("form_elements", "pass" if worst <= tol else "fail",
-                   margin=tol - worst, detail=f"worst rel err {worst:.3e}")
+        report.check("form_elements", tol - worst, detail=f"worst rel err {worst:.3e}")
     else:
         report.add("form_elements", "skip", detail="the oracle is defined for d = 1")
     os.makedirs(out_dir, exist_ok=True)
@@ -363,9 +358,8 @@ def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> Run
         stacks = assemble_fiber_matrix(coeff, params, modes, r * direction).stacks
         lhs = max(hermitian_norm(a - b) for a, b in zip(stacks, zero))
         ratio = max(ratio, lhs / (coeff.mu_plus * c1 * r ** params.alpha))
-    report.add("form_difference", "pass" if ratio <= 1.0 + 1e-9 else "fail",
-               margin=1.0 - ratio,
-               detail=f"worst ||A(xi)-A(0)|| / (mu+ c1 |xi|^a) = {ratio:.6g} "
+    report.check("form_difference", 1.0 + 1e-9 - ratio,
+                 detail=f"worst ||A(xi)-A(0)|| / (mu+ c1 |xi|^a) = {ratio:.6g} "
                       f"over {len(radii)} radii")
     return report
 

@@ -213,6 +213,7 @@ class ThresholdReport:
     af_minus_effective_norm: float
     rho: float
     rho_star: float
+    projector_mismatch: float   # ||F_riesz - F_eig||, at most projector_tol
 
 
 def threshold_report(
@@ -254,15 +255,17 @@ def threshold_report(
             f"> {projector_tol:.1e}"
         )
 
-    size = modes.size
-    proj_const = np.zeros((size, size), dtype=complex)
-    proj_const[modes.zero_index, modes.zero_index] = 1.0
-
+    # the zero mode's projector P0 is one diagonal entry: subtract it there
+    z = modes.zero_index
     rho, rho_star = rho_and_rho_star(coeff, params, xi)
     af = lam[0] * f_eig
-    f_minus_p = hermitian_norm(f_eig - proj_const)
-    phi_norm = hermitian_norm(af - rho * proj_const)
-    af_eff = hermitian_norm(af - constants.mu_eff * v_alpha(params, xi) * proj_const)
+    corner = af[z, z]
+    f_eig[z, z] -= 1.0
+    f_minus_p = hermitian_norm(f_eig)
+    af[z, z] = corner - rho
+    phi_norm = hermitian_norm(af)
+    af[z, z] = corner - constants.mu_eff * v_alpha(params, xi)
+    af_eff = hermitian_norm(af)
 
     return ThresholdReport(
         xi=xi,
@@ -274,4 +277,5 @@ def threshold_report(
         af_minus_effective_norm=af_eff,
         rho=rho,
         rho_star=rho_star,
+        projector_mismatch=mismatch,
     )

@@ -9,8 +9,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from levyhom import ModelParams, StudyConfig, c1_constant, certify, compute_c0
-from levyhom.cli import main
+from levyhom import (ModelParams, StudyConfig, c1_constant, certify, compute_c0,
+                     theory_constants)
+from levyhom.cli import COMMANDS, main
 from conftest import make_t2, random_band_limited
 
 T2_RECORDS = [
@@ -202,8 +203,8 @@ def test_thresholds_empty_ladder_fails(tmp_path, capsys):
     assert main(["thresholds", "--config", str(cfg_path),
                  "--out", str(out_dir)]) == 2
     out = capsys.readouterr().out
-    for name in ("f_minus_p", "phi", "rho_star"):
-        assert f"slope_{name}: fail [empty ladder" in out
+    for name in ("lambda1_bounds", "slope_f_minus_p", "slope_phi", "slope_rho_star"):
+        assert f"{name}: fail [empty ladder" in out
 
 
 def test_rate_study_and_determinism(tmp_path, capsys, threads_at_any_order):
@@ -262,6 +263,28 @@ def _report_checks(capsys):
                 if line.startswith("  ") and ": " in line)
 
 
+# the verdicts that compare a number with a limit, and print it as margin=
+# wherever the number exists (not on a skip or an empty ladder); the others
+# (symmetry, threshold_rows, identically zero or exact fits) are structural
+NUMERIC_VERDICTS = {"positivity", "mu_eff_within_bounds", "delta0_below_pi",
+                    "projector_routes", "lambda1_at_zero", "lambda1_bounds",
+                    "lambda2_gap", "truncation_stability", "bound_ratio",
+                    "c0_quadrature", "form_elements", "form_difference"}
+
+
+def _assert_margins_are_slack(checks):
+    """pass <=> margin >= 0 on every line with a margin, from _report_checks."""
+    assert checks
+    for name, rest in checks.items():
+        status = rest.split(" ", 1)[0]
+        if not rest.startswith(f"{status} margin="):
+            assert status == "skip" or name not in NUMERIC_VERDICTS, (name, rest)
+            assert not name.startswith("hermitian_xi"), (name, rest)
+            continue
+        margin = float(rest.split("margin=", 1)[1].split()[0])
+        assert (status == "pass") == (margin >= 0.0), (name, rest)
+
+
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_form_difference_skips_at_alpha_ge_1(tmp_path, capsys, alpha):
     # the norm bound mu+ c1 |xi|^a is an alpha < 1 statement
@@ -291,7 +314,8 @@ def test_form_difference_constant_coefficient(tmp_path, capsys):
                 for r in cfg.xi_grid.radii())
     assert verdict.startswith("pass margin=")
     margin = float(verdict.split("margin=")[1].split()[0])
-    assert margin == pytest.approx(1.0 - ratio, rel=1e-10)
+    # the slack of the check ratio <= 1 + 1e-9, its rounding allowance
+    assert margin == pytest.approx(1.0 + 1e-9 - ratio, rel=1e-10)
 
 
 def test_form_difference_violation_exits_2(tmp_path, capsys, monkeypatch):
@@ -304,6 +328,83 @@ def test_form_difference_violation_exits_2(tmp_path, capsys, monkeypatch):
     checks = _report_checks(capsys)
     assert checks["form_difference"].startswith("fail margin=-")
     assert checks["form_elements"].startswith("pass")
+    _assert_margins_are_slack(checks)
+
+
+def _skew_doubled_pass(monkeypatch):
+    """Scale the 2N pass of an N = 8 rate study by 1.2: a 20% truncation drift."""
+    import levyhom.homogenization as hom
+    real = hom._sup_over_points
+
+    def skewed(coeff, params, modes, points, shifts, workers, seeds):
+        vals, idx, certified = real(coeff, params, modes, points, shifts,
+                                    workers, seeds)
+        return (vals * 1.2 if modes.truncation > 8 else vals), idx, certified
+
+    monkeypatch.setattr(hom, "_sup_over_points", skewed)
+
+
+def test_unstable_truncation_prints_its_slack(tmp_path, capsys, monkeypatch):
+    _skew_doubled_pass(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out_dir = tmp_path / "art"
+    assert main(["rate-study", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    checks = _report_checks(capsys)
+    _assert_margins_are_slack(checks)
+    verdict = checks["truncation_stability"]
+    footer = [line for line in (out_dir / "rate_study.csv").read_text().splitlines()
+              if line.startswith("truncation_stability,")]
+    stability = float(footer[0].split(",")[1])
+    assert stability > 0.05
+    assert verdict.startswith(f"fail margin={0.05 - stability!r} "
+                              f"[{stability:.2%} under N doubling; 20 of 38 grid")
+
+
+@pytest.mark.parametrize("config", ["t2_alpha05", "t2_d2", "t2_d3"])
+def test_every_margin_is_slack(tmp_path, capsys, config):
+    # a margin= line passes exactly where its margin is >= 0, so a pass never
+    # prints a negative margin; every numeric verdict prints one
+    cfg = str(REPO / "configs" / f"{config}.json")
+    for command in COMMANDS:
+        extra = ["--xi", "0.3", "1.0"] if command == "fiber" else []
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command),
+                     "--workers", "1", *extra]) == 0
+        _assert_margins_are_slack(_report_checks(capsys))
+
+
+@pytest.mark.parametrize("config", ["t1_alpha1", "t2_alpha05", "t2_d3"])
+def test_eigenvalue_margins_from_the_csv(tmp_path, capsys, config):
+    # the printed slacks of the eigenvalue checks, recomputed from the rows of
+    # thresholds.csv: the origin (bounds [0, 0]), the ladder and the gap floor
+    cfg_path = REPO / "configs" / f"{config}.json"
+    out_dir = tmp_path / "art"
+    assert main(["thresholds", "--config", str(cfg_path), "--out", str(out_dir),
+                 "--workers", "1"]) == 0
+    checks = _report_checks(capsys)
+    cfg = StudyConfig.load(cfg_path)
+    params = ModelParams(cfg.dimension, cfg.alpha)
+    const = theory_constants(params, certify(cfg.build_coefficient(),
+                                             cfg.resolved_positivity_grid))
+    lines = (out_dir / "thresholds.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    table = np.array([[float(c) for c in line.split(",")] for line in lines[2:]])
+    r, lam1, lam2 = (table[:, header.index(k)]
+                     for k in ("xi_norm", "lambda1", "lambda2"))
+    assert r[0] == 0.0 and np.all(r[1:] > 0.0)
+    scale = const.c0 * r[1:] ** params.alpha
+    expect = {
+        "lambda1_at_zero": 1e-10 - abs(lam1[0]),
+        "lambda1_bounds": min(np.min(lam1[1:] - const.mu_minus * scale),
+                              np.min(const.mu_plus * scale - lam1[1:])) + 1e-10,
+        "lambda2_gap": np.min(lam2) - const.d0 + 1e-10,
+    }
+    for name, slack in expect.items():
+        assert checks[name].startswith("pass margin=")
+        margin = float(checks[name].split("margin=")[1].split()[0])
+        assert margin == pytest.approx(slack, rel=1e-12, abs=1e-22), name
+    # the origin's bounds are [0, 0]: its slack is the 1e-10 allowance alone
+    assert 0.0 < expect["lambda1_at_zero"] <= 1e-10
 
 
 def test_thresholds_constant_coefficient_all_zero(tmp_path, capsys):

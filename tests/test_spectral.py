@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import levyhom.spectral as spectral_mod
-from levyhom._util import hermitian_defect
+from levyhom._util import hermitian_defect, hermitian_norm
 from levyhom import (CircleContour, ContourTooClose, GapViolation, ModeSet,
-                     ModelParams, assemble_fiber_matrix,
-                     compute_c0, eig_hermitian, loglog_slope, projector_by_eig,
-                     projector_by_riesz, theory_constants, threshold_report)
+                     ModelParams, assemble_fiber_matrix, compute_c0,
+                     eig_hermitian, loglog_slope, projector_by_eig,
+                     projector_by_riesz, rho_and_rho_star, theory_constants,
+                     threshold_report, v_alpha)
 
 
 class TestEig:
@@ -300,6 +301,29 @@ class TestThresholdReport:
             assert rep.lambda2 >= const.d0 - 1e-12
             # the report exists only if its two projectors agree to 1e-8
             assert -1e-12 <= rep.f_minus_p_norm <= 1.0 + 1e-12
+
+    def test_norms_match_the_dense_zero_mode_projector(self, t2, params_half):
+        # the report subtracts P0 at its one diagonal entry; the dense P0
+        # formulas are the reference, bit for bit, and the projector routes'
+        # mismatch is the one the cross-check bounds
+        const = theory_constants(params_half, t2)
+        modes = ModeSet(1, 8)
+        for r in (0.0, 1e-3, const.delta0 * 0.8):
+            rep = threshold_report(t2, params_half, modes, [r])
+            fiber = assemble_fiber_matrix(t2, params_half, modes, [r])
+            spectral = eig_hermitian(fiber.entries.astype(complex))
+            f_eig = projector_by_eig(spectral, const.d0 / 3)
+            riesz = projector_by_riesz(fiber, CircleContour(const.d0)).projector
+            p0 = np.zeros((modes.size, modes.size), dtype=complex)
+            p0[modes.zero_index, modes.zero_index] = 1.0
+            af = spectral.eigenvalues[0] * f_eig
+            rho = rho_and_rho_star(t2, params_half, [r])[0]
+            v = v_alpha(params_half, np.array([r]))
+            assert rep.f_minus_p_norm == hermitian_norm(f_eig - p0)
+            assert rep.phi_norm == hermitian_norm(af - rho * p0)
+            assert rep.af_minus_effective_norm == hermitian_norm(
+                af - const.mu_eff * v * p0)
+            assert rep.projector_mismatch == hermitian_norm(riesz - f_eig) <= 1e-8
 
     def test_af_minus_effective_slope(self, t2):
         # second-order threshold approximation: slope floors 2a - 0.15 / 2 - 0.15
