@@ -81,7 +81,7 @@ class PeriodicCoefficient:
     def certified(self) -> bool:
         return self.mu_minus is not None and self.mu_plus is not None
 
-    @property
+    @functools.cached_property
     def coupling_span(self) -> int:
         """Largest sup-norm of k+l over the support (band width of couplings)."""
         span = 0

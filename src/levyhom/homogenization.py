@@ -78,11 +78,15 @@ def _below_floors(stack, sigma, shifts, floors) -> np.ndarray:
     diagonal of (D + s)^-1 - t, so it is dropped: its row and column of -K
     become the identity's, and the rest is the principal block on the kept
     modes J.  That still suffices, since (A + s)^-1 dominates the inverse of
-    its J block padded with zeros (the block inverse formula).  Both
+    its J block padded with zeros (the block inverse formula).  A dropped
+    mode acts as an infinite diagonal entry, since a matrix with one is
+    positive definite exactly when the block on the other modes is.  Both
     diagonals grow with t and with e, so their elementwise min over a set
     of shifts certifies every shift of the set at once: one pair of
-    factorizations.  The min can fail where each shift alone would pass, so
-    a failing set is halved and each half tried on its own, down to single
+    factorizations.  So a mode stays in the second matrix when some shift
+    of the set has t e < 1, and is dropped only when every shift has
+    t e >= 1.  The min can fail where each shift alone would pass, so a
+    failing set is halved and each half tried on its own, down to single
     shifts.
 
     The allowance on t, for one set of shifts.  Let nu = (n + 1)(n + 2) u,
@@ -329,8 +333,10 @@ def _sup_over_points(coeff, params, modes, points, shifts, workers, seeds=()):
     (certified, pairs, skipped)); the eigendecomposition at each point is
     shared across shifts.
 
-    The `seeds` (indices into `points`) are the first wave, solved against
-    zero floors and so exactly.  The other points follow in list order, in
+    The `seeds` (indices into `points`, repeats allowed) are the first wave,
+    solved against zero floors and so exactly; `discrepancy_study` passes
+    the origin at N and the N pass's argmax points at 2N.  Any seeds give
+    the same max and argmax.  The other points follow in list order, in
     waves of 2, 4, 8, ... points, and each wave's norms are taken against
     floors equal to the running max of everything solved before it (see
     `_resolvent_diffs`).  A norm below its floor may read less than exact,
@@ -388,8 +394,10 @@ def discrepancy_study(
     (see `_mirror_reduced`), and both passes sweep that point list.
 
     Each pass first solves seed points exactly, and the running max floors
-    the other norms (see `_sup_over_points`): the seeds are the origin at N,
-    and at 2N the origin and the N pass's argmax points.
+    the other norms (see `_sup_over_points`): the seed is the origin at N,
+    and at 2N the seeds are the N pass's argmax points.  Each shift's 2N
+    floor then starts from its own N argmax point, solved exactly; the
+    origin joins the sweep like any other point unless it is one of them.
     """
     if not coeff.certified:
         raise ValueError("coefficient must be certified before a rate study")
@@ -423,7 +431,7 @@ def discrepancy_study(
 
     double = ModeSet(params.dimension, 2 * modes.truncation)
     sup_d, _, certified_d = _sup_over_points(
-        coeff, params, double, points, shifts, workers, seeds=(0, *arg_idx))
+        coeff, params, double, points, shifts, workers, seeds=arg_idx)
     stability = _relative_change(disc, shifts * sup_d)
 
     result = RateStudyResult(

@@ -229,7 +229,12 @@ class TestNormCertificate:
         stack, sigma, shifts, norms, ks, well = case
         for k in [*FLOOR_OFFSETS, ks]:
             k = np.broadcast_to(k, shifts.shape)
-            got = _below_floors(stack, sigma, shifts, norms / (1.0 + k))
+            args = (stack, sigma, shifts, norms / (1.0 + k))
+            before = [x.copy() for x in args]
+            got = _below_floors(*args)
+            # the factorizations work on copies; the inputs stay as they
+            # were
+            assert all(np.array_equal(x, y) for x, y in zip(before, args))
             # a norm at or above its floor, even by rounding, is never
             # certified
             assert not np.any(got[k >= 0.0])
@@ -238,6 +243,25 @@ class TestNormCertificate:
             # reaches single shifts, so each such shift is certified
             if well:
                 assert np.all(got[k == -1e-2])
+
+    @pytest.mark.parametrize("coupling", [0.5, 0.5j])
+    def test_a_mode_one_shift_keeps_stays_in_the_set(self, coupling):
+        # mode 1 is coupled to mode 0; at floor 0.3 the second shift has
+        # t e = 1.5 on it and drops it, while the first shift, with its
+        # floor at its own norm, has t e = 0.9 there and keeps it.  The set
+        # must keep the mode: without it the pair on both shifts would
+        # certify the first norm even 1% above its floor
+        stack = np.array([[[1.0, coupling], [np.conj(coupling), 40.0]]])
+        sigma = np.array([[1.0, 4.0]])
+        shifts = np.array([1e-2, 1.0])
+        norms = _eig_route_norms(stack, sigma, shifts)
+        for k in FLOOR_OFFSETS:
+            floors = np.array([norms[0] / (1.0 + k), 0.3])
+            te = floors[:, None] * (sigma[0] + shifts[:, None])
+            assert te[0, 1] < 1.0 <= te[1, 1] and te[1, 0] < 1.0
+            got = _below_floors(stack, sigma, shifts, floors)
+            assert got[0] == (k < 0.0)
+            assert got[1]
 
 
 def _d2_blocks_support():

@@ -186,12 +186,34 @@ class TestSeededSweep:
                 assert np.array_equal(values, ref)
                 assert np.array_equal(arg, ref_arg)
                 assert certified == runs[0][2]
-            seeds = (0, *ref_arg)
+            seeds = tuple(ref_arg)
         # the last pass certifies most of its norms below the running max
         certified, pairs, _ = runs[0][2]
         assert 2 * certified > pairs
 
-    @pytest.mark.parametrize("name,skipped", [("dense-d2", (51, 52)),
+    def test_each_pass_gets_its_seeds(self, monkeypatch):
+        # the origin seeds the N pass, and exactly the N pass's argmax
+        # points seed the 2N pass; at alpha = 1.5 they move off the origin
+        # with eps, and the origin then joins the 2N sweep unseeded
+        import levyhom.homogenization as hom
+        real = hom._sup_over_points
+        calls = []
+
+        def recording(coeff, params, modes, points, shifts, workers, seeds):
+            out = real(coeff, params, modes, points, shifts, workers, seeds)
+            calls.append((sorted({int(i) for i in seeds}), out[1]))
+            return out
+
+        monkeypatch.setattr(hom, "_sup_over_points", recording)
+        coeff, params, modes, grid, _ = _study_inputs("t2_alpha05", 1.5)
+        eps = StudyConfig.load(REPO / "configs" / "t2_alpha05.json").epsilons
+        discrepancy_study(coeff, params, modes, grid, eps.values())
+        (seeds_n, arg_n), (seeds_2n, _) = calls
+        assert seeds_n == [0]
+        assert seeds_2n == sorted({int(i) for i in arg_n})
+        assert 0 not in seeds_2n and len(seeds_2n) > 1
+
+    @pytest.mark.parametrize("name,skipped", [("dense-d2", (51, 54)),
                                               ("random-complex", (23, 23))])
     def test_points_with_no_eigensolve(self, name, skipped):
         # solved points of each pass whose every norm is certified; where
@@ -205,7 +227,7 @@ class TestSeededSweep:
         _, arg, (*_, at_n) = _sup_over_points(coeff, params, modes, points,
                                               shifts, 1, seeds=(0,))
         *_, (*_, at_2n) = _sup_over_points(coeff, params, double, points,
-                                           shifts, 1, seeds=(0, *arg))
+                                           shifts, 1, seeds=tuple(arg))
         assert (at_n, at_2n) == skipped
 
     @pytest.mark.parametrize("name,alpha", [("t2_alpha05", 1.5),
