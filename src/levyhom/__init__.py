@@ -22,7 +22,7 @@ _EXPORTS = {
     "errors": ("ContourTooClose", "ConvergenceFailure", "DegenerateFit",
                "GapViolation", "LevyhomError", "PositivityUncertified",
                "QuadratureNotConverged", "SymmetryViolation",
-               "TruncationTooSmall", "TruncationUnstable"),
+               "TruncationTooSmall"),
     "fiber": ("FiberMatrix", "ModeSet", "assemble_effective_fiber",
               "assemble_fiber_matrix", "c1_constant", "oracle_form_element",
               "rho_and_rho_star"),

@@ -5,7 +5,10 @@ Exit codes are a stable contract: 0 all checks pass, 1 usage or I/O error,
 2 verification failure.  Every numeric verdict goes through RunReport.check:
 its `margin=` is its slack, the distance from the check's limit with the
 check's own tolerance included, and the line passes exactly where that is
->= 0.  A line without a margin is a structural verdict.  The only
+>= 0.  A line without a margin is a structural verdict.  The library
+measures and reports (the projector routes' distance, the doubled
+truncation's drift) and raises only where it cannot measure, so each limit
+is judged here, once, and a failed check still writes its CSV.  The only
 environment knob is LEVYHOM_LOG (log verbosity); identical config plus seed
 gives byte-identical CSV artifacts for any --workers, at a fixed BLAS
 thread count (OPENBLAS_NUM_THREADS).
@@ -31,7 +34,7 @@ from ._util import (PARALLEL_MIN_ORDER, fmt, hermitian_defect, hermitian_norm,
 from .coefficient import (ModelParams, certify, oracle_c0, rate_function,
                           theory_constants)
 from .config import StudyConfig
-from .errors import LevyhomError, TruncationUnstable
+from .errors import LevyhomError
 
 # fiber, spectral and homogenization are imported by the commands that use
 # them, so each command process loads only what it runs
@@ -179,8 +182,7 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
 
     def one_report(xi):
         try:
-            return threshold_report(coeff, params, modes, xi,
-                                    projector_tol=cfg.tolerances.projector_abs)
+            return threshold_report(coeff, params, modes, xi)
         except LevyhomError as exc:
             return exc
 
@@ -257,10 +259,7 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
     modes = _modes(cfg)
     grid = cfg.xi_grid.points(cfg.dimension)
     eps = cfg.epsilons.values()
-    try:
-        result = discrepancy_study(coeff, params, modes, grid, eps, workers=workers)
-    except TruncationUnstable as exc:
-        result = exc.result   # the verdict below is its truncation_stability slack
+    result = discrepancy_study(coeff, params, modes, grid, eps, workers=workers)
 
     os.makedirs(out_dir, exist_ok=True)
     bounds = rate_function(params.alpha, "discrepancy", result.epsilons)

@@ -25,7 +25,7 @@ class TruncationTooSmall(LevyhomError):
 
 
 class QuadratureNotConverged(LevyhomError):
-    """QUADPACK flagged or refused an integral, or the two projector routes disagree."""
+    """QUADPACK flagged or refused an integral."""
 
 
 class ConvergenceFailure(LevyhomError):
@@ -38,14 +38,6 @@ class GapViolation(LevyhomError):
 
 class ContourTooClose(LevyhomError):
     """An eigenvalue sits too close to the integration contour."""
-
-
-class TruncationUnstable(LevyhomError):
-    """Doubling the truncation moved study results by more than 5%."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 class DegenerateFit(LevyhomError):

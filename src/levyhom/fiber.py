@@ -88,6 +88,13 @@ class FiberMatrix:
     def entries(self) -> np.ndarray:
         return self.embed(self.stacks)
 
+    def decoupled(self, mode: int) -> bool:
+        """Whether `mode`'s row and column are exactly zero, as the zero
+        mode's are at xi = 0: then (0, e_mode) is an exact eigenpair."""
+        return not any(stack[idx == mode].any()
+                       or stack.swapaxes(-1, -2)[idx == mode].any()
+                       for idx, stack in zip(self.blocks, self.stacks))
+
     def embed(self, stacks) -> np.ndarray:
         """Dense matrix holding `stacks` (shaped like `self.stacks`), zero elsewhere."""
         size = sum(idx.size for idx in self.blocks)

@@ -94,6 +94,19 @@ class TestPartitionProperties:
 
     @PROPERTY
     @given(fibers())
+    def test_decoupled_modes_are_the_dense_zero_lines(self, case):
+        # at xi = 0 the zero mode's row and column vanish for every
+        # coefficient; elsewhere the blockwise test reads the dense matrix's
+        coeff, params, modes, xi = case
+        for point in (xi, np.zeros_like(xi)):
+            fiber = assemble_fiber_matrix(coeff, params, modes, point)
+            a = fiber.entries
+            zero_lines = ~(a.any(axis=0) | a.any(axis=1))
+            assert [fiber.decoupled(m) for m in range(modes.size)] == zero_lines.tolist()
+        assert zero_lines[modes.zero_index]
+
+    @PROPERTY
+    @given(fibers())
     def test_fiber_is_hermitian(self, case):
         coeff, params, modes, xi = case
         fiber = assemble_fiber_matrix(coeff, params, modes, xi)
@@ -448,7 +461,7 @@ class TestAssemblyPlan:
 
     @pytest.mark.parametrize("name", ["t2_alpha05", "dense-d2"])
     def test_rate_study_builds_no_dense_matrix(self, name, monkeypatch):
-        # the study, its xi = 0 deflation included, runs on the block stacks
+        # the study, its xi = 0 unit diagonal included, runs on the block stacks
         coeff, params, modes, grid, _ = _study_inputs(name)
         built = []
         embed = FiberMatrix.embed

@@ -361,6 +361,35 @@ def test_unstable_truncation_prints_its_slack(tmp_path, capsys, monkeypatch):
                               f"[{stability:.2%} under N doubling; 20 of 38 grid")
 
 
+def test_projector_mismatch_fails_only_its_verdict(tmp_path, capsys, monkeypatch):
+    # a Riesz projector 1e-6 off the eig route's fails projector_routes with
+    # its negative slack; every ladder row is still measured and written
+    import levyhom.spectral as spectral
+    real = spectral.projector_by_riesz
+
+    def skewed(matrix, contour):
+        riesz = real(matrix, contour)
+        shift = 1e-6 * np.eye(len(riesz.projector))
+        return spectral.RieszProjection(riesz.projector + shift, riesz.nodes)
+
+    monkeypatch.setattr(spectral, "projector_by_riesz", skewed)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out_dir = tmp_path / "art"
+    assert main(["thresholds", "--config", str(cfg_path), "--out", str(out_dir),
+                 "--workers", "1"]) == 2
+    checks = _report_checks(capsys)
+    _assert_margins_are_slack(checks)
+    assert checks["projector_routes"].startswith("fail margin=-")
+    cfg = StudyConfig.load(cfg_path)
+    const = theory_constants(ModelParams(1, cfg.alpha),
+                             certify(cfg.build_coefficient(),
+                                     cfg.resolved_positivity_grid))
+    rows = 1 + int(np.sum(cfg.xi_grid.radii() <= const.delta0))
+    assert checks["threshold_rows"] == f"pass [{rows} quasimomenta]"
+    assert len((out_dir / "thresholds.csv").read_text().splitlines()) == 2 + rows
+
+
 @pytest.mark.parametrize("config", ["t2_alpha05", "t2_d2", "t2_d3"])
 def test_every_margin_is_slack(tmp_path, capsys, config):
     # a margin= line passes exactly where its margin is >= 0, so a pass never
@@ -435,8 +464,8 @@ def test_validate_rejects_short_epsilon_span(tmp_path):
 
 
 def test_nan_tolerance_exits_1(tmp_path):
-    # json reads the NaN literal; `mismatch > NaN` is never true, so a NaN
-    # projector tolerance would switch the Riesz-vs-eig cross-check off
+    # json reads the NaN literal; config validation rejects a NaN projector
+    # tolerance before any run
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, tolerances={"oracle_rel": 1e-3,
                                        "projector_abs": math.nan,
@@ -787,6 +816,21 @@ def test_oracle_check_beyond_d1(tmp_path, capsys, dimension):
 
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", ["t1_alpha1", "t2_alpha05"])
+def test_oracle_check_holds_over_the_working_range(tmp_path, name):
+    # README's working range, alpha <= 1.865: the d = 1 form elements pass
+    # at every alpha of a scan up to it (step 1e-5 over [1.7, 1.865]);
+    # above it the core pass of some element reaches QUADPACK's
+    # subdivision limit in narrow windows, the lowest from alpha = 1.86521
+    data = json.loads((REPO / "configs" / f"{name}.json").read_text())
+    cfg_path = tmp_path / "cfg.json"
+    for alpha in [*np.linspace(0.05, 1.85, 10), 1.86, 1.865, 1.8652]:
+        data.update(alpha=float(alpha), truncation=2)
+        cfg_path.write_text(json.dumps(data))
+        assert main(["oracle-check", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "art")]) == 0, alpha
 
 
 def _reference_checks():

@@ -432,10 +432,11 @@ class TestDiscrepancyStudy:
         assert res.log_corrected_slope is not None
         assert res.log_corrected_slope >= 0.9
 
-    def test_truncation_unstable_raises(self, t2, params_half, small_grid,
-                                        monkeypatch):
+    def test_unstable_truncation_is_returned(self, t2, params_half, small_grid,
+                                             monkeypatch):
         # band-limited coefficients are stable in practice; force the
-        # doubled-truncation pass to disagree to exercise the error contract
+        # doubled-truncation pass to disagree: the study reports the drift
+        # and leaves its verdict to the caller
         import levyhom.homogenization as hom
         real = hom._sup_over_points
 
@@ -447,8 +448,6 @@ class TestDiscrepancyStudy:
             return vals, idx, certified
 
         monkeypatch.setattr(hom, "_sup_over_points", skewed)
-        with pytest.raises(hom.TruncationUnstable) as err:
-            discrepancy_study(t2, params_half, ModeSet(1, 8), small_grid,
-                              np.geomspace(1e-1, 1e-3, 8))
-        assert err.value.result is not None
-        assert err.value.result.truncation_stability > 0.05
+        res = discrepancy_study(t2, params_half, ModeSet(1, 8), small_grid,
+                                np.geomspace(1e-1, 1e-3, 8))
+        assert res.truncation_stability > 0.05

@@ -17,14 +17,15 @@ BASE = {"levyhom", "levyhom.cli", "levyhom.config", "levyhom.coefficient",
         "levyhom.errors", "levyhom._util"}
 
 # the package's public names before they were resolved lazily: every name
-# it imported from its submodules, and the submodules themselves
+# it imported from its submodules, and the submodules themselves, less the
+# since removed TruncationUnstable
 PUBLIC = {
     "CircleContour", "ContourTooClose", "ConvergenceFailure", "DegenerateFit",
     "EpsilonSpec", "FiberMatrix", "GapViolation", "LevyhomError", "ModeSet",
     "ModelParams", "PeriodicCoefficient", "PositivityUncertified",
     "QuadratureNotConverged", "RateStudyResult", "RieszProjection",
     "SpectralData", "StudyConfig", "SymmetryViolation", "TheoryConstants",
-    "ThresholdReport", "Tolerances", "TruncationTooSmall", "TruncationUnstable",
+    "ThresholdReport", "Tolerances", "TruncationTooSmall",
     "XiGridSpec", "assemble_effective_fiber", "assemble_fiber_matrix",
     "c1_constant", "certify", "coefficient", "coefficient_from_records",
     "compute_c0", "config", "constant_coefficient", "discrepancy_study",

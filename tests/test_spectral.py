@@ -272,6 +272,16 @@ class TestThresholdReport:
             assert riesz.nodes < 64
             assert np.linalg.norm(riesz.projector - f_eig, 2) <= 1e-12
 
+    @pytest.mark.parametrize("truncation", [8, 32])
+    def test_lambda1_at_zero_is_exact_near_alpha_two(self, t2, truncation):
+        # at xi = 0 the zero mode's exact eigenpair (0, e_z) is taken as it
+        # is; the dense eigensolve left |lambda1(0)| at about u ||A||, above
+        # the thresholds check's 1e-10 at alpha = 1.99-1.999
+        params = ModelParams(1, 1.999)
+        rep = threshold_report(t2, params, ModeSet(1, truncation), [0.0])
+        assert rep.lambda1 == 0.0
+        assert rep.lambda2 >= theory_constants(params, t2).d0
+
     def test_zero_xi_all_zero(self, t2, params_half):
         modes = ModeSet(1, 8)
         rep = threshold_report(t2, params_half, modes, [0.0])
@@ -299,16 +309,21 @@ class TestThresholdReport:
             hi = const.mu_plus * const.c0 * r ** 1.5
             assert lo - 1e-12 <= rep.lambda1 <= hi + 1e-12
             assert rep.lambda2 >= const.d0 - 1e-12
-            # the report exists only if its two projectors agree to 1e-8
+            assert rep.projector_mismatch <= 1e-8
             assert -1e-12 <= rep.f_minus_p_norm <= 1.0 + 1e-12
 
     def test_norms_match_the_dense_zero_mode_projector(self, t2, params_half):
         # the report subtracts P0 at its one diagonal entry; the dense P0
         # formulas are the reference, bit for bit, and the projector routes'
-        # mismatch is the one the cross-check bounds
+        # mismatch is the one the cross-check bounds.  At xi = 0 the zero
+        # mode's exact eigenpair (0, e_z) makes every threshold norm 0
         const = theory_constants(params_half, t2)
         modes = ModeSet(1, 8)
-        for r in (0.0, 1e-3, const.delta0 * 0.8):
+        origin = threshold_report(t2, params_half, modes, [0.0])
+        assert (origin.lambda1, origin.f_minus_p_norm, origin.phi_norm,
+                origin.af_minus_effective_norm) == (0.0, 0.0, 0.0, 0.0)
+        assert origin.projector_mismatch <= 1e-8
+        for r in (1e-3, const.delta0 * 0.8):
             rep = threshold_report(t2, params_half, modes, [r])
             fiber = assemble_fiber_matrix(t2, params_half, modes, [r])
             spectral = eig_hermitian(fiber.entries.astype(complex))
