@@ -15,19 +15,19 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "coefficient": ("ModelParams", "PeriodicCoefficient", "TheoryConstants",
                     "certify", "coefficient_from_records", "compute_c0",
-                    "constant_coefficient", "effective_mu", "oracle_c0",
-                    "rate_function", "rate_profile", "theory_constants",
+                    "constant_coefficient", "effective_mu", "loglog_slope",
+                    "oracle_c0", "rate_function", "rate_profile",
+                    "slope_check", "slope_widening", "theory_constants",
                     "v_alpha"),
     "config": ("EpsilonSpec", "StudyConfig", "Tolerances", "XiGridSpec"),
-    "errors": ("ContourTooClose", "ConvergenceFailure", "DegenerateFit",
-               "GapViolation", "LevyhomError", "PositivityUncertified",
+    "errors": ("ConvergenceFailure", "DegenerateFit", "GapViolation",
+               "LevyhomError", "PositivityUncertified",
                "QuadratureNotConverged", "SymmetryViolation",
                "TruncationTooSmall"),
     "fiber": ("FiberMatrix", "ModeSet", "assemble_effective_fiber",
               "assemble_fiber_matrix", "c1_constant", "oracle_form_element",
               "rho_and_rho_star"),
-    "homogenization": ("RateStudyResult", "discrepancy_study", "loglog_slope",
-                       "slope_check", "slope_widening",
+    "homogenization": ("RateStudyResult", "discrepancy_study",
                        "threshold_resolvent_diff"),
     "spectral": ("CircleContour", "RieszProjection", "SpectralData",
                  "ThresholdReport", "eig_hermitian", "projector_by_eig",

@@ -32,7 +32,7 @@ import numpy as np
 from ._util import (PARALLEL_MIN_ORDER, fmt, hermitian_defect, hermitian_norm,
                     parallel_map, write_csv)
 from .coefficient import (ModelParams, certify, oracle_c0, rate_function,
-                          theory_constants)
+                          slope_check, theory_constants)
 from .config import StudyConfig
 from .errors import LevyhomError
 
@@ -168,7 +168,6 @@ def cmd_fiber(cfg: StudyConfig, out_dir: str, workers: int | None,
 
 
 def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
-    from .homogenization import slope_check
     from .spectral import threshold_report
     report = RunReport("thresholds", cfg.digest())
     params, coeff, constants = _prepare(cfg)
@@ -253,7 +252,7 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
 
 
 def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
-    from .homogenization import discrepancy_study, slope_check
+    from .homogenization import discrepancy_study
     report = RunReport("rate-study", cfg.digest())
     params, coeff, constants = _prepare(cfg)
     modes = _modes(cfg)

@@ -36,9 +36,5 @@ class GapViolation(LevyhomError):
     """The spectral-gap picture (one eigenvalue under the cutoff) broke down."""
 
 
-class ContourTooClose(LevyhomError):
-    """An eigenvalue sits too close to the integration contour."""
-
-
 class DegenerateFit(LevyhomError):
     """Not enough positive, distinct points for a log-log slope fit."""

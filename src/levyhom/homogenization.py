@@ -16,27 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import UNIT_ROUNDOFF, hermitian_norm, parallel_map
-from .coefficient import (RATE_TABLE, ModelParams, PeriodicCoefficient,
-                          effective_mu, rate_function, rate_profile)
+from .coefficient import (ModelParams, PeriodicCoefficient, effective_mu,
+                          loglog_slope, rate_function, rate_profile,
+                          slope_widening)
 from .config import _validate_epsilons
-from .errors import DegenerateFit
 from .fiber import (ModeSet, _assembly_plan, assemble_effective_fiber,
                     assemble_fiber_matrix)
 from .spectral import eig_hermitian
 
 log = logging.getLogger(__name__)
-
-# near these exponents the theory's constants blow up; slope verdicts widen
-SINGULAR_ALPHA_BANDS = ((0.95, 1.05), (1.90, 2.00))
-
-
-def slope_widening(alpha: float) -> float:
-    """Extra slope tolerance near the singular exponents (0.05 or 0)."""
-    for lo, hi in SINGULAR_ALPHA_BANDS:
-        if lo < alpha < hi:
-            return 0.05
-    return 0.0
-
 
 # ----------------------------------------------------------------------
 # Resolvent differences
@@ -237,43 +225,6 @@ def threshold_resolvent_diff(
 # ----------------------------------------------------------------------
 # Rate study
 # ----------------------------------------------------------------------
-
-def loglog_slope(x, values) -> tuple[float, float]:
-    """OLS slope and r^2 of log(values) against log(x); needs 8+ positive points."""
-    x = np.asarray(x, dtype=float)
-    val = np.asarray(values, dtype=float)
-    pos = (val > 0.0) & (x > 0.0)
-    if int(pos.sum()) < 8:
-        raise DegenerateFit(f"need >= 8 positive points, got {int(pos.sum())}")
-    y = np.log(val[pos])
-    if float(np.max(y) - np.min(y)) == 0.0:
-        raise DegenerateFit("all values equal; slope undefined")
-    coef = np.polyfit(np.log(x[pos]), y, 1)
-    fitted = np.polyval(coef, np.log(x[pos]))
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), r2
-
-
-def slope_check(x, values, alpha: float, quantity: str,
-                margin: float) -> tuple[float, float]:
-    """Log-log slope of `values` against the rate of `quantity`, and its floor.
-
-    The margin widens by `slope_widening(alpha)` near the singular exponents.
-    A pure power x^p is fitted against x and must reach p less the margin
-    and the quantity's extra; a log-corrected profile is fitted against the
-    profile itself and must reach 1 less the margin.
-    """
-    margin = margin + slope_widening(alpha)
-    p, q = rate_profile(alpha, quantity)
-    if q:
-        slope, _ = loglog_slope(rate_function(alpha, quantity, x), values)
-        return slope, 1.0 - margin
-    *_, extra = RATE_TABLE[quantity]
-    slope, _ = loglog_slope(x, values)
-    return slope, p - (margin + extra)
-
 
 @dataclass(frozen=True, eq=False)
 class RateStudyResult:

@@ -2,12 +2,14 @@
 
 The rank-1 projector onto the lowest eigenvalue is built by two independent
 routes: directly from the eigendecomposition, and by the Riesz contour
-integral of the resolvent over a circle around the gap interval.  The two
-routes are cross-checked wherever thresholds are reported.
+integral of the resolvent over a circle that the certified constants place
+between [0, d0/3] and [d0, inf), with no eigensolve.  The two routes are
+cross-checked wherever thresholds are reported.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ import numpy as np
 from ._util import hermitian_defect, hermitian_norm, max_abs
 from .coefficient import (ModelParams, PeriodicCoefficient, theory_constants,
                           v_alpha)
-from .errors import ContourTooClose, ConvergenceFailure, GapViolation
+from .errors import ConvergenceFailure, GapViolation
 from .fiber import (FiberMatrix, ModeSet, assemble_fiber_matrix,
                     rho_and_rho_star)
 
@@ -92,22 +94,27 @@ def projector_by_eig(spectral: SpectralData, cutoff: float) -> np.ndarray:
 # Circular contour and the Riesz integral
 # ----------------------------------------------------------------------
 
-# The node count is the smallest, at least the contour's, whose exact
-# trapezoid error bound q^n / (1 - q^n) is at most RIESZ_TOL in the 2-norm.
 RIESZ_TOL = 1e-12
+RIESZ_Q = 1.0 / math.sqrt(5.0)   # see CircleContour
+# 35: the least n with error bound q^n / (1 - q^n) within RIESZ_TOL at q = RIESZ_Q
+RIESZ_NODES = next(n for n in itertools.count(1)
+                   if RIESZ_Q ** n / (1.0 - RIESZ_Q ** n) <= RIESZ_TOL)
 
 
 class CircleContour:
-    """Circle through -d0/3 and 2 d0/3, enclosing the segment [0, d0/3].
+    """Circle of centre d0/6 and radius sqrt(5) d0/6 about the segment [0, d0/3].
 
-    Centre d0/6, radius d0/2, traversed counterclockwise from the rightmost
-    point.  For a Hermitian matrix the n-node trapezoid sum of the Riesz
-    integral over this circle is exactly f_n(A), f_n(lambda) = 1 / (1 - x^n)
-    with x = (lambda - centre) / radius (Trefethen & Weideman, SIAM Rev.
-    2014), so no grading or weight renormalization is needed.
+    Traversed counterclockwise from the rightmost point.  For a Hermitian
+    matrix the n-node trapezoid sum of the Riesz integral over this circle
+    is exactly f_n(A), f_n(lambda) = 1 / (1 - x^n) with
+    x = (lambda - centre) / radius (Trefethen & Weideman, SIAM Rev. 2014),
+    so no grading or weight renormalization is needed.  The certified
+    constants put every eigenvalue at |xi| <= delta0 in [0, d0/3] or
+    [d0, inf), where |x| <= RIESZ_Q or |x| >= 1 / RIESZ_Q: the default
+    RIESZ_NODES nodes put f_n within RIESZ_TOL of the indicator there.
     """
 
-    def __init__(self, d0: float, num_nodes: int = 8):
+    def __init__(self, d0: float, num_nodes: int = RIESZ_NODES):
         if d0 <= 0.0:
             raise ValueError("d0 must be positive")
         if num_nodes < 8:
@@ -115,15 +122,11 @@ class CircleContour:
         self.d0 = float(d0)
         self.num_nodes = int(num_nodes)
         self.center = self.d0 / 6.0
-        self.radius = self.d0 / 2.0
+        self.radius = math.sqrt(5.0) * self.d0 / 6.0
         rim = self.radius * np.exp(2j * math.pi * np.arange(self.num_nodes)
                                    / self.num_nodes)
         self.points = self.center + rim
         self.weights = 2j * math.pi * rim / self.num_nodes
-
-    def distance_to_real(self, value: float) -> float:
-        """Distance from a real spectral point to the contour curve."""
-        return abs(abs(value - self.center) - self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,39 +163,23 @@ def _riesz_sum(a: np.ndarray, contour: CircleContour) -> np.ndarray:
 
 
 def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
-    """Riesz projector by one trapezoidal contour sum.
+    """Riesz projector by one trapezoidal sum over `contour`'s nodes.
 
     `matrix` is a :class:`FiberMatrix`, integrated block by block, or a
     Hermitian array, taken as one block.  Every block is integrated, so an
-    eigenvalue of any block inside the contour shows in the projector.
-    With q = radius / (radius + dist), dist the smallest distance from an
-    eigenvalue to the curve, every eigenvalue of the n-node sum is within
-    q^n / (1 - q^n) of its value in the projector: n, at least the contour's,
-    is the smallest with that bound at most RIESZ_TOL (41-55 on the shipped
-    configs).  Only the closed upper half-circle is inverted: n // 2 + 1
-    inversions per block.  Raises ContourTooClose if any eigenvalue sits
-    within d0/30 of the curve, where q <= 15/16 and 429 nodes suffice.
+    eigenvalue of any block inside the contour shows in the projector.  No
+    eigenvalue is computed: on the default contour the certified spectral
+    picture bounds the error by RIESZ_TOL (see :class:`CircleContour`);
+    elsewhere it is what the caller measures against the eig route.  Only
+    the closed upper half-circle is inverted: n // 2 + 1 inversions per
+    block, 18 at RIESZ_NODES.
     """
     fiber = matrix
     if not isinstance(fiber, FiberMatrix):
         a = np.asarray(matrix)
         fiber = FiberMatrix((a[None],), (np.arange(len(a))[None],))
-    d0 = contour.d0
-    lam = np.concatenate([np.linalg.eigvalsh(s).ravel() for s in fiber.stacks])
-    min_dist = min(contour.distance_to_real(float(v)) for v in lam)
-    if min_dist < d0 / 30.0:
-        raise ContourTooClose(
-            f"eigenvalue within {min_dist:.3e} of contour (< d0/30 = {d0/30:.3e})"
-        )
-
-    q = contour.radius / (contour.radius + min_dist)
-    # the bound holds exactly when n >= log(tol / (1 + tol)) / log(q)
-    n = max(contour.num_nodes, math.ceil(math.log(RIESZ_TOL / (1 + RIESZ_TOL), q)))
-    if q ** n / (1.0 - q ** n) > RIESZ_TOL:   # log rounding landed one short
-        n += 1
-    contour = CircleContour(d0, n)
     projector = fiber.embed([_riesz_sum(s, contour) for s in fiber.stacks])
-    return RieszProjection(projector=projector, nodes=n)
+    return RieszProjection(projector=projector, nodes=contour.num_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -225,8 +212,9 @@ def threshold_report(
 
     The coefficient must be certified (see :func:`certify`): the contour and
     the gap cutoff come from its certified constants.  The projector is built
-    by both routes and their distance reported as `projector_mismatch`;
-    judging it is the caller's (the CLI's `projector_routes` verdict).
+    by both routes and their distance, within RIESZ_TOL plus rounding for
+    |xi| <= delta0, reported as `projector_mismatch`; judging it is the
+    caller's (the CLI's `projector_routes` verdict).
 
     Where the zero mode's row and column are exactly zero (xi = 0), its
     exact eigenpair (0, e_z) is taken as it is and only the other modes are

@@ -172,7 +172,7 @@ def test_criterion_6_projector_agreement():
     const = theory_constants(params, t2)
     modes = ModeSet(1, N_STANDARD)
 
-    length = math.pi * const.d0
+    length = 2.0 * math.pi * math.sqrt(5.0) * const.d0 / 6.0   # 2 pi radius
     arc_err = max(abs(np.abs(CircleContour(const.d0, n).weights).sum() - length)
                   / length for n in (256, 512))
 

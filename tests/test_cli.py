@@ -820,14 +820,28 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("name", ["t1_alpha1", "t2_alpha05"])
 def test_oracle_check_holds_over_the_working_range(tmp_path, name):
-    # README's working range, alpha <= 1.865: the d = 1 form elements pass
-    # at every alpha of a scan up to it (step 1e-5 over [1.7, 1.865]);
-    # above it the core pass of some element reaches QUADPACK's
-    # subdivision limit in narrow windows, the lowest from alpha = 1.86521
+    # README's working range, alpha <= 1.999: the d = 1 form elements pass
+    # at every alpha of a scan up to 1.865 (step 1e-5 over [1.7, 1.865]),
+    # and above it in the windows of the test below
     data = json.loads((REPO / "configs" / f"{name}.json").read_text())
     cfg_path = tmp_path / "cfg.json"
-    for alpha in [*np.linspace(0.05, 1.85, 10), 1.86, 1.865, 1.8652]:
+    for alpha in [*np.linspace(0.05, 1.85, 10), 1.86, 1.865, 1.8652, 1.999]:
         data.update(alpha=float(alpha), truncation=2)
+        cfg_path.write_text(json.dumps(data))
+        assert main(["oracle-check", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "art")]) == 0, alpha
+
+
+@pytest.mark.parametrize("name", ["t1_alpha1", "t2_alpha05"])
+def test_oracle_check_passes_in_the_windows_above_1865(tmp_path, name):
+    # one alpha in each window where a core pass broken at 0 alone reaches
+    # QUADPACK's subdivision limit for some element, [1.86515, 1.86540],
+    # [1.90600, 1.90615], [1.95815, 1.95829] and [1.99, 1.999]; the second
+    # pass, also broken at -1 and 1, converges at the same tolerances
+    data = json.loads((REPO / "configs" / f"{name}.json").read_text())
+    cfg_path = tmp_path / "cfg.json"
+    for alpha in (1.86525, 1.9061, 1.95822, 1.996):
+        data.update(alpha=alpha, truncation=2)
         cfg_path.write_text(json.dumps(data))
         assert main(["oracle-check", "--config", str(cfg_path),
                      "--out", str(tmp_path / "art")]) == 0, alpha

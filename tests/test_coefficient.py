@@ -32,8 +32,9 @@ class TestC0:
         assert c_hotter / c_hot == pytest.approx(10.0, rel=0.05)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    # the line integral's QAGP core stays unflagged up to alpha = 1.99904
-    # and reports divergence (ier = 5) above it, in every dimension
+    # the line integral's first QAGP core pass stays unflagged up to
+    # alpha = 1.99904 and reports divergence (ier = 5) above it, in every
+    # dimension; the second pass holds it to 1.9991
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9, 1.99])
     def test_quadrature_cross_check(self, d, alpha):
         params = ModelParams(d, alpha)
@@ -53,6 +54,14 @@ class TestC0:
         # worst relative error was 4.7e-11 at d = 1, 2 and 3 alike
         for alpha in np.linspace(0.01, 1.999, 20):
             params = ModelParams(d, float(alpha))
+            assert oracle_c0(params) == pytest.approx(compute_c0(params), rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_windows_above_1865_to_the_gamma_value(self, d):
+        # one alpha in each window where a form element's first core pass is
+        # refused, and 1.9991, where c0's own first pass reports divergence
+        for alpha in (1.86525, 1.9061, 1.95822, 1.996, 1.9991):
+            params = ModelParams(d, alpha)
             assert oracle_c0(params) == pytest.approx(compute_c0(params), rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.9, 1.999])

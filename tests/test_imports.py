@@ -18,9 +18,9 @@ BASE = {"levyhom", "levyhom.cli", "levyhom.config", "levyhom.coefficient",
 
 # the package's public names before they were resolved lazily: every name
 # it imported from its submodules, and the submodules themselves, less the
-# since removed TruncationUnstable
+# since removed TruncationUnstable and ContourTooClose
 PUBLIC = {
-    "CircleContour", "ContourTooClose", "ConvergenceFailure", "DegenerateFit",
+    "CircleContour", "ConvergenceFailure", "DegenerateFit",
     "EpsilonSpec", "FiberMatrix", "GapViolation", "LevyhomError", "ModeSet",
     "ModelParams", "PeriodicCoefficient", "PositivityUncertified",
     "QuadratureNotConverged", "RateStudyResult", "RieszProjection",
@@ -82,6 +82,12 @@ def test_validate_and_constants_load_no_solver_nor_openssl(tmp_path):
 def test_fiber_and_oracle_check_add_only_the_fiber_module(tmp_path):
     loaded = _after_commands(tmp_path, ("fiber", "oracle-check"))
     assert _package(loaded) == BASE | {"levyhom.fiber"}
+
+
+def test_thresholds_adds_only_the_fiber_and_spectral_modules(tmp_path):
+    # the slope checks live beside the rate laws in coefficient
+    loaded = _after_commands(tmp_path, ("thresholds",))
+    assert _package(loaded) == BASE | {"levyhom.fiber", "levyhom.spectral"}
 
 
 def test_no_command_loads_numpy_ma(tmp_path):

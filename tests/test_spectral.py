@@ -1,17 +1,35 @@
 """Eigen-analysis, circular contour, Riesz projectors, threshold reports."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 import levyhom.spectral as spectral_mod
 from levyhom._util import hermitian_defect, hermitian_norm
-from levyhom import (CircleContour, ContourTooClose, GapViolation, ModeSet,
+from levyhom import (CircleContour, GapViolation, ModeSet, StudyConfig, certify,
                      ModelParams, assemble_fiber_matrix, compute_c0,
                      eig_hermitian, loglog_slope, projector_by_eig,
                      projector_by_riesz, rho_and_rho_star, theory_constants,
                      threshold_report, v_alpha)
+from conftest import random_band_limited
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _counting_inv(monkeypatch):
+    """A list that gets the block count of every later np.linalg.inv call."""
+    inverted = []
+    real_inv = np.linalg.inv
+
+    def counting_inv(a):
+        inverted.append(math.prod(a.shape[:-2]))
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    return inverted
 
 
 class TestEig:
@@ -96,19 +114,21 @@ class TestProjectorByEig:
 class TestCircleContour:
     def test_arclength_formula(self):
         d0 = 4.7635
-        expect = math.pi * d0
+        expect = 2.0 * math.pi * math.sqrt(5.0) * d0 / 6.0
         for n in (128, 256, 512):
             contour = CircleContour(d0, n)
             arclength = float(np.abs(contour.weights).sum())
             assert abs(arclength - expect) / expect <= 1e-10
 
-    def test_distance_to_real(self):
-        contour = CircleContour(3.0, 128)
-        r = 1.0  # d0 / 3
-        assert contour.distance_to_real(0.0) == pytest.approx(r)
-        assert contour.distance_to_real(0.5) == pytest.approx(1.5)
-        assert contour.distance_to_real(2.0) == pytest.approx(0.0)
-        assert contour.distance_to_real(3.0) == pytest.approx(1.0)
+    def test_default_node_count_is_the_smallest_within_the_bound(self):
+        # [0, d0/3] inside and [d0, inf) outside sit at ratio 1/sqrt(5) of
+        # the radius, where the n-node sum errs by at most q^n / (1 - q^n)
+        q = 1.0 / math.sqrt(5.0)
+        bound = lambda n: q ** n / (1.0 - q ** n)
+        n = spectral_mod.RIESZ_NODES
+        assert n == 35
+        assert bound(n) <= spectral_mod.RIESZ_TOL < bound(n - 1)
+        assert CircleContour(1.0).num_nodes == n
 
     def test_counterclockwise(self):
         contour = CircleContour(3.0, 512)
@@ -153,23 +173,27 @@ class TestRiesz:
         assert np.max(np.abs(np.diag(f) - 1.0 / (1.0 - x ** n))) <= 1e-13
         assert np.max(np.abs(f - np.diag(np.diag(f)))) <= 1e-13
 
-    @pytest.mark.parametrize("start, gap, nodes", [(256, 1.0, 256), (8, 1.0, 55),
-                                                   (256, 0.101, 425), (8, 0.101, 425),
-                                                   (8, 0.7945981741370738, 66)])
-    def test_node_count_is_the_smallest_within_the_bound(self, start, gap, nodes):
-        # eigenvalue 0 sits 1.0 inside the circle of radius 1.5 about 0.5,
-        # the other `gap` outside it; gap 0.101 is just beyond the d0/30 guard,
-        # and at gap 0.7945... the bound at 65 nodes exceeds 1e-12 by a rounding
-        # error, where the logarithm says 65
+    def test_worst_case_spectrum_within_the_tolerance(self):
+        # the ends of [0, d0/3] and the start of [d0, inf) sit at ratio
+        # 1/sqrt(5) of the radius, where the bound q^n / (1 - q^n) is reached
         d0 = 3.0
-        contour = CircleContour(d0, start)
-        q = contour.radius / (contour.radius + gap)
-        bound = lambda n: q ** n / (1.0 - q ** n)
-        proj = projector_by_riesz(np.diag([0.0, 2.0 * d0 / 3.0 + gap]), contour)
-        assert proj.nodes == nodes
-        assert bound(nodes) <= spectral_mod.RIESZ_TOL
-        assert nodes == start or bound(nodes - 1) > spectral_mod.RIESZ_TOL
-        assert np.linalg.norm(proj.projector - np.diag([1.0, 0.0]), 2) <= 1e-12
+        a = np.diag([0.0, d0 / 3.0, d0, 5.0 * d0])
+        proj = projector_by_riesz(a, CircleContour(d0))
+        assert proj.nodes == spectral_mod.RIESZ_NODES
+        err = np.linalg.norm(proj.projector - np.diag([1.0, 1.0, 0.0, 0.0]), 2)
+        assert err <= spectral_mod.RIESZ_TOL
+
+    def test_solves_no_eigenproblem(self, t2, params_half, monkeypatch):
+        const = theory_constants(params_half, t2)
+        fiber = assemble_fiber_matrix(t2, params_half, ModeSet(1, 8), [0.02])
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the Riesz route called an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        for matrix in (fiber, fiber.entries):
+            projector_by_riesz(matrix, CircleContour(const.d0))
 
     @staticmethod
     def _hermitian_stack(dtype):
@@ -203,59 +227,28 @@ class TestRiesz:
                                                         monkeypatch):
         const = theory_constants(params_half, t2)
         fiber = assemble_fiber_matrix(t2, params_half, ModeSet(1, 8), [0.02]).entries
-        inverted = []
-        real_inv = np.linalg.inv
-
-        def counting_inv(a):
-            inverted.append(math.prod(a.shape[:-2]))
-            return real_inv(a)
-
-        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        inverted = _counting_inv(monkeypatch)
         nodes = projector_by_riesz(fiber, CircleContour(const.d0)).nodes
-        assert nodes < 64
-        assert sum(inverted) == nodes // 2 + 1
+        assert nodes == spectral_mod.RIESZ_NODES
+        assert sum(inverted) == nodes // 2 + 1 == 18
 
-    def test_contour_too_close(self):
-        d0 = 3.0
-        a = np.diag([2.0 * d0 / 3.0, 2.0 * d0])   # eigenvalue on the contour
-        with pytest.raises(ContourTooClose):
-            projector_by_riesz(a, CircleContour(d0, 128))
-
-
-def _outside_point(d0, side, gap):
-    """Real point at distance `gap` outside the circle on the given side."""
-    return -d0 / 3.0 - gap if side == "left" else 2.0 * d0 / 3.0 + gap
-
-
-class TestGuardBand:
-    D0 = 3.0
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_converges_just_outside_guard(self, side):
-        d0 = self.D0
-        a = np.diag([0.0, _outside_point(d0, side, 1.01 * d0 / 30.0), 2.0 * d0])
-        proj = projector_by_riesz(a, CircleContour(d0))
-        assert proj.nodes <= 2048
-        assert np.linalg.norm(proj.projector - np.diag([1.0, 0.0, 0.0]), 2) <= 1e-12
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_too_close_inside_guard(self, side):
-        d0 = self.D0
-        a = np.diag([0.0, _outside_point(d0, side, 0.99 * d0 / 30.0)])
-        with pytest.raises(ContourTooClose):
-            projector_by_riesz(a, CircleContour(d0))
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_distance_matches_segment_guard(self, side):
-        # off [0, d0/3] the circle is as far from the real axis as a curve at
-        # distance d0/3 around that segment, so the d0/30 guard is unchanged
-        d0 = self.D0
-        contour = CircleContour(d0)
-        for gap in np.linspace(1e-3, 2.0 * d0, 41):
-            v = -gap if side == "left" else d0 / 3.0 + gap
-            expect = abs(max(0.0, -v, v - d0 / 3.0) - d0 / 3.0)
-            assert contour.distance_to_real(v) == pytest.approx(expect, rel=1e-14,
-                                                                abs=1e-15)
+    @pytest.mark.parametrize("name", ["t2_alpha05", "t2_d2"])
+    def test_eighteen_inversions_per_block_on_the_ladder(self, name, monkeypatch):
+        # every point `thresholds` visits: the origin and the radii <= delta0
+        cfg = StudyConfig.from_dict(
+            json.loads((REPO / "configs" / f"{name}.json").read_text()))
+        params = ModelParams(cfg.dimension, cfg.alpha)
+        coeff = certify(cfg.build_coefficient(), cfg.resolved_positivity_grid)
+        const = theory_constants(params, coeff)
+        modes = ModeSet(cfg.dimension, cfg.resolved_truncation)
+        radii = cfg.xi_grid.radii()
+        inverted = _counting_inv(monkeypatch)
+        for r in [0.0, *radii[radii <= const.delta0]]:
+            xi = r * np.eye(cfg.dimension)[0]
+            fiber = assemble_fiber_matrix(coeff, params, modes, xi)
+            inverted.clear()
+            projector_by_riesz(fiber, CircleContour(const.d0))
+            assert sum(inverted) == 18 * sum(len(s) for s in fiber.stacks), r
 
 
 class TestThresholdReport:
@@ -271,6 +264,24 @@ class TestThresholdReport:
                                      const.d0 / 3)
             assert riesz.nodes < 64
             assert np.linalg.norm(riesz.projector - f_eig, 2) <= 1e-12
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_certified_picture_holds_the_default_contour(self, dimension, alpha):
+        # inside the certified ball lambda1 lies in [0, d0/3] and lambda2 in
+        # [d0, inf), so the 35-node sum is within RIESZ_TOL of the eig route
+        params = ModelParams(dimension, alpha)
+        modes = ModeSet(dimension, 8 if dimension == 1 else 4)
+        direction = np.ones(dimension) / math.sqrt(dimension)
+        for seed in range(6):
+            coeff = certify(random_band_limited(np.random.default_rng(seed),
+                                                dimension))
+            const = theory_constants(params, coeff)
+            for r in (0.0, 1e-3, const.delta0 / 2, const.delta0):
+                rep = threshold_report(coeff, params, modes, r * direction)
+                assert -1e-10 <= rep.lambda1 <= const.d0 / 3.0 + 1e-10
+                assert rep.lambda2 >= const.d0 - 1e-10
+                assert rep.projector_mismatch <= spectral_mod.RIESZ_TOL + 1e-14
 
     @pytest.mark.parametrize("truncation", [8, 32])
     def test_lambda1_at_zero_is_exact_near_alpha_two(self, t2, truncation):
