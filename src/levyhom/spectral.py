@@ -96,9 +96,19 @@ def projector_by_eig(spectral: SpectralData, cutoff: float) -> np.ndarray:
 
 RIESZ_TOL = 1e-12
 RIESZ_Q = 1.0 / math.sqrt(5.0)   # see CircleContour
-# 35: the least n with error bound q^n / (1 - q^n) within RIESZ_TOL at q = RIESZ_Q
-RIESZ_NODES = next(n for n in itertools.count(1)
-                   if RIESZ_Q ** n / (1.0 - RIESZ_Q ** n) <= RIESZ_TOL)
+
+
+def least_riesz_nodes(q: float) -> int:
+    """Least n whose error bound q^n / (1 - q^n) is within RIESZ_TOL.
+
+    q < 1 is the worst ratio of an eigenvalue's distance from the centre to
+    the radius (inside) or of the radius to that distance (outside).  The
+    bound itself is compared, not a rounded logarithm.
+    """
+    return next(n for n in itertools.count(1) if q ** n / (1.0 - q ** n) <= RIESZ_TOL)
+
+
+RIESZ_NODES = least_riesz_nodes(RIESZ_Q)   # 35
 
 
 class CircleContour:

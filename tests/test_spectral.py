@@ -173,6 +173,27 @@ class TestRiesz:
         assert np.max(np.abs(np.diag(f) - 1.0 / (1.0 - x ** n))) <= 1e-13
         assert np.max(np.abs(f - np.diag(np.diag(f)))) <= 1e-13
 
+    @pytest.mark.parametrize("start, gap, nodes", [(256, 1.0, 256), (8, 1.0, 55),
+                                                   (256, 0.101, 425), (8, 0.101, 425),
+                                                   (8, 0.7945981741370738, 66)])
+    def test_node_count_is_the_smallest_within_the_bound(self, start, gap, nodes):
+        # off the certified picture the caller picks the node count: at least
+        # `start`, and the least within the bound for an eigenvalue `gap`
+        # outside a circle of radius 1.5; at gap 0.7945... the bound at 65
+        # nodes exceeds 1e-12 by a rounding error, where the logarithm says 65
+        q = 1.5 / (1.5 + gap)
+        bound = lambda n: q ** n / (1.0 - q ** n)
+        n = max(start, spectral_mod.least_riesz_nodes(q))
+        assert n == nodes
+        assert bound(nodes) <= spectral_mod.RIESZ_TOL
+        assert nodes == start or bound(nodes - 1) > spectral_mod.RIESZ_TOL
+        contour = CircleContour(9.0 / math.sqrt(5.0), nodes)   # radius 1.5
+        assert contour.radius == pytest.approx(1.5, rel=1e-15)
+        a = np.diag([0.0, contour.center + contour.radius + gap])
+        proj = projector_by_riesz(a, contour)
+        assert proj.nodes == nodes
+        assert np.linalg.norm(proj.projector - np.diag([1.0, 0.0]), 2) <= 1e-12
+
     def test_worst_case_spectrum_within_the_tolerance(self):
         # the ends of [0, d0/3] and the start of [d0, inf) sit at ratio
         # 1/sqrt(5) of the radius, where the bound q^n / (1 - q^n) is reached
