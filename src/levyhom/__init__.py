@@ -20,10 +20,9 @@ _EXPORTS = {
                     "slope_check", "slope_widening", "theory_constants",
                     "v_alpha"),
     "config": ("EpsilonSpec", "StudyConfig", "Tolerances", "XiGridSpec"),
-    "errors": ("ConvergenceFailure", "DegenerateFit", "GapViolation",
-               "LevyhomError", "PositivityUncertified",
-               "QuadratureNotConverged", "SymmetryViolation",
-               "TruncationTooSmall"),
+    "errors": ("ConvergenceFailure", "DegenerateFit", "LevyhomError",
+               "PositivityUncertified", "QuadratureNotConverged",
+               "SymmetryViolation", "TruncationTooSmall"),
     "fiber": ("FiberMatrix", "ModeSet", "assemble_effective_fiber",
               "assemble_fiber_matrix", "c1_constant", "oracle_form_element",
               "rho_and_rho_star"),

@@ -8,10 +8,10 @@ check's own tolerance included, and the line passes exactly where that is
 >= 0.  A line without a margin is a structural verdict.  The library
 measures and reports (the projector routes' distance, the doubled
 truncation's drift) and raises only where it cannot measure, so each limit
-is judged here, once, and a failed check still writes its CSV.  The only
-environment knob is LEVYHOM_LOG (log verbosity); identical config plus seed
-gives byte-identical CSV artifacts for any --workers, at a fixed BLAS
-thread count (OPENBLAS_NUM_THREADS).
+is judged here, once, and a failed check still writes its CSV.  The
+library neither prints nor logs, and the package reads no environment
+variable; identical config plus seed gives byte-identical CSV artifacts
+for any --workers, at a fixed BLAS thread count (OPENBLAS_NUM_THREADS).
 --workers is an upper bound on the thread count: a pass runs on threads
 only where each point's largest dense matrix has at least
 _util.PARALLEL_MIN_ORDER (256) rows, and on the calling thread otherwise.
@@ -20,7 +20,6 @@ _util.PARALLEL_MIN_ORDER (256) rows, and on the calling thread otherwise.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
@@ -38,8 +37,6 @@ from .errors import LevyhomError
 
 # fiber, spectral and homogenization are imported by the commands that use
 # them, so each command process loads only what it runs
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -408,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("LEVYHOM_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -550,7 +550,6 @@ def theory_constants(params: ModelParams, coeff: PeriodicCoefficient) -> TheoryC
         raise PositivityUncertified("certified mu_minus must be positive")
     delta0 = math.pi * (coeff.mu_minus / (3.0 * coeff.mu_plus)) ** (1.0 / params.alpha)
     d0 = coeff.mu_minus * params.c0 * math.pi ** params.alpha
-    assert delta0 < math.pi
     return TheoryConstants(
         c0=params.c0,
         mu_eff=effective_mu(coeff),

@@ -32,9 +32,5 @@ class ConvergenceFailure(LevyhomError):
     """The underlying eigensolver failed or returned invalid output."""
 
 
-class GapViolation(LevyhomError):
-    """The spectral-gap picture (one eigenvalue under the cutoff) broke down."""
-
-
 class DegenerateFit(LevyhomError):
     """Not enough positive, distinct points for a log-log slope fit."""

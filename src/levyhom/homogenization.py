@@ -10,7 +10,6 @@ Galerkin error is subdominant.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,6 @@ from .config import _validate_epsilons
 from .fiber import (ModeSet, _assembly_plan, assemble_effective_fiber,
                     assemble_fiber_matrix)
 from .spectral import eig_hermitian
-
-log = logging.getLogger(__name__)
 
 # ----------------------------------------------------------------------
 # Resolvent differences
@@ -345,10 +342,8 @@ def discrepancy_study(
 
     warnings: list[str] = []
     if slope_widening(alpha) > 0.0:
-        msg = (f"alpha={alpha} is near a singular exponent; theoretical "
-               f"constants degrade and slope tolerances widen by 0.05")
-        warnings.append(msg)
-        log.warning(msg)
+        warnings.append(f"alpha={alpha} is near a singular exponent; theoretical "
+                        f"constants degrade and slope tolerances widen by 0.05")
 
     points = _mirror_reduced(grid)
     sup_vals, arg_idx, certified = _sup_over_points(

@@ -10,7 +10,6 @@ cross-checked wherever thresholds are reported.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -19,15 +18,9 @@ import numpy as np
 from ._util import hermitian_defect, hermitian_norm, max_abs
 from .coefficient import (ModelParams, PeriodicCoefficient, theory_constants,
                           v_alpha)
-from .errors import ConvergenceFailure, GapViolation
+from .errors import ConvergenceFailure
 from .fiber import (FiberMatrix, ModeSet, assemble_fiber_matrix,
                     rho_and_rho_star)
-
-log = logging.getLogger(__name__)
-
-# abort threshold for near-degenerate lowest pairs; proposition-level theory
-# guarantees a simple eigenvalue inside the certified ball
-DEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,23 +62,12 @@ def eig_hermitian(matrix: np.ndarray) -> SpectralData:
     return SpectralData(eigenvalues=lam, eigenvectors=vec)
 
 
-def projector_by_eig(spectral: SpectralData, cutoff: float) -> np.ndarray:
-    """Rank-1 projector onto the eigenspace below `cutoff`.
+def projector_by_eig(spectral: SpectralData) -> np.ndarray:
+    """Rank-1 projector onto the lowest eigenvector.
 
-    Exactly one eigenvalue must lie at or below the cutoff; anything else
-    signals a quasimomentum outside the certified ball or a truncation
-    pathology.
+    Whether that eigenvalue is simple and separated is measured elsewhere
+    (the CLI's `lambda1_bounds`, `lambda2_gap` and `projector_routes`).
     """
-    lam = spectral.eigenvalues
-    below = int(np.sum(lam <= cutoff))
-    if below != 1:
-        raise GapViolation(
-            f"{below} eigenvalues lie below cutoff {cutoff:.6g}; expected exactly 1"
-        )
-    if lam.size > 1 and lam[1] - lam[0] < DEGENERACY_TOL:
-        raise GapViolation(
-            f"near-degenerate bottom pair: gap {lam[1] - lam[0]:.3e} < {DEGENERACY_TOL}"
-        )
     v = spectral.eigenvectors[:, 0]
     return np.outer(v, v.conj())
 
@@ -220,9 +202,9 @@ def threshold_report(
 ) -> ThresholdReport:
     """Assemble, diagonalize, and measure all threshold quantities at xi.
 
-    The coefficient must be certified (see :func:`certify`): the contour and
-    the gap cutoff come from its certified constants.  The projector is built
-    by both routes and their distance, within RIESZ_TOL plus rounding for
+    The coefficient must be certified (see :func:`certify`): the contour
+    comes from its certified constants.  The projector is built by both
+    routes and their distance, within RIESZ_TOL plus rounding for
     |xi| <= delta0, reported as `projector_mismatch`; judging it is the
     caller's (the CLI's `projector_routes` verdict).
 
@@ -233,11 +215,6 @@ def threshold_report(
     constants = theory_constants(params, coeff)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     r = float(np.linalg.norm(xi))
-    if r > constants.delta0 * (1.0 + 1e-12):
-        # the certified ball is sufficient, not necessary: proceed and let the
-        # projector's eigenvalue count decide whether separation still holds
-        log.warning("|xi| = %.6g outside certified ball delta0 = %.6g; "
-                    "relying on the explicit spectrum check", r, constants.delta0)
 
     fiber = assemble_fiber_matrix(coeff, params, modes, xi)
     # complex eigensolve for real fibers too: the CSV norms carry its u||A|| rounding
@@ -253,8 +230,7 @@ def threshold_report(
     else:
         spectral = eig_hermitian(a)
     lam = spectral.eigenvalues
-    cutoff = constants.d0 / 3.0
-    f_eig = projector_by_eig(spectral, cutoff)
+    f_eig = projector_by_eig(spectral)
 
     contour = CircleContour(constants.d0)
     riesz = projector_by_riesz(fiber, contour)

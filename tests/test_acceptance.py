@@ -180,7 +180,7 @@ def test_criterion_6_projector_agreement():
     min_nodes = 10 ** 9
     for r in (1e-3, 0.01, const.delta0 * 0.9):
         fiber = assemble_fiber_matrix(t2, params, modes, [r]).entries
-        f_eig = projector_by_eig(eig_hermitian(fiber), const.d0 / 3)
+        f_eig = projector_by_eig(eig_hermitian(fiber))
         proj = projector_by_riesz(fiber, CircleContour(const.d0, 256))
         worst = max(worst, float(np.linalg.norm(proj.projector - f_eig, 2)))
         min_nodes = min(min_nodes, proj.nodes)

@@ -390,6 +390,45 @@ def test_projector_mismatch_fails_only_its_verdict(tmp_path, capsys, monkeypatch
     assert len((out_dir / "thresholds.csv").read_text().splitlines()) == 2 + rows
 
 
+@pytest.mark.parametrize("config", ["t2_alpha05", "t2_d2"])
+def test_gap_break_fails_only_its_verdict(tmp_path, capsys, monkeypatch, config):
+    # lambda2 of the first ladder row moved to d0/6, under the d0/3 that
+    # bounds lambda1: lambda2_gap fails with its negative slack, and every
+    # row is still measured and written
+    import levyhom.spectral as spectral
+    cfg_path = REPO / "configs" / f"{config}.json"
+    cfg = StudyConfig.load(cfg_path)
+    const = theory_constants(ModelParams(cfg.dimension, cfg.alpha),
+                             certify(cfg.build_coefficient(),
+                                     cfg.resolved_positivity_grid))
+    real = spectral.eig_hermitian
+    calls = []
+
+    def low_lambda2(matrix):
+        data = real(matrix)
+        calls.append(matrix)
+        if len(calls) != 2:        # the origin's eigensolve is the first
+            return data
+        lam = data.eigenvalues.copy()
+        lam[1] = const.d0 / 6
+        assert lam[0] < lam[1]
+        return spectral.SpectralData(lam, data.eigenvectors)
+
+    monkeypatch.setattr(spectral, "eig_hermitian", low_lambda2)
+    out_dir = tmp_path / "art"
+    assert main(["thresholds", "--config", str(cfg_path), "--out", str(out_dir),
+                 "--workers", "1"]) == 2
+    checks = _report_checks(capsys)
+    _assert_margins_are_slack(checks)
+    assert {n for n, rest in checks.items() if rest.startswith("fail")} == {"lambda2_gap"}
+    margin = float(checks["lambda2_gap"].split("margin=")[1].split()[0])
+    assert margin == pytest.approx(const.d0 / 6 - const.d0 + 1e-10, rel=1e-12)
+    rows = 1 + int(np.sum(cfg.xi_grid.radii() <= const.delta0))
+    assert len(calls) == rows
+    assert checks["threshold_rows"] == f"pass [{rows} quasimomenta]"
+    assert len((out_dir / "thresholds.csv").read_text().splitlines()) == 2 + rows
+
+
 @pytest.mark.parametrize("config", ["t2_alpha05", "t2_d2", "t2_d3"])
 def test_every_margin_is_slack(tmp_path, capsys, config):
     # a margin= line passes exactly where its margin is >= 0, so a pass never
@@ -454,6 +493,18 @@ def test_rate_study_alpha_one_log_footer(tmp_path):
                  "--out", str(out_dir)]) == 0
     lines = (out_dir / "rate_study.csv").read_text().splitlines()
     assert any(line.startswith("log_corrected_slope,") for line in lines)
+
+
+def test_singular_alpha_notice_is_one_report_line(tmp_path, capsys, caplog):
+    # alpha = 1 lies in SINGULAR_ALPHA_BANDS: the notice is a skip verdict
+    # on stdout, printed once; nothing goes to stderr nor to a log record
+    # (under pytest a record reaches caplog's handler, not stderr)
+    assert main(["rate-study", "--config", str(REPO / "configs" / "t1_alpha1.json"),
+                 "--out", str(tmp_path), "--workers", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("alpha_singularity_warning: skip [") == 1
+    assert err == ""
+    assert caplog.records == []
 
 
 def test_validate_rejects_short_epsilon_span(tmp_path):

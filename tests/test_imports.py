@@ -18,10 +18,10 @@ BASE = {"levyhom", "levyhom.cli", "levyhom.config", "levyhom.coefficient",
 
 # the package's public names before they were resolved lazily: every name
 # it imported from its submodules, and the submodules themselves, less the
-# since removed TruncationUnstable and ContourTooClose
+# since removed TruncationUnstable, ContourTooClose and GapViolation
 PUBLIC = {
     "CircleContour", "ConvergenceFailure", "DegenerateFit",
-    "EpsilonSpec", "FiberMatrix", "GapViolation", "LevyhomError", "ModeSet",
+    "EpsilonSpec", "FiberMatrix", "LevyhomError", "ModeSet",
     "ModelParams", "PeriodicCoefficient", "PositivityUncertified",
     "QuadratureNotConverged", "RateStudyResult", "RieszProjection",
     "SpectralData", "StudyConfig", "SymmetryViolation", "TheoryConstants",
@@ -96,6 +96,14 @@ def test_no_command_loads_numpy_ma(tmp_path):
                                         "thresholds", "rate-study",
                                         "oracle-check"))
     assert "numpy.ma" not in loaded
+
+
+def test_no_command_loads_logging(tmp_path):
+    # the library neither logs nor prints: its notices are report lines
+    loaded = _after_commands(tmp_path, ("validate", "constants", "fiber",
+                                        "thresholds", "rate-study",
+                                        "oracle-check"))
+    assert not loaded & {"logging", "traceback", "string"}
 
 
 def test_public_names_unchanged():

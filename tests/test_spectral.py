@@ -9,7 +9,7 @@ import pytest
 
 import levyhom.spectral as spectral_mod
 from levyhom._util import hermitian_defect, hermitian_norm
-from levyhom import (CircleContour, GapViolation, ModeSet, StudyConfig, certify,
+from levyhom import (CircleContour, ModeSet, SpectralData, StudyConfig, certify,
                      ModelParams, assemble_fiber_matrix, compute_c0,
                      eig_hermitian, loglog_slope, projector_by_eig,
                      projector_by_riesz, rho_and_rho_star, theory_constants,
@@ -83,21 +83,26 @@ class TestEig:
 class TestProjectorByEig:
     def test_zero_xi_is_zero_mode_projector(self, t2, params_one):
         modes = ModeSet(1, 8)
-        const = theory_constants(params_one, t2)
         fiber = assemble_fiber_matrix(t2, params_one, modes, [0.0]).entries
-        f = projector_by_eig(eig_hermitian(fiber), const.d0 / 3)
+        f = projector_by_eig(eig_hermitian(fiber))
         p = np.zeros_like(f)
         p[modes.zero_index, modes.zero_index] = 1.0
         assert np.max(np.abs(f - p)) <= 1e-12
 
-    def test_gap_violation_counts(self, t0, params_one):
-        modes = ModeSet(1, 4)
-        fiber = assemble_fiber_matrix(t0, params_one, modes, [0.3]).entries
-        data = eig_hermitian(fiber)
-        with pytest.raises(GapViolation):
-            projector_by_eig(data, cutoff=1e-6)      # zero below
-        with pytest.raises(GapViolation):
-            projector_by_eig(data, cutoff=1e9)       # all below
+    def test_lowest_eigenvector_projector_for_any_spectrum(self):
+        # no eigenvalue count nor gap is judged here (the CLI's lambda1_bounds,
+        # lambda2_gap and projector_routes are): the result is v0 v0^H
+        rng = np.random.default_rng(0)
+        for lam in ([0.5, 1.0, 2.0, 3.0],              # nothing near zero
+                    [-2.0, -1.0, 1e-9, 4.0],           # several low eigenvalues
+                    [1e-3, 1e-3 + 1e-12, 1.0, 1.0]):   # a near-degenerate bottom pair
+            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            vec = np.linalg.qr(z)[0]
+            f = projector_by_eig(SpectralData(np.array(lam), vec))
+            assert np.array_equal(f, np.outer(vec[:, 0], vec[:, 0].conj()))
+            a = (vec * lam) @ vec.conj().T
+            assert np.max(np.abs(a @ f - lam[0] * f)) <= 1e-12
+            assert np.max(np.abs(f @ f - f)) <= 1e-12
 
     def test_rank_one_slightly_outside_ball(self, t2, params_one):
         # separation, not the certified radius, is what the projector needs
@@ -107,8 +112,12 @@ class TestProjectorByEig:
         fiber = assemble_fiber_matrix(t2, params_one, modes, xi).entries
         data = eig_hermitian(fiber)
         assert data.eigenvalues[1] >= const.d0
-        f = projector_by_eig(data, const.d0 / 3)
+        f = projector_by_eig(data)
         assert np.trace(f).real == pytest.approx(1.0, abs=1e-12)
+        # the trace of v0 v0^H is 1 by construction: the Riesz route, which
+        # sees every eigenvalue inside its circle, confirms the rank
+        riesz = projector_by_riesz(fiber, CircleContour(const.d0)).projector
+        assert hermitian_norm(riesz - f) <= 1e-11
 
 
 class TestCircleContour:
@@ -154,7 +163,7 @@ class TestRiesz:
         modes = ModeSet(1, 8)
         fiber = assemble_fiber_matrix(t2, params_half, modes, [0.02]).entries
         data = eig_hermitian(fiber)
-        f_eig = projector_by_eig(data, const.d0 / 3)
+        f_eig = projector_by_eig(data)
         proj = projector_by_riesz(fiber, CircleContour(const.d0, 256))
         f = proj.projector
         assert np.linalg.norm(f - f_eig, 2) <= 1e-8
@@ -281,8 +290,7 @@ class TestThresholdReport:
         for r in (0.0, 1e-3, const.delta0 / 2):
             fiber = assemble_fiber_matrix(coeff, params, ModeSet(1, 8), [r])
             riesz = projector_by_riesz(fiber, CircleContour(const.d0))
-            f_eig = projector_by_eig(eig_hermitian(fiber.entries.astype(complex)),
-                                     const.d0 / 3)
+            f_eig = projector_by_eig(eig_hermitian(fiber.entries.astype(complex)))
             assert riesz.nodes < 64
             assert np.linalg.norm(riesz.projector - f_eig, 2) <= 1e-12
 
@@ -359,7 +367,7 @@ class TestThresholdReport:
             rep = threshold_report(t2, params_half, modes, [r])
             fiber = assemble_fiber_matrix(t2, params_half, modes, [r])
             spectral = eig_hermitian(fiber.entries.astype(complex))
-            f_eig = projector_by_eig(spectral, const.d0 / 3)
+            f_eig = projector_by_eig(spectral)
             riesz = projector_by_riesz(fiber, CircleContour(const.d0)).projector
             p0 = np.zeros((modes.size, modes.size), dtype=complex)
             p0[modes.zero_index, modes.zero_index] = 1.0
