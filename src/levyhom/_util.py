@@ -85,17 +85,14 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows, digest=None, footer_rows=()):
+def write_csv(path, header, rows, digest, footer_rows=()):
     """Write an RFC-4180-style CSV with a leading '#' config-digest comment.
 
     All formatting is locale-free and deterministic so identical runs give
     byte-identical files.
     """
     ncol = len(header)
-    lines = []
-    if digest is not None:
-        lines.append(f"# config={digest}")
-    lines.append(",".join(header))
+    lines = [f"# config={digest}", ",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     for row in footer_rows:

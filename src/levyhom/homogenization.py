@@ -1,4 +1,4 @@
-"""Resolvent discrepancy across the dual cell and convergence-rate fits.
+"""Resolvent discrepancy across the dual cell.
 
 The homogenization error at scale eps equals, after the exact scaling
 identity, eps^alpha times the sup over quasimomenta of the fiber resolvent
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import UNIT_ROUNDOFF, hermitian_norm, parallel_map
-from .coefficient import (ModelParams, PeriodicCoefficient, effective_mu,
-                          loglog_slope, rate_function, rate_profile,
-                          slope_widening)
+from .coefficient import ModelParams, PeriodicCoefficient, effective_mu
 from .config import _validate_epsilons
 from .fiber import (ModeSet, _assembly_plan, assemble_effective_fiber,
                     assemble_fiber_matrix)
@@ -225,22 +223,16 @@ def threshold_resolvent_diff(
 
 @dataclass(frozen=True, eq=False)
 class RateStudyResult:
-    """Per-epsilon discrepancies, slope fits, and stability certificates."""
+    """Per-epsilon discrepancies and the sweep's certificates; fitting and
+    judging them against the rate envelope is the caller's."""
 
-    alpha: float
     epsilons: np.ndarray            # descending
     discrepancies: np.ndarray
     argmax_xi_norm: np.ndarray
-    bound_ratios: np.ndarray
-    fitted_slope: float | None
-    r_squared: float | None
-    log_corrected_slope: float | None
     truncation_stability: float
-    exact: bool                     # discrepancy identically zero
     solved_points: int              # grid points solved per pass
     certified: tuple                # per pass: (certified norms, non-seed
                                     # pairs, points with no eigensolve)
-    warnings: tuple
 
 
 def _mirror_reduced(grid) -> list:
@@ -316,14 +308,15 @@ def discrepancy_study(
     epsilons,
     workers: int | None = 1,
 ) -> RateStudyResult:
-    """Measure the scaled resolvent discrepancy and fit its decay rate.
+    """Measure the scaled resolvent discrepancy.
 
     For each eps the discrepancy is eps^alpha times the max of the fiber
     resolvent difference at shift eps^alpha over the quasimomenta `grid`, a
     sequence of points such as ``XiGridSpec().points(dimension)``.  The study
     re-runs at doubled truncation and reports the largest relative move of a
-    discrepancy as `truncation_stability`; judging it is the caller's (the
-    CLI's `truncation_stability` verdict).  The coefficient must be
+    discrepancy as `truncation_stability`.  Fitting the decay rate and
+    judging both are the caller's (the CLI's `slope`, `bound_ratio` and
+    `truncation_stability` verdicts).  The coefficient must be
     certified (see :func:`certify`): its checked realness lets the study
     reduce the grid once to one point of each mirror pair xi, -xi (see
     `_mirror_reduced`), and both passes sweep that point list.
@@ -337,13 +330,7 @@ def discrepancy_study(
     if not coeff.certified:
         raise ValueError("coefficient must be certified before a rate study")
     eps = _validate_epsilons(epsilons)
-    alpha = params.alpha
-    shifts = eps ** alpha
-
-    warnings: list[str] = []
-    if slope_widening(alpha) > 0.0:
-        warnings.append(f"alpha={alpha} is near a singular exponent; theoretical "
-                        f"constants degrade and slope tolerances widen by 0.05")
+    shifts = eps ** params.alpha
 
     points = _mirror_reduced(grid)
     sup_vals, arg_idx, certified = _sup_over_points(
@@ -351,36 +338,18 @@ def discrepancy_study(
     disc = shifts * sup_vals
     argmax_norm = np.array([float(np.linalg.norm(points[i])) for i in arg_idx])
 
-    exact = bool(np.all(disc == 0.0))
-    if exact:
-        fitted = r2 = corrected = None
-        ratios = np.zeros_like(disc)
-    else:
-        fitted, r2 = loglog_slope(eps, disc)
-        bound = rate_function(alpha, "discrepancy", eps)
-        log_corrected = rate_profile(alpha, "discrepancy")[1] > 0
-        corrected = loglog_slope(bound, disc)[0] if log_corrected else None
-        ratios = disc / bound
-
     double = ModeSet(params.dimension, 2 * modes.truncation)
     sup_d, _, certified_d = _sup_over_points(
         coeff, params, double, points, shifts, workers, seeds=arg_idx)
     stability = _relative_change(disc, shifts * sup_d)
 
     return RateStudyResult(
-        alpha=alpha,
         epsilons=eps,
         discrepancies=disc,
         argmax_xi_norm=argmax_norm,
-        bound_ratios=ratios,
-        fitted_slope=fitted,
-        r_squared=r2,
-        log_corrected_slope=corrected,
         truncation_stability=stability,
-        exact=exact,
         solved_points=len(points),
         certified=(certified, certified_d),
-        warnings=tuple(warnings),
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from levyhom import (ModelParams, StudyConfig, c1_constant, certify, compute_c0,
-                     theory_constants)
+                     loglog_slope, theory_constants)
 from levyhom.cli import COMMANDS, main
 from conftest import make_t2, random_band_limited
 
@@ -505,6 +505,44 @@ def test_singular_alpha_notice_is_one_report_line(tmp_path, capsys, caplog):
     assert out.count("alpha_singularity_warning: skip [") == 1
     assert err == ""
     assert caplog.records == []
+
+
+# shipped config, overrides
+RATE_STUDY_CONFIGS = {
+    "t1": ("t1_alpha1", {}),
+    "t2": ("t2_alpha05", {}),
+    "t2_alpha15": ("t2_alpha05", {"alpha": 1.5}),
+    "constant": ("t1_alpha1", {"coefficient": T2_RECORDS[:1]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATE_STUDY_CONFIGS))
+def test_rate_study_footers_refit_from_the_columns(tmp_path, name):
+    # each derived value of rate_study.csv is one fit or one division of the
+    # CSV's own columns, bit for bit
+    base, overrides = RATE_STUDY_CONFIGS[name]
+    data = json.loads((REPO / "configs" / f"{base}.json").read_text())
+    data.update(overrides)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["rate-study", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--workers", "1"]) == 0
+    lines = (tmp_path / "rate_study.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    footer = {row[0]: row[1] for row in rows if row[0].isidentifier()}
+    table = np.array([row for row in rows if not row[0].isidentifier()], dtype=float)
+    cols = dict(zip(lines[1].split(","), table.T))
+    eps, disc, bound = cols["epsilon"], cols["discrepancy"], cols["rate_bound"]
+    assert np.array_equal(cols["bound_ratio"], disc / bound)
+    if name == "constant":
+        assert not disc.any()
+        assert "fitted_slope,exact,,," in lines
+    else:
+        assert (float(footer["fitted_slope"]),
+                float(footer["r_squared"])) == loglog_slope(eps, disc)
+    assert ("log_corrected_slope" in footer) == (name == "t1")
+    if name == "t1":
+        assert float(footer["log_corrected_slope"]) == loglog_slope(bound, disc)[0]
 
 
 def test_validate_rejects_short_epsilon_span(tmp_path):
