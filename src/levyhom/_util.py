@@ -60,13 +60,13 @@ def parallel_map(fn, items, workers=None, *, order):
     dense matrix, is at least PARALLEL_MIN_ORDER; below it the map runs on
     the calling thread.  Two threads lose to one at 169 modes, tie at 289
     and win from 441 on (see PARALLEL_MIN_ORDER for the measurement).  The
-    default width is the number of CPUs this process may run on (its
-    affinity mask, where the platform has one), not the machine's core
-    count.
+    width, by default and at most, is the number of CPUs this process may
+    run on (its affinity mask, where the platform has one): a thread beyond
+    it adds only its item's matrices to peak RSS.
     """
     items = list(items)
-    if workers is None:
-        workers = available_cpus()
+    cpus = available_cpus()
+    workers = cpus if workers is None else min(workers, cpus)
     if workers <= 1 or len(items) <= 1 or order < PARALLEL_MIN_ORDER:
         return [fn(x) for x in items]
     from concurrent.futures import ThreadPoolExecutor

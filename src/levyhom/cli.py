@@ -1,9 +1,12 @@
 """Command-line driver for batch verification runs.
 
 Commands: validate, constants, fiber, thresholds, rate-study, oracle-check.
-Exit codes are a stable contract: 0 all checks pass, 1 usage or I/O error,
-2 verification failure.  Every numeric verdict goes through RunReport.check:
-its `margin=` is its slack, the distance from the check's limit with the
+`main` builds one RunReport, the command fills it, `main` prints it; every
+CSV goes through RunReport.write_csv: under --out (default: the config's
+`output`), stamped with the `config:` digest, listed under `artifacts:`.
+Exit codes: 0 all checks pass, 1 usage or I/O error, 2 verification
+failure.  Every numeric verdict goes through RunReport.check: its
+`margin=` is its slack, the distance from the check's limit with the
 check's own tolerance included, and the line passes exactly where that is
 >= 0.  A line without a margin is a structural verdict.  The library
 measures and reports (the projector routes' distance, the rate study's
@@ -13,9 +16,10 @@ and a failed check still writes its CSV.  The library neither prints nor
 logs, and the package reads no environment variable; identical config plus
 seed gives byte-identical CSV artifacts for any --workers, at a fixed BLAS
 thread count (OPENBLAS_NUM_THREADS).
---workers is an upper bound on the thread count: a pass runs on threads
-only where each point's largest dense matrix has at least
-_util.PARALLEL_MIN_ORDER (256) rows, and on the calling thread otherwise.
+--workers is an upper bound on the thread count, capped at the CPUs this
+process may run on: a pass runs on threads only where each point's largest
+dense matrix has at least _util.PARALLEL_MIN_ORDER (256) rows, and on the
+calling thread otherwise.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ class CheckVerdict:
 class RunReport:
     command: str
     config_digest: str
+    out_dir: str
     wall_time: float = 0.0
     checks: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
@@ -67,6 +72,13 @@ class RunReport:
         slack = float(slack)
         self.checks.append(CheckVerdict(name, "pass" if slack >= 0.0 else "fail",
                                         slack, detail))
+
+    def write_csv(self, name, header, rows, footer_rows=()):
+        """Write `name` under out_dir, stamped with the digest, as an artifact."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        path = os.path.join(self.out_dir, name)
+        self.artifacts.append(write_csv(path, header, rows, self.config_digest,
+                                        footer_rows))
 
     @property
     def passed(self) -> bool:
@@ -114,24 +126,21 @@ def _constant_values(constants) -> dict:
 # Commands
 # ----------------------------------------------------------------------
 
-def cmd_validate(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
-    report = RunReport("validate", cfg.digest())
+def cmd_validate(cfg: StudyConfig, report: RunReport, args) -> None:
     try:
         _, coeff, constants = _prepare(cfg)
     except LevyhomError as exc:
         report.add("symmetry+positivity", "fail", detail=str(exc))
-        return report
+        return
     report.add("symmetry", "pass")
     report.check("positivity", coeff.mu_minus,
                  detail=f"certified mu_minus={coeff.mu_minus:.6g}")
     report.values.update(_constant_values(constants))
     report.check("mu_eff_within_bounds", min(constants.mu_eff - constants.mu_minus,
                                              constants.mu_plus - constants.mu_eff))
-    return report
 
 
-def cmd_constants(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
-    report = RunReport("constants", cfg.digest())
+def cmd_constants(cfg: StudyConfig, report: RunReport, args) -> None:
     params, coeff, constants = _prepare(cfg)
     report.values.update(_constant_values(constants))
     report.values.update({
@@ -139,36 +148,26 @@ def cmd_constants(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRep
         "theta(1)": float(rate_function(params.alpha, "theta", 1.0)),
     })
     report.check("delta0_below_pi", math.pi - constants.delta0)
-    return report
 
 
-def cmd_fiber(cfg: StudyConfig, out_dir: str, workers: int | None,
-              xi_values=()) -> RunReport:
+def cmd_fiber(cfg: StudyConfig, report: RunReport, args) -> None:
     from .fiber import assemble_fiber_matrix
-    report = RunReport("fiber", cfg.digest())
     params, coeff, constants = _prepare(cfg)
     modes = _modes(cfg)
-    if not xi_values:
-        raise ValueError("fiber requires --xi with at least one value")
-    os.makedirs(out_dir, exist_ok=True)
-    for idx, xi_spec in enumerate(xi_values):
+    for idx, xi_spec in enumerate(args.xi):
         xi = np.array([float(v) for v in str(xi_spec).split(",")], dtype=float)
         if xi.size == 1 and cfg.dimension > 1:
             xi = np.concatenate([xi, np.zeros(cfg.dimension - 1)])
         fiber = assemble_fiber_matrix(coeff, params, modes, xi)
         header = [f"{part}_{j}" for j in range(modes.size) for part in ("re", "im")]
-        path = os.path.join(out_dir, f"fiber_{idx}.csv")
         # complex for every coefficient: the CSV keeps its re/im column pairs
-        write_csv(path, header, fiber.entries.astype(complex).view(float),
-                  digest=cfg.digest())
-        report.artifacts.append(path)
+        report.write_csv(f"fiber_{idx}.csv", header,
+                         fiber.entries.astype(complex).view(float))
         report.check(f"hermitian_xi{idx}", hermitian_defect(fiber.entries)[1])
-    return report
 
 
-def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
+def cmd_thresholds(cfg: StudyConfig, report: RunReport, args) -> None:
     from .spectral import threshold_report
-    report = RunReport("thresholds", cfg.digest())
     params, coeff, constants = _prepare(cfg)
     modes = _modes(cfg)
     d = cfg.dimension
@@ -187,13 +186,13 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
     reps = []
     failure = None
     # threshold_report eigensolves the dense fiber, of order modes.size
-    for xi, rep in zip(xis, parallel_map(one_report, xis, workers, order=modes.size)):
+    results = parallel_map(one_report, xis, args.workers, order=modes.size)
+    for xi, rep in zip(xis, results):
         if isinstance(rep, LevyhomError):
             failure = f"threshold_report failed at |xi|={np.linalg.norm(xi):.3g}: {rep}"
             break
         reps.append(rep)
 
-    os.makedirs(out_dir, exist_ok=True)
     # CSV column -> ThresholdReport field, after the xi_j columns
     columns = {"xi_norm": "xi_norm", "lambda1": "lambda1", "lambda2": "lambda2",
                "f_minus_p": "f_minus_p_norm", "phi_norm": "phi_norm",
@@ -201,13 +200,11 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
                "rho_star": "rho_star"}
     rows = [[float(v) for v in rep.xi] + [getattr(rep, f) for f in columns.values()]
             for rep in reps]
-    path = os.path.join(out_dir, "thresholds.csv")
-    write_csv(path, [f"xi_{j + 1}" for j in range(d)] + list(columns), rows,
-              digest=cfg.digest())
-    report.artifacts.append(path)
+    header = [f"xi_{j + 1}" for j in range(d)] + list(columns)
+    report.write_csv("thresholds.csv", header, rows)
     if failure is not None:
         report.add("threshold_rows", "fail", detail=failure)
-        return report
+        return
     report.add("threshold_rows", "pass", detail=f"{len(reps)} quasimomenta")
 
     mismatch = max(rep.projector_mismatch for rep in reps)
@@ -223,7 +220,7 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
         for name in ["lambda1_bounds", *(f"slope_{q}" for q in slopes)]:
             report.add(name, "fail", detail=f"empty ladder: no xi_grid radius in "
                                             f"(0, delta0={constants.delta0:.6g}]")
-        return report
+        return
 
     def field(name):
         return np.array([getattr(rep, name) for rep in ladder])
@@ -247,17 +244,15 @@ def cmd_thresholds(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
             continue
         report.check(f"slope_{name}", slope - floor,
                      detail=f"slope={slope:.3f} floor={floor:.3f}")
-    return report
 
 
-def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
+def cmd_rate_study(cfg: StudyConfig, report: RunReport, args) -> None:
     from .homogenization import discrepancy_study
-    report = RunReport("rate-study", cfg.digest())
     params, coeff, constants = _prepare(cfg)
     modes = _modes(cfg)
     grid = cfg.xi_grid.points(cfg.dimension)
     result = discrepancy_study(coeff, params, modes, grid, cfg.epsilons.values(),
-                               workers=workers)
+                               workers=args.workers)
 
     eps, disc = result.epsilons, result.discrepancies
     bounds = rate_function(params.alpha, "discrepancy", eps)
@@ -273,13 +268,9 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
                                    cfg.tolerances.slope_margin)
         if log_corrected:
             footers.append(("log_corrected_slope", slope))
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "rate_study.csv")
-    write_csv(path, ["epsilon", "discrepancy", "rate_bound", "bound_ratio",
-                     "argmax_xi_norm"],
-              zip(eps, disc, bounds, ratios, result.argmax_xi_norm),
-              digest=cfg.digest(), footer_rows=footers)
-    report.artifacts.append(path)
+    report.write_csv("rate_study.csv", ["epsilon", "discrepancy", "rate_bound",
+                                        "bound_ratio", "argmax_xi_norm"],
+                     zip(eps, disc, bounds, ratios, result.argmax_xi_norm), footers)
 
     if slope_widening(params.alpha) > 0.0:
         report.add("alpha_singularity_warning", "skip",
@@ -298,7 +289,7 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
     if exact:
         report.add("slope", "pass", detail="discrepancy identically zero (exact)")
         report.add("bound_ratio", "pass", detail="exact")
-        return report
+        return
 
     kind = "log-corrected " if log_corrected else ""
     report.check("slope", slope - floor,
@@ -307,12 +298,10 @@ def cmd_rate_study(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunRe
     ratios = ratios[ratios > 0]
     spread = float(ratios.max() / ratios.min()) if ratios.size else 1.0
     report.check("bound_ratio", 10.0 - spread, detail=f"max/min={spread:.3f}")
-    return report
 
 
-def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> RunReport:
+def cmd_oracle_check(cfg: StudyConfig, report: RunReport, args) -> None:
     from .fiber import assemble_fiber_matrix, c1_constant, oracle_form_element
-    report = RunReport("oracle-check", cfg.digest())
     params, coeff, constants = _prepare(cfg)
     modes = _modes(cfg)
     tol = cfg.tolerances.oracle_rel
@@ -341,18 +330,15 @@ def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> Run
         report.check("form_elements", tol - worst, detail=f"worst rel err {worst:.3e}")
     else:
         report.add("form_elements", "skip", detail="the oracle is defined for d = 1")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "oracle_check.csv")
-    write_csv(path, ["m", "n", "xi", "alpha", "closed_re", "closed_im",
-                     "oracle_re", "oracle_im", "rel_err"], rows,
-              digest=cfg.digest())
-    report.artifacts.append(path)
+    report.write_csv("oracle_check.csv", ["m", "n", "xi", "alpha", "closed_re",
+                                          "closed_im", "oracle_re", "oracle_im",
+                                          "rel_err"], rows)
 
     # ||A(xi) - A(0)|| <= mu_plus c1 |xi|^alpha for alpha < 1, on the radial
     # ladder along e1; A(xi) and A(0) share their coupling blocks
     if params.alpha >= 1.0:
         report.add("form_difference", "skip", detail="the bound holds for alpha < 1")
-        return report
+        return
     c1 = c1_constant(params)
     direction = np.eye(cfg.dimension)[0]
     zero = assemble_fiber_matrix(coeff, params, modes, np.zeros(cfg.dimension)).stacks
@@ -365,7 +351,6 @@ def cmd_oracle_check(cfg: StudyConfig, out_dir: str, workers: int | None) -> Run
     report.check("form_difference", 1.0 + 1e-9 - ratio,
                  detail=f"worst ||A(xi)-A(0)|| / (mu+ c1 |xi|^a) = {ratio:.6g} "
                       f"over {len(radii)} radii")
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -401,10 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--workers", type=int, default=None,
-                       help="upper bound on the parallel map width; threads "
-                            "start only where each point's largest dense "
-                            f"matrix has at least {PARALLEL_MIN_ORDER} rows "
-                            "(default: all CPUs this process may run on)")
+                       help="upper bound on the parallel map width, capped at "
+                            "the CPUs this process may run on (the default); "
+                            "threads start only where each point's largest "
+                            f"dense matrix has at least {PARALLEL_MIN_ORDER} rows")
         p.add_argument("--truncation", type=int, default=None,
                        help="override the configured truncation")
         if name == "fiber":
@@ -431,13 +416,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = args.out if args.out is not None else cfg.output
+    report = RunReport(args.command, cfg.digest(),
+                       args.out if args.out is not None else cfg.output)
     start = time.perf_counter()
     try:
-        if args.command == "fiber":
-            report = cmd_fiber(cfg, out_dir, args.workers, xi_values=args.xi)
-        else:
-            report = COMMANDS[args.command](cfg, out_dir, args.workers)
+        COMMANDS[args.command](cfg, report, args)
     except LevyhomError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2

@@ -373,8 +373,7 @@ def rate_function(alpha: float, quantity: str, x) -> np.ndarray:
     """The rate profile of `quantity` evaluated elementwise on positive `x`."""
     p, q = rate_profile(alpha, quantity)
     x = np.asarray(x, dtype=float)
-    power = x if p == 1 else x ** p
-    return power * (1.0 + np.abs(np.log(x))) ** q if q else power
+    return x ** p * (1.0 + np.abs(np.log(x))) ** q
 
 
 # near these exponents the theory's constants blow up; slope verdicts widen

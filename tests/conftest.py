@@ -95,7 +95,9 @@ def params_three_halves():
 
 @pytest.fixture
 def threads_at_any_order(monkeypatch):
-    """Let `parallel_map` start threads for matrices of any order, so that a
-    width-independence test on small fibers compares a threaded run."""
+    """Let `parallel_map` start threads for matrices of any order, and on a
+    1-CPU host too, so that a width-independence test on small fibers
+    compares a threaded run."""
     import levyhom._util
     monkeypatch.setattr(levyhom._util, "PARALLEL_MIN_ORDER", 1)
+    monkeypatch.setattr(levyhom._util, "available_cpus", lambda: 8)

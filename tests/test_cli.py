@@ -653,6 +653,46 @@ def test_fiber_non_finite_xi_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert (out_dir / "fiber_0.csv").exists()
     assert not (out_dir / "fiber_1.csv").exists()
+    # a rejected first --xi fails before any CSV: no directory is made
+    rejected = tmp_path / "rejected"
+    assert main(["fiber", "--config", str(cfg_path), "--out", str(rejected),
+                 "--xi", "nan"]) == 1
+    assert not rejected.exists()
+
+
+def _listed_artifacts(stdout):
+    lines = stdout.splitlines()
+    if "artifacts:" not in lines:
+        return []
+    return [line.strip() for line in lines[lines.index("artifacts:") + 1:]]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_csv_is_a_listed_stamped_artifact(tmp_path, capsys, command):
+    # the run protocol: every CSV lands under --out (default: the config's
+    # output), starts with the report's config digest and is listed under
+    # artifacts:, and a command that writes no CSV makes no directory
+    cfg_path = tmp_path / "cfg.json"
+    default = tmp_path / "default"
+    write_config(cfg_path, output=str(default))
+    xi = ["--xi", "0.3", "1.7"] if command == "fiber" else []
+    if xi:
+        assert main([command, "--config", str(cfg_path)]) == 1
+        capsys.readouterr()
+        assert not default.exists()
+    art = tmp_path / "art"
+    for out_dir, out_flag in ((art, ["--out", str(art)]), (default, [])):
+        assert main([command, "--config", str(cfg_path), *xi, *out_flag]) == 0
+        stdout = capsys.readouterr().out
+        digest = next(line.split()[1] for line in stdout.splitlines()
+                      if line.startswith("config:"))
+        listed = _listed_artifacts(stdout)
+        assert out_dir.exists() == bool(listed)
+        written = [str(p) for p in out_dir.rglob("*")] if listed else []
+        assert sorted(listed) == sorted(written)
+        for path in listed:
+            with open(path) as fh:
+                assert fh.readline() == f"# config={digest}\n"
 
 
 def test_rejects_workers_below_one(tmp_path):
@@ -687,6 +727,28 @@ def test_default_workers_follow_the_affinity_mask(monkeypatch):
     assert util.available_cpus() == 64
 
 
+def test_workers_are_capped_at_the_available_cpus(monkeypatch):
+    # each thread holds its own point's matrices: a width beyond the CPUs
+    # this process may run on adds memory, not speed
+    import concurrent.futures
+    import levyhom._util as util
+    widths = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(util, "available_cpus", lambda: 3)
+    order = util.PARALLEL_MIN_ORDER
+    assert util.parallel_map(abs, [-1, -2, -3, -4], 10_000, order=order) == [1, 2, 3, 4]
+    assert widths == [3]
+    monkeypatch.setattr(util, "available_cpus", lambda: 1)
+    assert util.parallel_map(abs, [-1, -2], 10_000, order=order) == [1, 2]
+    assert widths == [3]                    # one CPU: no pool at all
+
+
 def test_threads_start_only_at_the_minimum_order(monkeypatch):
     # --workers is an upper bound: below the order the map stays on the
     # calling thread, whatever the width
@@ -700,6 +762,7 @@ def test_threads_start_only_at_the_minimum_order(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(util, "available_cpus", lambda: 8)
     order = util.PARALLEL_MIN_ORDER
     assert util.parallel_map(abs, [-1, -2, -3], 2, order=order - 1) == [1, 2, 3]
     assert util.parallel_map(abs, [-1, -2, -3], 8, order=1) == [1, 2, 3]
