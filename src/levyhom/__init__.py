@@ -28,9 +28,9 @@ _EXPORTS = {
               "rho_and_rho_star"),
     "homogenization": ("RateStudyResult", "discrepancy_study",
                        "threshold_resolvent_diff"),
-    "spectral": ("CircleContour", "RieszProjection", "SpectralData",
-                 "ThresholdReport", "eig_hermitian", "projector_by_eig",
-                 "projector_by_riesz", "threshold_report"),
+    "spectral": ("CircleContour", "RieszProjection", "ThresholdReport",
+                 "eig_hermitian", "projector_by_eig", "projector_by_riesz",
+                 "threshold_report"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

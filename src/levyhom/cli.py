@@ -4,18 +4,21 @@ Commands: validate, constants, fiber, thresholds, rate-study, oracle-check.
 `main` builds one RunReport, the command fills it, `main` prints it; every
 CSV goes through RunReport.write_csv: under --out (default: the config's
 `output`), stamped with the `config:` digest, listed under `artifacts:`.
-Exit codes: 0 all checks pass, 1 usage or I/O error, 2 verification
-failure.  Every numeric verdict goes through RunReport.check: its
-`margin=` is its slack, the distance from the check's limit with the
-check's own tolerance included, and the line passes exactly where that is
->= 0.  A line without a margin is a structural verdict.  The library
-measures and reports (the projector routes' distance, the rate study's
-discrepancies and the doubled truncation's drift) and raises only where it
-cannot measure, so each slope is fitted and each limit judged here, once,
-and a failed check still writes its CSV.  The library neither prints nor
-logs, and the package reads no environment variable; identical config plus
-seed gives byte-identical CSV artifacts for any --workers, at a fixed BLAS
-thread count (OPENBLAS_NUM_THREADS).
+Exit codes: 0 all checks pass, 1 usage or I/O error, 2 a failed verdict.
+A LevyhomError, the library's signal that a quantity cannot be measured,
+is one `measurement` fail verdict, detail "<ErrorClass>: <message>", of
+the printed report.  `fiber --xi` takes every component of each point.
+Every numeric verdict goes through RunReport.check: its `margin=` is its
+slack, the distance from the check's limit with the check's own tolerance
+included, and the line passes exactly where that is >= 0.  A line without
+a margin is a structural verdict.  The library measures and reports (the
+projector routes' distance, the rate study's discrepancies and the doubled
+truncation's drift) and raises only where it cannot measure, so each slope
+is fitted and each limit judged here, once, and a failed check still
+writes its CSV.  The library neither prints nor logs, and the package
+reads no environment variable; identical config plus seed gives
+byte-identical CSV artifacts for any --workers, at a fixed BLAS thread
+count (OPENBLAS_NUM_THREADS).
 --workers is an upper bound on the thread count, capped at the CPUs this
 process may run on: a pass runs on threads only where each point's largest
 dense matrix has at least _util.PARALLEL_MIN_ORDER (256) rows, and on the
@@ -29,7 +32,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,11 +130,7 @@ def _constant_values(constants) -> dict:
 # ----------------------------------------------------------------------
 
 def cmd_validate(cfg: StudyConfig, report: RunReport, args) -> None:
-    try:
-        _, coeff, constants = _prepare(cfg)
-    except LevyhomError as exc:
-        report.add("symmetry+positivity", "fail", detail=str(exc))
-        return
+    _, coeff, constants = _prepare(cfg)
     report.add("symmetry", "pass")
     report.check("positivity", coeff.mu_minus,
                  detail=f"certified mu_minus={coeff.mu_minus:.6g}")
@@ -155,9 +154,7 @@ def cmd_fiber(cfg: StudyConfig, report: RunReport, args) -> None:
     params, coeff, constants = _prepare(cfg)
     modes = _modes(cfg)
     for idx, xi_spec in enumerate(args.xi):
-        xi = np.array([float(v) for v in str(xi_spec).split(",")], dtype=float)
-        if xi.size == 1 and cfg.dimension > 1:
-            xi = np.concatenate([xi, np.zeros(cfg.dimension - 1)])
+        xi = np.array([float(v) for v in xi_spec.split(",")])
         fiber = assemble_fiber_matrix(coeff, params, modes, xi)
         header = [f"{part}_{j}" for j in range(modes.size) for part in ("re", "im")]
         # complex for every coefficient: the CSV keeps its re/im column pairs
@@ -390,11 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "the CPUs this process may run on (the default); "
                             "threads start only where each point's largest "
                             f"dense matrix has at least {PARALLEL_MIN_ORDER} rows")
-        p.add_argument("--truncation", type=int, default=None,
-                       help="override the configured truncation")
         if name == "fiber":
             p.add_argument("--xi", nargs="+", required=True,
-                           help="quasimomenta, comma-separated per component")
+                           help="quasimomenta, each with every component, "
+                                "comma-separated")
     return parser
 
 
@@ -409,9 +405,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = StudyConfig.load(args.config)
-        if args.truncation is not None:
-            cfg = replace(cfg, truncation=args.truncation)
-            cfg.validate()
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -422,8 +415,7 @@ def main(argv=None) -> int:
     try:
         COMMANDS[args.command](cfg, report, args)
     except LevyhomError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 2
+        report.add("measurement", "fail", detail=f"{type(exc).__name__}: {exc}")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

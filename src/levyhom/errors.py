@@ -1,8 +1,8 @@
 """Exception types shared across the workbench.
 
-Every failure that a verification run can report as "exit 2" derives from
-:class:`LevyhomError`, so the CLI can distinguish verification failures from
-I/O and usage problems.
+Every quantity that cannot be measured raises a :class:`LevyhomError`, which
+the CLI reports as a failed `measurement` verdict (exit 2), apart from I/O
+and usage problems (exit 1).
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ def _eig_route_norms(stack, sigma, shifts) -> np.ndarray:
     `stack` is (count, n, n), `sigma` (count, n).  One eigendecomposition
     serves every shift; each norm is ``hermitian_norm(res)``.
     """
-    spectral = eig_hermitian(stack)
-    lam, vec = spectral.eigenvalues[:, None, :], spectral.eigenvectors
+    lam, vec = eig_hermitian(stack)
+    lam = lam[:, None, :]
     vec_h = vec.conj().swapaxes(-1, -2)
     diag = np.arange(stack.shape[-1])
     out = np.zeros(len(shifts))

@@ -23,21 +23,11 @@ from .fiber import (FiberMatrix, ModeSet, assemble_fiber_matrix,
                     rho_and_rho_star)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralData:
-    """Ascending eigenvalues with orthonormal eigenvector columns.
-
-    For a stack of matrices both carry the stack's leading axes.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(matrix: np.ndarray) -> SpectralData:
+def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a Hermitian matrix or stack, validated.
 
-    Each matrix of a stack (..., n, n) is checked against its own scale:
+    Returns (eigenvalues, eigenvectors) as np.linalg.eigh does.  Each
+    matrix of a stack (..., n, n) is checked against its own scale:
     Hermiticity by :func:`hermitian_defect`, residual <= 1e-9
     max(1, ||A||) and orthonormality defect <= 1e-10.  A diagonal block's
     scale is at most the full matrix's, so blockwise checks are no looser.
@@ -59,16 +49,16 @@ def eig_hermitian(matrix: np.ndarray) -> SpectralData:
     ortho = max_abs(vec.conj().swapaxes(-1, -2) @ vec - np.eye(lam.shape[-1]))
     if np.any(ortho > 1e-10):
         raise ConvergenceFailure(f"orthonormality defect {np.max(ortho):.3e} too large")
-    return SpectralData(eigenvalues=lam, eigenvectors=vec)
+    return lam, vec
 
 
-def projector_by_eig(spectral: SpectralData) -> np.ndarray:
-    """Rank-1 projector onto the lowest eigenvector.
+def projector_by_eig(eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Rank-1 projector onto the lowest eigenvector of an eig_hermitian pair.
 
     Whether that eigenvalue is simple and separated is measured elsewhere
     (the CLI's `lambda1_bounds`, `lambda2_gap` and `projector_routes`).
     """
-    v = spectral.eigenvectors[:, 0]
+    v = eig[1][:, 0]
     return np.outer(v, v.conj())
 
 
@@ -222,15 +212,14 @@ def threshold_report(
     z = modes.zero_index
     if fiber.decoupled(z):
         keep = np.arange(modes.size) != z
-        rest = eig_hermitian(a[np.ix_(keep, keep)])
+        lam_rest, vec_rest = eig_hermitian(a[np.ix_(keep, keep)])
+        lam = np.concatenate([[0.0], lam_rest])
         vec = np.zeros_like(a)
         vec[z, 0] = 1.0
-        vec[keep, 1:] = rest.eigenvectors
-        spectral = SpectralData(np.concatenate([[0.0], rest.eigenvalues]), vec)
+        vec[keep, 1:] = vec_rest
     else:
-        spectral = eig_hermitian(a)
-    lam = spectral.eigenvalues
-    f_eig = projector_by_eig(spectral)
+        lam, vec = eig_hermitian(a)
+    f_eig = projector_by_eig((lam, vec))
 
     contour = CircleContour(constants.d0)
     riesz = projector_by_riesz(fiber, contour)

@@ -1,9 +1,24 @@
 """Shared fixtures: the standard test coefficients and parameter builders."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from levyhom import ModelParams, PeriodicCoefficient, certify, constant_coefficient
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_config_at(tmp_path, name, truncation) -> str:
+    """Path of a copy of configs/<name>.json with its truncation replaced."""
+    data = json.loads((CONFIGS / f"{name}.json").read_text())
+    data["truncation"] = truncation
+    path = tmp_path / f"{name}_n{truncation}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 def make_t1(dimension: int = 1) -> PeriodicCoefficient:

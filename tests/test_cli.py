@@ -98,15 +98,69 @@ def test_validate_pass(tmp_path, capsys):
         assert key in out
 
 
+# a coefficient that breaks exchange symmetry: certify raises SymmetryViolation
+SYMMETRY_BROKEN = [{"k": [0], "l": [0], "re": 1.0, "im": 0.0},
+                   {"k": [1], "l": [0], "re": 0.3, "im": 0.0},
+                   {"k": [-1], "l": [0], "re": 0.3, "im": 0.0},
+                   {"k": [0], "l": [1], "re": 0.2, "im": 0.0},
+                   {"k": [0], "l": [-1], "re": 0.2, "im": 0.0}]
+
+
 def test_validate_symmetry_failure_exits_2(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    bad = [{"k": [0], "l": [0], "re": 1.0, "im": 0.0},
-           {"k": [1], "l": [0], "re": 0.3, "im": 0.0},
-           {"k": [-1], "l": [0], "re": 0.3, "im": 0.0},
-           {"k": [0], "l": [1], "re": 0.2, "im": 0.0},
-           {"k": [0], "l": [-1], "re": 0.2, "im": 0.0}]
-    write_config(cfg_path, coefficient=bad)
+    write_config(cfg_path, coefficient=SYMMETRY_BROKEN)
     assert main(["validate", "--config", str(cfg_path)]) == 2
+
+
+def _assert_one_measurement_failure(capsys, error):
+    """The printed report reads FAIL, its one fail line names `error`, and
+    stderr is empty."""
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[2].startswith("status:  FAIL ")
+    fails = [line.strip() for line in lines
+             if line.startswith("  ") and ": fail" in line]
+    assert len(fails) == 1 and fails[0].startswith(f"measurement: fail [{error}: "), fails
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_unmeasurable_quantity_is_one_report_verdict(tmp_path, capsys, command):
+    # a LevyhomError from any command is one fail verdict of the printed
+    # report, as every other failed check is
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, coefficient=SYMMETRY_BROKEN)
+    xi = ["--xi", "0.3"] if command == "fiber" else []
+    assert main([command, "--config", str(cfg_path), *xi,
+                 "--out", str(tmp_path / "art")]) == 2
+    _assert_one_measurement_failure(capsys, "SymmetryViolation")
+
+
+def test_degenerate_rate_fit_prints_its_report(tmp_path, capsys, monkeypatch):
+    import levyhom.cli as cli
+    from levyhom import DegenerateFit
+
+    def degenerate(x, y):
+        raise DegenerateFit("no distinct points")
+
+    monkeypatch.setattr(cli, "loglog_slope", degenerate)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    assert main(["rate-study", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "art")]) == 2
+    _assert_one_measurement_failure(capsys, "DegenerateFit")
+
+
+def test_each_input_has_one_form(capsys):
+    # the truncation is set in the config only, and every --xi carries all
+    # of its components
+    t2_d2 = str(REPO / "configs" / "t2_d2.json")
+    assert main(["validate", "--config", t2_d2, "--truncation", "4"]) == 1
+    assert "unrecognized arguments: --truncation 4" in capsys.readouterr().err
+    assert main(["fiber", "--config", t2_d2, "--xi", "0.3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: xi must have 2 finite components") and \
+        err.count("\n") == 1, err
 
 
 def test_missing_config_exits_1(tmp_path):
@@ -409,10 +463,11 @@ def test_gap_break_fails_only_its_verdict(tmp_path, capsys, monkeypatch, config)
         calls.append(matrix)
         if len(calls) != 2:        # the origin's eigensolve is the first
             return data
-        lam = data.eigenvalues.copy()
+        lam, vec = data
+        lam = lam.copy()
         lam[1] = const.d0 / 6
         assert lam[0] < lam[1]
-        return spectral.SpectralData(lam, data.eigenvectors)
+        return lam, vec
 
     monkeypatch.setattr(spectral, "eig_hermitian", low_lambda2)
     out_dir = tmp_path / "art"
@@ -434,8 +489,9 @@ def test_every_margin_is_slack(tmp_path, capsys, config):
     # a margin= line passes exactly where its margin is >= 0, so a pass never
     # prints a negative margin; every numeric verdict prints one
     cfg = str(REPO / "configs" / f"{config}.json")
+    zeros = ",0.0" * (StudyConfig.load(cfg).dimension - 1)
     for command in COMMANDS:
-        extra = ["--xi", "0.3", "1.0"] if command == "fiber" else []
+        extra = ["--xi", "0.3" + zeros, "1.0" + zeros] if command == "fiber" else []
         assert main([command, "--config", cfg, "--out", str(tmp_path / command),
                      "--workers", "1", *extra]) == 0
         _assert_margins_are_slack(_report_checks(capsys))
@@ -795,17 +851,6 @@ def test_commands_pass_the_order_of_their_dense_work(tmp_path, monkeypatch):
     assert main(["rate-study", "--config", str(cfg_path),
                  "--out", str(tmp_path / "r")]) == 0
     assert set(orders) == {9, 17} and orders == sorted(orders)
-
-
-def test_truncation_override(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path)
-    out_dir = tmp_path / "art"
-    code = main(["fiber", "--config", str(cfg_path), "--out", str(out_dir),
-                 "--truncation", "4", "--xi", "0.1"])
-    assert code == 0
-    header = (out_dir / "fiber_0.csv").read_text().splitlines()[1]
-    assert header.count("re_") == 9   # 2*4+1 modes
 
 
 def test_identical_config_identical_bytes(tmp_path):

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import levyhom
+from conftest import shipped_config_at
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 # what every command loads of the package
@@ -18,13 +19,14 @@ BASE = {"levyhom", "levyhom.cli", "levyhom.config", "levyhom.coefficient",
 
 # the package's public names before they were resolved lazily: every name
 # it imported from its submodules, and the submodules themselves, less the
-# since removed TruncationUnstable, ContourTooClose and GapViolation
+# since removed TruncationUnstable, ContourTooClose, GapViolation and
+# SpectralData
 PUBLIC = {
     "CircleContour", "ConvergenceFailure", "DegenerateFit",
     "EpsilonSpec", "FiberMatrix", "LevyhomError", "ModeSet",
     "ModelParams", "PeriodicCoefficient", "PositivityUncertified",
     "QuadratureNotConverged", "RateStudyResult", "RieszProjection",
-    "SpectralData", "StudyConfig", "SymmetryViolation", "TheoryConstants",
+    "StudyConfig", "SymmetryViolation", "TheoryConstants",
     "ThresholdReport", "Tolerances", "TruncationTooSmall",
     "XiGridSpec", "assemble_effective_fiber", "assemble_fiber_matrix",
     "c1_constant", "certify", "coefficient", "coefficient_from_records",
@@ -53,11 +55,10 @@ def _modules_after(code):
 def _after_commands(tmp_path, commands):
     """`_modules_after` running `commands` on t1 and `t2_d2`."""
     runs = []
-    for name in ("t1_alpha1", "t2_d2"):
-        common = ["--config", str(REPO / "configs" / f"{name}.json"),
-                  "--workers", "1", "--truncation", "2"]
+    for name, xi in (("t1_alpha1", "0.3"), ("t2_d2", "0.3,0.0")):
+        common = ["--config", shipped_config_at(tmp_path, name, 2), "--workers", "1"]
         for command in commands:
-            extra = ["--xi", "0.3"] if command == "fiber" else []
+            extra = ["--xi", xi] if command == "fiber" else []
             runs.append([command, *common, *extra,
                          "--out", str(tmp_path / name / command)])
     return _modules_after("from levyhom.cli import main; "
