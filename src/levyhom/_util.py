@@ -16,9 +16,6 @@ def hermitian_norm(mat) -> float:
     block-diagonal matrix: the max over the blocks.  eigvalsh reads only the
     lower triangle, so tiny Hermiticity defects from rounding are harmless.
     """
-    mat = np.asarray(mat)
-    if mat.size == 0:
-        return 0.0
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
 

@@ -240,7 +240,7 @@ def threshold_report(
         xi=xi,
         xi_norm=r,
         lambda1=float(lam[0]),
-        lambda2=float(lam[1]) if lam.size > 1 else math.inf,
+        lambda2=float(lam[1]),
         f_minus_p_norm=f_minus_p,
         phi_norm=phi_norm,
         af_minus_effective_norm=af_eff,

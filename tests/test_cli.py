@@ -114,7 +114,7 @@ def test_validate_symmetry_failure_exits_2(tmp_path):
 
 def _assert_one_measurement_failure(capsys, error):
     """The printed report reads FAIL, its one fail line names `error`, and
-    stderr is empty."""
+    stderr is empty.  Returns the report's lines."""
     out, err = capsys.readouterr()
     assert err == ""
     lines = out.splitlines()
@@ -122,6 +122,7 @@ def _assert_one_measurement_failure(capsys, error):
     fails = [line.strip() for line in lines
              if line.startswith("  ") and ": fail" in line]
     assert len(fails) == 1 and fails[0].startswith(f"measurement: fail [{error}: "), fails
+    return lines
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
@@ -149,6 +150,51 @@ def test_degenerate_rate_fit_prints_its_report(tmp_path, capsys, monkeypatch):
     assert main(["rate-study", "--config", str(cfg_path),
                  "--out", str(tmp_path / "art")]) == 2
     _assert_one_measurement_failure(capsys, "DegenerateFit")
+
+
+def test_unmeasurable_ladder_point_is_one_report_verdict(tmp_path, capsys,
+                                                         monkeypatch):
+    # a ladder point that cannot be measured ends the run like any other
+    # LevyhomError: no verdict of thresholds' own, and no partial CSV
+    import levyhom.spectral as spectral
+    from levyhom import ConvergenceFailure
+    real = spectral.threshold_report
+    calls = []
+
+    def fails_third(coeff, params, modes, xi):
+        calls.append(xi)
+        if len(calls) == 3:     # the origin, then |xi| = 1e-4, then 10^-3.75
+            raise ConvergenceFailure("eigh did not converge")
+        return real(coeff, params, modes, xi)
+
+    monkeypatch.setattr(spectral, "threshold_report", fails_third)
+    out_dir = tmp_path / "art"
+    assert main(["thresholds", "--config", str(REPO / "configs" / "t2_alpha05.json"),
+                 "--out", str(out_dir), "--workers", "1"]) == 2
+    lines = _assert_one_measurement_failure(capsys, "ConvergenceFailure")
+    assert not any("threshold_rows" in line for line in lines)
+    assert not (out_dir / "thresholds.csv").exists()
+
+
+def test_degenerate_ladder_fit_is_one_report_verdict(tmp_path, capsys, monkeypatch):
+    # the first degenerate slope fit ends the run; the verdicts before it and
+    # the CSV, written before the checks, stay
+    import levyhom.cli as cli
+    from levyhom import DegenerateFit
+
+    def degenerate(*args):
+        raise DegenerateFit("no distinct points")
+
+    monkeypatch.setattr(cli, "slope_check", degenerate)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out_dir = tmp_path / "art"
+    assert main(["thresholds", "--config", str(cfg_path),
+                 "--out", str(out_dir)]) == 2
+    lines = _assert_one_measurement_failure(capsys, "DegenerateFit")
+    assert any(line.startswith("  lambda1_bounds: pass margin=") for line in lines)
+    assert not any(line.startswith("  slope_") for line in lines)
+    assert (out_dir / "thresholds.csv").exists()
 
 
 def test_each_input_has_one_form(capsys):

@@ -230,6 +230,35 @@ class TestSeededSweep:
                                            shifts, 1, seeds=tuple(arg))
         assert (at_n, at_2n) == skipped
 
+    def test_halving_certifies_what_the_all_shift_pair_cannot(self, monkeypatch):
+        # a pair certifies each shift of a set through the set's elementwise
+        # min: on the dense d = 2 study some calls certify every shift only
+        # through the halves, and some certify a strict subset
+        import levyhom.homogenization as hom
+        real_below, real_cholesky = hom._below_floors, np.linalg.cholesky
+        factorizations, calls = [0], []
+
+        def counting_cholesky(a):
+            factorizations[0] += 1
+            return real_cholesky(a)
+
+        def recording(stack, sigma, shifts, floors):
+            factorizations[0] = 0
+            mask = real_below(stack, sigma, shifts, floors)
+            calls.append((mask, factorizations[0]))
+            return mask
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(hom, "_below_floors", recording)
+        coeff, params, modes, grid, _ = _study_inputs("dense-d2")
+        discrepancy_study(coeff, params, modes, grid,
+                          _seeded_dense_d2(seed=7).epsilons.values(), workers=1)
+        # a passing pair takes two factorizations, so more than two on a
+        # call that certifies every shift means the all-shift pair failed
+        rescued = sum(mask.all() and count > 2 for mask, count in calls)
+        partial = sum(0 < mask.sum() < mask.size for mask, _ in calls)
+        assert (rescued, partial) == (11, 2)
+
     @pytest.mark.parametrize("name,alpha", [("t2_alpha05", 1.5),
                                             ("random-complex", None)])
     def test_sweep_over_any_point_list(self, name, alpha, threads_at_any_order):
