@@ -1,10 +1,13 @@
 """CLI contract: exit codes, CSV artifacts, digests, determinism."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
 import math
 import pathlib
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -171,8 +174,7 @@ def test_unmeasurable_ladder_point_is_one_report_verdict(tmp_path, capsys,
     out_dir = tmp_path / "art"
     assert main(["thresholds", "--config", str(REPO / "configs" / "t2_alpha05.json"),
                  "--out", str(out_dir), "--workers", "1"]) == 2
-    lines = _assert_one_measurement_failure(capsys, "ConvergenceFailure")
-    assert not any("threshold_rows" in line for line in lines)
+    _assert_one_measurement_failure(capsys, "ConvergenceFailure")
     assert not (out_dir / "thresholds.csv").exists()
 
 
@@ -225,10 +227,20 @@ def test_usage_error_exits_1():
 
 
 def test_constants(tmp_path, capsys):
+    # `constants` is validate's report under the name the benchmark runs:
+    # the same lines but the command and the wall time
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
-    assert main(["constants", "--config", str(cfg_path)]) == 0
-    assert "theta(1)" in capsys.readouterr().out
+    reports = []
+    for command in ("validate", "constants"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"command: {command}"
+        assert lines[2].startswith("status:  PASS (wall ")
+        reports.append([lines[1]] + lines[3:])
+    assert reports[0] == reports[1]
+    assert any(line.startswith("  mu_eff_within_bounds: pass margin=")
+               for line in reports[1])
 
 
 def test_fiber_export(tmp_path):
@@ -356,20 +368,23 @@ def test_oracle_check(tmp_path, capsys):
     assert "form_difference: pass" in out
 
 
-def _report_checks(capsys):
-    """Verdict name -> the rest of its line, from a command's report."""
-    return dict(line.strip().split(": ", 1)
-                for line in capsys.readouterr().out.splitlines()
+def _checks_of(stdout):
+    """Verdict name -> the rest of its line, from a command's printed report."""
+    return dict(line.strip().split(": ", 1) for line in stdout.splitlines()
                 if line.startswith("  ") and ": " in line)
+
+
+def _report_checks(capsys):
+    return _checks_of(capsys.readouterr().out)
 
 
 # the verdicts that compare a number with a limit, and print it as margin=
 # wherever the number exists (not on a skip or an empty ladder); the others
-# (symmetry, threshold_rows, identically zero or exact fits) are structural
-NUMERIC_VERDICTS = {"positivity", "mu_eff_within_bounds", "delta0_below_pi",
-                    "projector_routes", "lambda1_at_zero", "lambda1_bounds",
-                    "lambda2_gap", "truncation_stability", "bound_ratio",
-                    "c0_quadrature", "form_elements", "form_difference"}
+# (identically zero or exact fits, the measurement verdict) are structural
+NUMERIC_VERDICTS = {"mu_eff_within_bounds", "projector_routes", "lambda1_at_zero",
+                    "lambda1_bounds", "lambda2_gap", "truncation_stability",
+                    "bound_ratio", "c0_quadrature", "form_elements",
+                    "form_difference"}
 
 
 def _assert_margins_are_slack(checks):
@@ -418,20 +433,141 @@ def test_form_difference_constant_coefficient(tmp_path, capsys):
     assert margin == pytest.approx(1.0 + 1e-9 - ratio, rel=1e-10)
 
 
-def test_form_difference_violation_exits_2(tmp_path, capsys, monkeypatch):
-    # a c1 far too small must trip the bound
-    monkeypatch.setattr("levyhom.fiber.c1_constant", lambda p: 1e-3 * c1_constant(p))
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, truncation=2)
-    assert main(["oracle-check", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "art")]) == 2
-    checks = _report_checks(capsys)
-    assert checks["form_difference"].startswith("fail margin=-")
-    assert checks["form_elements"].startswith("pass")
-    _assert_margins_are_slack(checks)
+# ----------------------------------------------------------------------
+# Mutants: every printed verdict can fail.  MUTANTS maps each verdict name
+# to a command, the configs it runs on and a fault; under the fault that
+# verdict reads fail, and the command still prints its report and exits 2.
+# test_every_margin_is_slack fails on a printed verdict with no entry.
+# ----------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Mutant:
+    command: str
+    configs: tuple      # `t2_n8` (write_config's T2 at N = 8) or shipped names
+    fault: object       # fault(monkeypatch, cfg) installs it; may return a record
 
 
-def _skew_doubled_pass(monkeypatch):
+def _constants(cfg):
+    return theory_constants(ModelParams(cfg.dimension, cfg.alpha),
+                            certify(cfg.build_coefficient(),
+                                    cfg.resolved_positivity_grid))
+
+
+def _grid_min(value):
+    """`_grid_min_max` reports value(lo, hi) as the grid min of mu."""
+    def fault(monkeypatch, cfg):
+        import levyhom.coefficient as coefficient
+        real = coefficient._grid_min_max
+
+        def faulty(coeff, grid):
+            lo, hi = real(coeff, grid)
+            return value(lo, hi), hi
+
+        monkeypatch.setattr(coefficient, "_grid_min_max", faulty)
+    return fault
+
+
+def _skewed_fiber_blocks(monkeypatch, cfg):
+    """1e-9 max |A| added to one off-diagonal entry of every fiber block."""
+    import levyhom.fiber as fiber
+    real = fiber.assemble_fiber_matrix
+
+    def skewed(*args):
+        matrix = real(*args)
+        scale = max(float(np.abs(stack).max()) for stack in matrix.stacks)
+        stacks = tuple(stack.copy() for stack in matrix.stacks)
+        for stack in stacks:
+            if stack.shape[-1] > 1:
+                stack[:, 0, 1] += 1e-9 * scale
+        return dataclasses.replace(matrix, stacks=stacks)
+
+    monkeypatch.setattr(fiber, "assemble_fiber_matrix", skewed)
+
+
+def _scaled_subtracted_constants(monkeypatch, cfg):
+    """The closed form's subtracted |2 pi k|^a, |2 pi l|^a scaled by 1 + 1e-6:
+    at xi = 0 the zero mode no longer decouples."""
+    import levyhom.fiber as fiber
+    real_plan, real_pow = fiber._assembly_plan, fiber._sym_pow
+    lks = []
+
+    def plan(coeff, modes):
+        out = real_plan(coeff, modes)
+        lks.append(out.lk)
+        return out
+
+    def sym_pow(vecs, xi, alpha):
+        out = real_pow(vecs, xi, alpha)
+        return out * (1.0 + 1e-6) if any(vecs is lk for lk in lks) else out
+
+    monkeypatch.setattr(fiber, "_assembly_plan", plan)
+    monkeypatch.setattr(fiber, "_sym_pow", sym_pow)
+
+
+def _eigenvalues_times_4(monkeypatch, cfg):
+    """eig_hermitian's eigenvalues four times too large, its vectors right."""
+    import levyhom.spectral as spectral
+    real = spectral.eig_hermitian
+
+    def scaled(matrix):
+        lam, vec = real(matrix)
+        return 4.0 * lam, vec
+
+    monkeypatch.setattr(spectral, "eig_hermitian", scaled)
+
+
+def _riesz_shifted(monkeypatch, cfg):
+    """A Riesz projector 1e-6 I off the eig route's."""
+    import levyhom.spectral as spectral
+    real = spectral.projector_by_riesz
+
+    def skewed(matrix, contour):
+        riesz = real(matrix, contour)
+        shift = 1e-6 * np.eye(len(riesz.projector))
+        return spectral.RieszProjection(riesz.projector + shift, riesz.nodes)
+
+    monkeypatch.setattr(spectral, "projector_by_riesz", skewed)
+
+
+def _low_second_eigenvalue(monkeypatch, cfg):
+    """lambda2 of the first ladder row moved to d0/6, under the d0/3 that
+    bounds lambda1; returns the list of eigensolved matrices."""
+    import levyhom.spectral as spectral
+    d0 = _constants(cfg).d0
+    real = spectral.eig_hermitian
+    calls = []
+
+    def low_lambda2(matrix):
+        data = real(matrix)
+        calls.append(matrix)
+        if len(calls) != 2:        # the origin's eigensolve is the first
+            return data
+        lam, vec = data
+        lam = lam.copy()
+        lam[1] = d0 / 6
+        assert lam[0] < lam[1]
+        return lam, vec
+
+    monkeypatch.setattr(spectral, "eig_hermitian", low_lambda2)
+    return calls
+
+
+def _slow_ladder(attr):
+    """threshold_report's `attr` replaced by its modulus to the power 1/4: a
+    quarter of its decay rate."""
+    def fault(monkeypatch, cfg):
+        import levyhom.spectral as spectral
+        real = spectral.threshold_report
+
+        def slow(*args):
+            rep = real(*args)
+            return dataclasses.replace(rep, **{attr: abs(getattr(rep, attr)) ** 0.25})
+
+        monkeypatch.setattr(spectral, "threshold_report", slow)
+    return fault
+
+
+def _skew_doubled_pass(monkeypatch, cfg):
     """Scale the 2N pass of an N = 8 rate study by 1.2: a 20% truncation drift."""
     import levyhom.homogenization as hom
     real = hom._sup_over_points
@@ -444,14 +580,123 @@ def _skew_doubled_pass(monkeypatch):
     monkeypatch.setattr(hom, "_sup_over_points", skewed)
 
 
-def test_unstable_truncation_prints_its_slack(tmp_path, capsys, monkeypatch):
-    _skew_doubled_pass(monkeypatch)
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path)
+def _discrepancies(change):
+    """The rate study's discrepancies replaced by change(discrepancies)."""
+    def fault(monkeypatch, cfg):
+        import levyhom.homogenization as hom
+        real = hom.discrepancy_study
+
+        def changed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result,
+                                       discrepancies=change(result.discrepancies))
+
+        monkeypatch.setattr(hom, "discrepancy_study", changed)
+    return fault
+
+
+def _scaled(target, factor):
+    """The function at the dotted path `target` returns `factor` times its value."""
+    def fault(monkeypatch, cfg):
+        module, name = target.rsplit(".", 1)
+        real = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(target, lambda *args: factor * real(*args))
+    return fault
+
+
+def _bump_first(values):
+    out = values.copy()
+    out[0] *= 100.0
+    return out
+
+
+MUTANTS = {
+    "measurement": Mutant("validate", ("t2_n8",), _grid_min(lambda lo, hi: 0.0)),
+    "mu_eff_within_bounds": Mutant("validate", ("t2_n8",),
+                                   _grid_min(lambda lo, hi: hi)),
+    "hermitian_xi": Mutant("fiber", ("t2_n8", "t2_d2"), _skewed_fiber_blocks),
+    "projector_routes": Mutant("thresholds", ("t2_n8",), _riesz_shifted),
+    "lambda2_gap": Mutant("thresholds", ("t2_alpha05", "t2_d2"),
+                          _low_second_eigenvalue),
+    "lambda1_at_zero": Mutant("thresholds", ("t2_alpha05", "t2_d2"),
+                              _scaled_subtracted_constants),
+    "lambda1_bounds": Mutant("thresholds", ("t2_n8",), _eigenvalues_times_4),
+    "slope_f_minus_p": Mutant("thresholds", ("t2_n8",),
+                              _slow_ladder("f_minus_p_norm")),
+    "slope_phi": Mutant("thresholds", ("t2_n8",), _slow_ladder("phi_norm")),
+    "slope_rho_star": Mutant("thresholds", ("t2_n8",), _slow_ladder("rho_star")),
+    "truncation_stability": Mutant("rate-study", ("t2_n8",), _skew_doubled_pass),
+    "slope": Mutant("rate-study", ("t2_n8",), _discrepancies(np.sqrt)),
+    "bound_ratio": Mutant("rate-study", ("t2_n8",), _discrepancies(_bump_first)),
+    "c0_quadrature": Mutant("oracle-check", ("t2_n8",),
+                            _scaled("levyhom.cli.oracle_c0", 1.01)),
+    "form_elements": Mutant("oracle-check", ("t2_n8",),
+                            _scaled("levyhom.fiber.oracle_form_element", 1.01)),
+    "form_difference": Mutant("oracle-check", ("t2_n8",),
+                              _scaled("levyhom.fiber.c1_constant", 1e-3)),
+}
+
+
+def _verdict_key(name):
+    """The MUTANTS key of a printed verdict: one for every hermitian_xi<i>."""
+    return "hermitian_xi" if re.fullmatch(r"hermitian_xi\d+", name) else name
+
+
+def _fiber_xi(dimension):
+    zeros = ",0.0" * (dimension - 1)
+    return ["--xi", "0.3" + zeros, "1.0" + zeros]
+
+
+def _run_mutant(name, config, tmp_path, capsys, monkeypatch):
+    """Run MUTANTS[name] on `config` and check the contract: exit 2, nothing
+    on stderr, a FAIL report in which every `name` line fails and every
+    margin is slack.  Returns the
+    report's checks, the output directory, the config and the fault's record."""
+    mutant = MUTANTS[name]
+    if config == "t2_n8":
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+    else:
+        cfg_path = REPO / "configs" / f"{config}.json"
+    cfg = StudyConfig.load(cfg_path)
+    record = mutant.fault(monkeypatch, cfg)
     out_dir = tmp_path / "art"
-    assert main(["rate-study", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
-    checks = _report_checks(capsys)
+    xi = _fiber_xi(cfg.dimension) if mutant.command == "fiber" else []
+    assert main([mutant.command, "--config", str(cfg_path), "--out", str(out_dir),
+                 "--workers", "1", *xi]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[2].startswith("status:  FAIL ")
+    checks = _checks_of(out)
+    lines = [rest for verdict, rest in checks.items() if _verdict_key(verdict) == name]
+    assert lines and all(rest.startswith("fail") for rest in lines), checks
     _assert_margins_are_slack(checks)
+    return checks, out_dir, cfg, record
+
+
+# the mutants whose own test below checks more of what the fault leaves
+OWN_TESTS = {"form_difference", "truncation_stability", "projector_routes",
+             "lambda2_gap"}
+
+
+@pytest.mark.parametrize("name,config", [(name, config)
+                                         for name, mutant in MUTANTS.items()
+                                         if name not in OWN_TESTS
+                                         for config in mutant.configs])
+def test_mutant_fails_its_verdict(tmp_path, capsys, monkeypatch, name, config):
+    _run_mutant(name, config, tmp_path, capsys, monkeypatch)
+
+
+def test_form_difference_violation_exits_2(tmp_path, capsys, monkeypatch):
+    # a c1 far too small must trip the bound
+    checks = _run_mutant("form_difference", "t2_n8", tmp_path, capsys, monkeypatch)[0]
+    assert checks["form_difference"].startswith("fail margin=-")
+    assert checks["form_elements"].startswith("pass")
+
+
+def test_unstable_truncation_prints_its_slack(tmp_path, capsys, monkeypatch):
+    checks, out_dir, _, _ = _run_mutant("truncation_stability", "t2_n8", tmp_path,
+                                        capsys, monkeypatch)
     verdict = checks["truncation_stability"]
     footer = [line for line in (out_dir / "rate_study.csv").read_text().splitlines()
               if line.startswith("truncation_stability,")]
@@ -461,86 +706,63 @@ def test_unstable_truncation_prints_its_slack(tmp_path, capsys, monkeypatch):
                               f"[{stability:.2%} under N doubling; 20 of 38 grid")
 
 
+def _ladder_rows(cfg):
+    """Rows of thresholds.csv: the origin and each radius in the certified ball."""
+    return 1 + int(np.sum(cfg.xi_grid.radii() <= _constants(cfg).delta0))
+
+
 def test_projector_mismatch_fails_only_its_verdict(tmp_path, capsys, monkeypatch):
     # a Riesz projector 1e-6 off the eig route's fails projector_routes with
     # its negative slack; every ladder row is still measured and written
-    import levyhom.spectral as spectral
-    real = spectral.projector_by_riesz
-
-    def skewed(matrix, contour):
-        riesz = real(matrix, contour)
-        shift = 1e-6 * np.eye(len(riesz.projector))
-        return spectral.RieszProjection(riesz.projector + shift, riesz.nodes)
-
-    monkeypatch.setattr(spectral, "projector_by_riesz", skewed)
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path)
-    out_dir = tmp_path / "art"
-    assert main(["thresholds", "--config", str(cfg_path), "--out", str(out_dir),
-                 "--workers", "1"]) == 2
-    checks = _report_checks(capsys)
-    _assert_margins_are_slack(checks)
+    checks, out_dir, cfg, _ = _run_mutant("projector_routes", "t2_n8", tmp_path,
+                                          capsys, monkeypatch)
     assert checks["projector_routes"].startswith("fail margin=-")
-    cfg = StudyConfig.load(cfg_path)
-    const = theory_constants(ModelParams(1, cfg.alpha),
-                             certify(cfg.build_coefficient(),
-                                     cfg.resolved_positivity_grid))
-    rows = 1 + int(np.sum(cfg.xi_grid.radii() <= const.delta0))
-    assert checks["threshold_rows"] == f"pass [{rows} quasimomenta]"
+    rows = _ladder_rows(cfg)
     assert len((out_dir / "thresholds.csv").read_text().splitlines()) == 2 + rows
 
 
 @pytest.mark.parametrize("config", ["t2_alpha05", "t2_d2"])
 def test_gap_break_fails_only_its_verdict(tmp_path, capsys, monkeypatch, config):
-    # lambda2 of the first ladder row moved to d0/6, under the d0/3 that
-    # bounds lambda1: lambda2_gap fails with its negative slack, and every
-    # row is still measured and written
-    import levyhom.spectral as spectral
-    cfg_path = REPO / "configs" / f"{config}.json"
-    cfg = StudyConfig.load(cfg_path)
-    const = theory_constants(ModelParams(cfg.dimension, cfg.alpha),
-                             certify(cfg.build_coefficient(),
-                                     cfg.resolved_positivity_grid))
-    real = spectral.eig_hermitian
-    calls = []
-
-    def low_lambda2(matrix):
-        data = real(matrix)
-        calls.append(matrix)
-        if len(calls) != 2:        # the origin's eigensolve is the first
-            return data
-        lam, vec = data
-        lam = lam.copy()
-        lam[1] = const.d0 / 6
-        assert lam[0] < lam[1]
-        return lam, vec
-
-    monkeypatch.setattr(spectral, "eig_hermitian", low_lambda2)
-    out_dir = tmp_path / "art"
-    assert main(["thresholds", "--config", str(cfg_path), "--out", str(out_dir),
-                 "--workers", "1"]) == 2
-    checks = _report_checks(capsys)
-    _assert_margins_are_slack(checks)
+    # lambda2 of the first ladder row moved to d0/6: lambda2_gap fails with
+    # its negative slack, and every row is still measured and written
+    checks, out_dir, cfg, calls = _run_mutant("lambda2_gap", config, tmp_path,
+                                              capsys, monkeypatch)
     assert {n for n, rest in checks.items() if rest.startswith("fail")} == {"lambda2_gap"}
+    d0 = _constants(cfg).d0
     margin = float(checks["lambda2_gap"].split("margin=")[1].split()[0])
-    assert margin == pytest.approx(const.d0 / 6 - const.d0 + 1e-10, rel=1e-12)
-    rows = 1 + int(np.sum(cfg.xi_grid.radii() <= const.delta0))
+    assert margin == pytest.approx(d0 / 6 - d0 + 1e-10, rel=1e-12)
+    rows = _ladder_rows(cfg)
     assert len(calls) == rows
-    assert checks["threshold_rows"] == f"pass [{rows} quasimomenta]"
     assert len((out_dir / "thresholds.csv").read_text().splitlines()) == 2 + rows
 
 
-@pytest.mark.parametrize("config", ["t2_alpha05", "t2_d2", "t2_d3"])
+def _collector_runs(config, tmp_path):
+    """argv of every run of `config`: a shipped config through every command,
+    a bench workload's seed-1 config through the commands the bench runs on it."""
+    if config in ("d2-blocks", "d2-dense"):
+        workload = _bench_module("workloads").build(config, 1, str(REPO), str(tmp_path))
+        return [workload.argv(step, str(tmp_path / step.command), 1)
+                for step in workload.steps if not step.serial]
+    path = str(REPO / "configs" / f"{config}.json")
+    dimension = StudyConfig.load(path).dimension
+    return [[command, "--config", path, "--out", str(tmp_path / command),
+             "--workers", "1", *(_fiber_xi(dimension) if command == "fiber" else [])]
+            for command in COMMANDS]
+
+
+@pytest.mark.parametrize("config", ["t1_alpha1", "t2_alpha05", "t2_d2", "t2_d3",
+                                    "d2-blocks", "d2-dense"])
 def test_every_margin_is_slack(tmp_path, capsys, config):
     # a margin= line passes exactly where its margin is >= 0, so a pass never
-    # prints a negative margin; every numeric verdict prints one
-    cfg = str(REPO / "configs" / f"{config}.json")
-    zeros = ",0.0" * (StudyConfig.load(cfg).dimension - 1)
-    for command in COMMANDS:
-        extra = ["--xi", "0.3" + zeros, "1.0" + zeros] if command == "fiber" else []
-        assert main([command, "--config", cfg, "--out", str(tmp_path / command),
-                     "--workers", "1", *extra]) == 0
-        _assert_margins_are_slack(_report_checks(capsys))
+    # prints a negative margin; every numeric verdict prints one; and every
+    # printed verdict but a skip has a MUTANTS entry, a fault that fails it
+    for argv in _collector_runs(config, tmp_path):
+        assert main(argv) == 0, argv
+        checks = _report_checks(capsys)
+        _assert_margins_are_slack(checks)
+        unjudged = {name for name, rest in checks.items()
+                    if not rest.startswith("skip") and _verdict_key(name) not in MUTANTS}
+        assert not unjudged, (argv[0], unjudged)
 
 
 @pytest.mark.parametrize("config", ["t1_alpha1", "t2_alpha05", "t2_d3"])
@@ -1090,11 +1312,12 @@ def test_oracle_check_passes_in_the_windows_above_1865(tmp_path, name):
                      "--out", str(tmp_path / "art")]) == 0, alpha
 
 
-def _reference_checks():
-    """The benchmark's CSV checks, loaded from their file (bench/ is no package)."""
-    spec = importlib.util.spec_from_file_location("bench_checks",
-                                                  REPO / "bench" / "checks.py")
+def _bench_module(name):
+    """A module of the benchmark, loaded from its file (bench/ is no package)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  REPO / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -1102,7 +1325,7 @@ def _reference_checks():
 @pytest.mark.parametrize("config", ["t1_alpha1", "t2_alpha05"])
 def test_shipped_configs_match_reference(tmp_path, config):
     # the stored seed-commit CSVs, within the benchmark's 1e-12 drift rule
-    checks = _reference_checks()
+    checks = _bench_module("checks")
     for command in ("thresholds", "rate-study", "oracle-check"):
         out_dir = tmp_path / command
         assert main([command, "--config", str(REPO / "configs" / f"{config}.json"),
