@@ -72,11 +72,7 @@ def parallel_map(fn, items, workers=None, *, order):
 
 
 def fmt(value) -> str:
-    """Canonical text for CSV cells: shortest round-trip repr for floats."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    """Text of a CSV cell or report value: shortest round-trip repr for floats."""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)

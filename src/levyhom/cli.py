@@ -44,7 +44,7 @@ from ._util import (PARALLEL_MIN_ORDER, fmt, hermitian_defect, hermitian_norm,
                     parallel_map, write_csv)
 from .coefficient import (ModelParams, certify, loglog_slope, oracle_c0,
                           rate_function, rate_profile, slope_check,
-                          slope_widening, theory_constants)
+                          slope_widening, theory_constants, v_alpha)
 from .config import StudyConfig
 from .errors import LevyhomError
 
@@ -164,12 +164,10 @@ def cmd_thresholds(cfg: StudyConfig, report: RunReport, args) -> None:
     reps = parallel_map(lambda xi: threshold_report(coeff, params, modes, xi),
                         xis, args.workers, order=modes.size)
 
-    # CSV column -> ThresholdReport field, after the xi_j columns
-    columns = {"xi_norm": "xi_norm", "lambda1": "lambda1", "lambda2": "lambda2",
-               "f_minus_p": "f_minus_p_norm", "phi_norm": "phi_norm",
-               "af_minus_eff": "af_minus_effective_norm", "rho": "rho",
-               "rho_star": "rho_star"}
-    rows = [[float(v) for v in rep.xi] + [getattr(rep, f) for f in columns.values()]
+    # the columns after the xi_j are ThresholdReport fields of the same names
+    columns = ("xi_norm", "lambda1", "lambda2", "f_minus_p", "phi_norm",
+               "af_minus_eff", "rho", "rho_star")
+    rows = [[float(v) for v in rep.xi] + [getattr(rep, f) for f in columns]
             for rep in reps]
     header = [f"xi_{j + 1}" for j in range(d)] + list(columns)
     report.write_csv("thresholds.csv", header, rows)
@@ -181,7 +179,7 @@ def cmd_thresholds(cfg: StudyConfig, report: RunReport, args) -> None:
     # reps[0] is the origin, where both eigenvalue bounds are 0
     report.check("lambda1_at_zero", 1e-10 - abs(reps[0].lambda1))
     ladder = reps[1:]
-    slopes = {"f_minus_p": ("theta", "f_minus_p_norm"), "phi": ("phi", "phi_norm"),
+    slopes = {"f_minus_p": ("theta", "f_minus_p"), "phi": ("phi", "phi_norm"),
               "rho_star": ("rho_star", "rho_star")}
     if not ladder:
         for name in ["lambda1_bounds", *(f"slope_{q}" for q in slopes)]:
@@ -193,10 +191,9 @@ def cmd_thresholds(cfg: StudyConfig, report: RunReport, args) -> None:
         return np.array([getattr(rep, name) for rep in ladder])
 
     norms, lam1 = field("xi_norm"), field("lambda1")
-    lower = constants.mu_minus * constants.c0 * norms ** params.alpha
-    upper = constants.mu_plus * constants.c0 * norms ** params.alpha
-    report.check("lambda1_bounds",
-                 min(np.min(lam1 - lower), np.min(upper - lam1)) + 1e-10)
+    symbol = np.array([v_alpha(params, rep.xi) for rep in ladder])
+    report.check("lambda1_bounds", min(np.min(lam1 - constants.mu_minus * symbol),
+                                       np.min(constants.mu_plus * symbol - lam1)) + 1e-10)
 
     for name, (quantity, attr) in slopes.items():
         vals = np.abs(field(attr))

@@ -342,10 +342,22 @@ def _form_line_integral(alpha: float, k: int, l: int, m: int, n: int,
     return value + 0.5 * tail
 
 
+def _sym_pow(vecs: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
+    """|2 pi v + xi|^alpha for integer rows v, the package's one code path
+    for it: shared by the fiber's four closed-form terms, so that algebraic
+    cancellations (zero-mode column at xi = 0, constant coefficient
+    off-diagonals) are exact in floats, and by every symbol they are
+    measured against (v_alpha, the effective fiber, rho)."""
+    y = 2.0 * np.pi * vecs.astype(float) + xi
+    r = np.sqrt(np.einsum("ij,ij->i", y, y))
+    return r ** alpha
+
+
 def v_alpha(params: ModelParams, xi) -> float:
     """Symbol of the constant-coefficient operator: c0 |xi|^alpha."""
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
-    return params.c0 * r ** params.alpha
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    return params.c0 * float(_sym_pow(np.zeros((1, xi.size), dtype=int), xi,
+                                      params.alpha)[0])
 
 
 # The paper's three alpha regimes in one place.  Each quantity decays like the

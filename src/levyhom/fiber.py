@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .coefficient import (ModelParams, PeriodicCoefficient, _form_line_integral,
-                          _gamma, effective_mu)
+                          _gamma, _sym_pow, effective_mu, v_alpha)
 from .errors import TruncationTooSmall
 
 
@@ -102,16 +102,6 @@ class FiberMatrix:
         for idx, stack in zip(self.blocks, stacks):
             out[idx[:, :, None], idx[:, None, :]] = stack
         return out
-
-
-def _sym_pow(vecs: np.ndarray, xi: np.ndarray, alpha: float) -> np.ndarray:
-    """|2 pi v + xi|^alpha for integer rows v; the single code path shared by
-    all four closed-form terms so that algebraic cancellations (zero-mode
-    column at xi = 0, constant coefficient off-diagonals) are exact in floats.
-    """
-    y = 2.0 * np.pi * vecs.astype(float) + xi
-    r = np.sqrt(np.einsum("ij,ij->i", y, y))
-    return r ** alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +283,7 @@ def rho_and_rho_star(
     Recomputed independently of the assembled matrix:
         rho = (c0/2) sum_l mu_hat[-l, l] (|2 pi l - xi|^a + |2 pi l + xi|^a
                                           - 2 |2 pi l|^a)
-    and rho_star = rho - mu0 c0 |xi|^alpha.  Defined for any xi (outside the
+    and rho_star = rho - mu0 v_alpha(xi).  Defined for any xi (outside the
     dual cell the expression is evaluated formally).
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -308,9 +298,8 @@ def rho_and_rho_star(
         vm = _sym_pow(lv, -xi, alpha)[0]
         v0 = _sym_pow(lv, zero_xi, alpha)[0]
         rho += amp.real * ((vm - v0) + (vp - v0))
-    c0 = params.c0
-    rho *= 0.5 * c0
-    return rho, rho - effective_mu(coeff) * c0 * float(np.linalg.norm(xi)) ** alpha
+    rho *= 0.5 * params.c0
+    return rho, rho - effective_mu(coeff) * v_alpha(params, xi)
 
 
 # ----------------------------------------------------------------------

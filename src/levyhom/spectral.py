@@ -170,15 +170,21 @@ def projector_by_riesz(matrix, contour: CircleContour) -> RieszProjection:
 
 @dataclass(frozen=True, eq=False)
 class ThresholdReport:
-    """Per-quasimomentum threshold quantities near the spectral edge."""
+    """Per-quasimomentum threshold quantities near the spectral edge.
+
+    Fields `xi_norm` to `rho_star` are the `thresholds.csv` columns of their
+    names; with F the eig route's projector and P0 the zero mode's,
+    f_minus_p = ||F - P0||, phi_norm = ||lambda1 F - rho P0|| and
+    af_minus_eff = ||lambda1 F - mu0 v_alpha(xi) P0||.
+    """
 
     xi: np.ndarray
     xi_norm: float
     lambda1: float
     lambda2: float
-    f_minus_p_norm: float
+    f_minus_p: float
     phi_norm: float
-    af_minus_effective_norm: float
+    af_minus_eff: float
     rho: float
     rho_star: float
     projector_mismatch: float   # ||F_riesz - F_eig||
@@ -204,7 +210,6 @@ def threshold_report(
     """
     constants = theory_constants(params, coeff)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    r = float(np.linalg.norm(xi))
 
     fiber = assemble_fiber_matrix(coeff, params, modes, xi)
     # complex eigensolve for real fibers too: the CSV norms carry its u||A|| rounding
@@ -238,12 +243,12 @@ def threshold_report(
 
     return ThresholdReport(
         xi=xi,
-        xi_norm=r,
+        xi_norm=float(np.linalg.norm(xi)),
         lambda1=float(lam[0]),
         lambda2=float(lam[1]),
-        f_minus_p_norm=f_minus_p,
+        f_minus_p=f_minus_p,
         phi_norm=phi_norm,
-        af_minus_effective_norm=af_eff,
+        af_minus_eff=af_eff,
         rho=rho,
         rho_star=rho_star,
         projector_mismatch=mismatch,

@@ -1,7 +1,9 @@
 """Shared fixtures: the standard test coefficients and parameter builders."""
 
+import importlib.util
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,18 @@ import pytest
 from levyhom import ModelParams, PeriodicCoefficient, certify, constant_coefficient
 
 
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "configs"
+
+
+def bench_module(name):
+    """A module of the benchmark, loaded from its file (bench/ is no package)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  REPO / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def shipped_config_at(tmp_path, name, truncation) -> str:

@@ -200,7 +200,7 @@ def test_criterion_7_threshold_slopes():
         const = theory_constants(params, t2)
         radii = ladder[ladder <= const.delta0]
         reports = [threshold_report(t2, params, modes, [r]) for r in radii]
-        fmp = [rep.f_minus_p_norm for rep in reports]
+        fmp = [rep.f_minus_p for rep in reports]
         slope_fmp, _ = loglog_slope(radii, fmp)
         ok &= slope_fmp >= fmp_floor
         results.append(f"a={alpha}: slope(F-P)={slope_fmp:.2f}>={fmp_floor}")

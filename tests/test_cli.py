@@ -2,12 +2,11 @@
 
 import dataclasses
 import hashlib
-import importlib.util
+import importlib
 import json
 import math
 import pathlib
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ import pytest
 from levyhom import (ModelParams, StudyConfig, c1_constant, certify, compute_c0,
                      loglog_slope, theory_constants)
 from levyhom.cli import COMMANDS, main
-from conftest import make_t2, random_band_limited
+from conftest import bench_module, make_t2, random_band_limited
 
 T2_RECORDS = [
     {"k": [0], "l": [0], "re": 1.0, "im": 0.0},
@@ -622,7 +621,7 @@ MUTANTS = {
                               _scaled_subtracted_constants),
     "lambda1_bounds": Mutant("thresholds", ("t2_n8",), _eigenvalues_times_4),
     "slope_f_minus_p": Mutant("thresholds", ("t2_n8",),
-                              _slow_ladder("f_minus_p_norm")),
+                              _slow_ladder("f_minus_p")),
     "slope_phi": Mutant("thresholds", ("t2_n8",), _slow_ladder("phi_norm")),
     "slope_rho_star": Mutant("thresholds", ("t2_n8",), _slow_ladder("rho_star")),
     "truncation_stability": Mutant("rate-study", ("t2_n8",), _skew_doubled_pass),
@@ -740,7 +739,7 @@ def _collector_runs(config, tmp_path):
     """argv of every run of `config`: a shipped config through every command,
     a bench workload's seed-1 config through the commands the bench runs on it."""
     if config in ("d2-blocks", "d2-dense"):
-        workload = _bench_module("workloads").build(config, 1, str(REPO), str(tmp_path))
+        workload = bench_module("workloads").build(config, 1, str(REPO), str(tmp_path))
         return [workload.argv(step, str(tmp_path / step.command), 1)
                 for step in workload.steps if not step.serial]
     path = str(REPO / "configs" / f"{config}.json")
@@ -1312,20 +1311,10 @@ def test_oracle_check_passes_in_the_windows_above_1865(tmp_path, name):
                      "--out", str(tmp_path / "art")]) == 0, alpha
 
 
-def _bench_module(name):
-    """A module of the benchmark, loaded from its file (bench/ is no package)."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}",
-                                                  REPO / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module     # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("config", ["t1_alpha1", "t2_alpha05"])
 def test_shipped_configs_match_reference(tmp_path, config):
     # the stored seed-commit CSVs, within the benchmark's 1e-12 drift rule
-    checks = _bench_module("checks")
+    checks = bench_module("checks")
     for command in ("thresholds", "rate-study", "oracle-check"):
         out_dir = tmp_path / command
         assert main([command, "--config", str(REPO / "configs" / f"{config}.json"),

@@ -15,7 +15,7 @@ from levyhom.config import StudyConfig
 from levyhom.homogenization import (_mirror_reduced, _resolvent_diffs,
                                     _sup_over_points)
 
-from conftest import make_t2, random_band_limited
+from conftest import bench_module, make_t2, random_band_limited
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -91,10 +91,12 @@ def _seeded_dense_d2(seed, budget=0.3):
 
 
 def _study_inputs(name, alpha=None):
-    """(coeff, params, modes, grid, shifts) of a shipped config or the dense d = 2
-    one, at the config's alpha or at `alpha`."""
+    """(coeff, params, modes, grid, shifts) of a shipped config, the dense d = 2
+    one or the bench's seed-1 block one, at the config's alpha or at `alpha`."""
     if name == "dense-d2":
         cfg = _seeded_dense_d2(seed=7)
+    elif name == "blocks-d2":
+        cfg = StudyConfig.from_dict(bench_module("workloads").d2_config("blocks", 1))
     else:
         cfg = StudyConfig.load(REPO / "configs" / f"{name}.json")
     alpha = cfg.alpha if alpha is None else alpha
@@ -158,11 +160,13 @@ class TestMirrorPairs:
 
 class TestSeededSweep:
     # t2_d2 checks its N pass only: the exhaustive 2N reference (1089 modes
-    # in 66 blocks) alone takes 4 s, and the other cases cover the 2N seeds
+    # in 66 blocks) alone takes 4 s, and the other cases cover the 2N seeds;
+    # the bench's block config fails the all-shift pair at 51 of the 55 2N
+    # points it tries, so its 2N norms are certified through the halving
     @pytest.mark.parametrize("name,alpha,passes", [
         ("t1_alpha1", None, 2), ("t2_alpha05", None, 2), ("t2_d2", None, 1),
         ("dense-d2", None, 2), ("t2_alpha05", 1.5, 2), ("t2_alpha05", 1.9, 2),
-        ("random-complex", None, 2)])
+        ("random-complex", None, 2), ("blocks-d2", None, 2), ("t2_d3", None, 2)])
     def test_seeded_sweep_equals_exhaustive(self, name, alpha, passes,
                                             threads_at_any_order):
         # the passes of discrepancy_study, seeded as it seeds them, against

@@ -326,7 +326,7 @@ class TestThresholdReport:
         modes = ModeSet(1, 8)
         rep = threshold_report(t2, params_half, modes, [0.0])
         assert rep.lambda1 == pytest.approx(0.0, abs=1e-12)
-        assert rep.f_minus_p_norm <= 1e-10
+        assert rep.f_minus_p <= 1e-10
         assert rep.phi_norm <= 1e-10
         assert rep.rho == 0.0
         assert rep.rho_star == 0.0
@@ -336,8 +336,8 @@ class TestThresholdReport:
         modes = ModeSet(1, 8)
         for r in (0.01, 0.1, const.delta0 * 0.9):
             rep = threshold_report(t0, params_half, modes, [r])
-            assert rep.f_minus_p_norm <= 1e-10
-            assert rep.af_minus_effective_norm <= 1e-10
+            assert rep.f_minus_p <= 1e-10
+            assert rep.af_minus_eff <= 1e-10
             assert rep.rho_star == pytest.approx(0.0, abs=1e-14)
 
     def test_invariants_inside_ball(self, t2, params_three_halves):
@@ -350,7 +350,7 @@ class TestThresholdReport:
             assert lo - 1e-12 <= rep.lambda1 <= hi + 1e-12
             assert rep.lambda2 >= const.d0 - 1e-12
             assert rep.projector_mismatch <= 1e-8
-            assert -1e-12 <= rep.f_minus_p_norm <= 1.0 + 1e-12
+            assert -1e-12 <= rep.f_minus_p <= 1.0 + 1e-12
 
     def test_norms_match_the_dense_zero_mode_projector(self, t2, params_half):
         # the report subtracts P0 at its one diagonal entry; the dense P0
@@ -360,8 +360,8 @@ class TestThresholdReport:
         const = theory_constants(params_half, t2)
         modes = ModeSet(1, 8)
         origin = threshold_report(t2, params_half, modes, [0.0])
-        assert (origin.lambda1, origin.f_minus_p_norm, origin.phi_norm,
-                origin.af_minus_effective_norm) == (0.0, 0.0, 0.0, 0.0)
+        assert (origin.lambda1, origin.f_minus_p, origin.phi_norm,
+                origin.af_minus_eff) == (0.0, 0.0, 0.0, 0.0)
         assert origin.projector_mismatch <= 1e-8
         for r in (1e-3, const.delta0 * 0.8):
             rep = threshold_report(t2, params_half, modes, [r])
@@ -374,9 +374,9 @@ class TestThresholdReport:
             af = spectral[0][0] * f_eig
             rho = rho_and_rho_star(t2, params_half, [r])[0]
             v = v_alpha(params_half, np.array([r]))
-            assert rep.f_minus_p_norm == hermitian_norm(f_eig - p0)
+            assert rep.f_minus_p == hermitian_norm(f_eig - p0)
             assert rep.phi_norm == hermitian_norm(af - rho * p0)
-            assert rep.af_minus_effective_norm == hermitian_norm(
+            assert rep.af_minus_eff == hermitian_norm(
                 af - const.mu_eff * v * p0)
             assert rep.projector_mismatch == hermitian_norm(riesz - f_eig) <= 1e-8
 
@@ -388,7 +388,7 @@ class TestThresholdReport:
             const = theory_constants(params, t2)
             radii = np.geomspace(1e-3, 1e-1, 12)
             radii = radii[radii <= const.delta0]
-            vals = [threshold_report(t2, params, modes, [r]).af_minus_effective_norm
+            vals = [threshold_report(t2, params, modes, [r]).af_minus_eff
                     for r in radii]
             slope, _ = loglog_slope(radii, vals)
             assert slope >= floor
