@@ -46,7 +46,7 @@ from .coefficient import (ModelParams, certify, loglog_slope, oracle_c0,
                           rate_function, rate_profile, slope_check,
                           slope_widening, theory_constants, v_alpha)
 from .config import StudyConfig
-from .errors import LevyhomError
+from .errors import LevyhomError, at_quasimomentum
 
 # fiber, spectral and homogenization are imported by the commands that use
 # them, so each command process loads only what it runs
@@ -160,9 +160,12 @@ def cmd_thresholds(cfg: StudyConfig, report: RunReport, args) -> None:
     direction = np.eye(d)[0]
     xis = [np.zeros(d)] + [r * direction for r in radii]
 
+    def report_at(xi):
+        with at_quasimomentum(xi):
+            return threshold_report(coeff, params, modes, xi)
+
     # threshold_report eigensolves the dense fiber, of order modes.size
-    reps = parallel_map(lambda xi: threshold_report(coeff, params, modes, xi),
-                        xis, args.workers, order=modes.size)
+    reps = parallel_map(report_at, xis, args.workers, order=modes.size)
 
     # the columns after the xi_j are ThresholdReport fields of the same names
     columns = ("xi_norm", "lambda1", "lambda2", "f_minus_p", "phi_norm",

@@ -3,7 +3,7 @@
 The coefficient mu(x, y) is a band-limited trigonometric polynomial on the
 torus, stored as a finite map (k, l) -> mu_hat[k, l] of Fourier amplitudes.
 Realness and the exchange symmetry mu(x, y) = mu(y, x) are checked exactly
-on the map; positivity is certified on a sampling grid with a Lipschitz
+on the map; positivity is certified on a sampling grid with a second-order
 margin, so every downstream constant (mu_minus, mu_plus, the gap floor d0,
 the threshold radius delta0) is a certified bound rather than an assumption.
 The paper's rate laws and the log-log slope checks against them live here.
@@ -21,19 +21,20 @@ from typing import Mapping
 
 import numpy as np
 
+from ._util import UNIT_ROUNDOFF
 from .errors import (DegenerateFit, PositivityUncertified,
                      QuadratureNotConverged, SymmetryViolation)
 
 Mode = tuple[tuple[int, ...], tuple[int, ...]]
 
-# Grid sizes keep validation sub-second; the Lipschitz margin covers the rest.
-DEFAULT_POSITIVITY_GRID = {1: 256, 2: 64, 3: 24}
+# Admitted positivity grids: at least POSITIVITY_GRID_MIN points per coordinate,
+# at most POSITIVITY_GRID_MAX_POINTS on the x torus: 2^20 (x, y) values, 8 MB.
+POSITIVITY_GRID_MIN = 8
+POSITIVITY_GRID_MAX_POINTS = 1024
+DEFAULT_POSITIVITY_GRID = {1: 256, 2: 16, 3: 8}
 
 # Galerkin truncation defaults per dimension.
 DEFAULT_TRUNCATION = {1: 32, 2: 8, 3: 4}
-
-# floats in one block of the positivity grid's product: 1 MB stays in cache
-GRID_BLOCK_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -467,42 +468,35 @@ def _check_map_symmetries(coeff: PeriodicCoefficient) -> None:
             )
 
 
-def _grid_min_max(coeff: PeriodicCoefficient, grid: int) -> tuple[float, float]:
-    """Min/max of mu on the (x, y) product grid via separable phase matrices.
+def check_positivity_grid(grid, dimension: int) -> None:
+    """ValueError unless `grid` is an admitted positivity grid in `dimension`."""
+    if not (isinstance(grid, (int, np.integer)) and POSITIVITY_GRID_MIN <= grid
+            and grid ** dimension <= POSITIVITY_GRID_MAX_POINTS):
+        raise ValueError(f"positivity_grid must be an integer >= {POSITIVITY_GRID_MIN} "
+                         f"with grid^{dimension} <= {POSITIVITY_GRID_MAX_POINTS}, got {grid}")
 
+
+def _grid_min_max(coeff: PeriodicCoefficient, grid: int) -> tuple[float, float]:
+    """Min/max of mu on the (x, y) product grid, one real matrix product.
+
+    Phases k.x are reduced mod 1 in integers, so theta lies in [0, 2 pi).
     Needs the exchange symmetry mu(x, y) = mu(y, x), which `certify` checks
-    exactly first.  So the k's and the l's are one index set, and each row
-    chunk evaluates only the columns from its first row on.
+    exactly first: the k's and the l's are one index set.
     """
-    d = coeff.dimension
     ks = sorted({k for (k, _) in coeff.modes})
     kidx = {k: i for i, k in enumerate(ks)}
     amp = np.zeros((len(ks), len(ks)), dtype=complex)
     for (k, l), a in coeff.modes.items():
         amp[kidx[k], kidx[l]] = a
 
-    axis = np.arange(grid) / grid
-    pts = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    ek = np.exp(2j * np.pi * (pts @ np.asarray(ks, dtype=float).T))
+    idx = np.indices((grid,) * coeff.dimension).reshape(coeff.dimension, -1).T
+    theta = (2.0 * np.pi / grid) * ((idx @ np.asarray(ks).T) % grid)
+    ek = np.cos(theta) + 1j * np.sin(theta)     # (npts, K)
 
-    # mu is real: Re(ek @ right) = [ek.re, -ek.im] @ [right.re; right.im],
-    # one real GEMM
+    # mu is real: Re(ek @ right) = [ek.re, -ek.im] @ [right.re; right.im]
     right = amp @ ek.T  # (K, npts)
-    right = np.concatenate([right.real, right.imag])
-    ek = np.concatenate([ek.real, -ek.imag], axis=1)
-    lo, hi = np.inf, -np.inf
-    # rows of a GRID_BLOCK_FLOATS block, and no fewer than `right` has: each
-    # chunk reads its columns of `right` once, and that read should not cost
-    # more than writing the block
-    chunk = min(len(ek), max(len(right), GRID_BLOCK_FLOATS // len(ek)))
-    # one block for every chunk: freed blocks of shrinking size stay on the heap
-    buf = np.empty((chunk, len(ek)))
-    for start in range(0, len(ek), chunk):
-        vals = np.matmul(ek[start : start + chunk], right[:, start:],
-                         out=buf[: len(ek) - start, start:])
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
-    return lo, hi
+    vals = np.hstack([ek.real, -ek.imag]) @ np.vstack([right.real, right.imag])
+    return float(vals.min()), float(vals.max())
 
 
 def certify(
@@ -510,29 +504,45 @@ def certify(
 ) -> PeriodicCoefficient:
     """Check symmetries exactly; return a copy carrying certified mu_minus / mu_plus.
 
-    The grid min/max are widened by L * h * sqrt(2d) / 2, where L is the
-    gradient bound sum(2 pi (|k|_1 + |l|_1) |mu_hat|) and h the grid spacing,
-    so the bounds hold everywhere, not just on grid points.
+    The grid min/max are widened into bounds of mu everywhere; h = 1 / grid.
+    * Interpolation.  On a grid cell in the 2d coordinates of (x, y) the
+      multilinear interpolant I mu, a convex combination of the vertex
+      values, lies between the grid min and max.  I is the product of 1-D
+      linear interpolants I_j, sup-norm contractions, so
+      mu - I mu = sum_j I_1 ... I_(j-1) (mu - I_j mu) and |mu - I mu| <=
+      (h^2/8) sum_j ||d_j^2 mu|| <= (h^2/8) sum (2 pi)^2 (|k|^2 + |l|^2) |mu_hat|.
+    * Rounding, with u the unit roundoff, K the number of distinct k, M of
+      modes and S = sum |mu_hat|.  theta = (2 pi / grid) m takes three
+      roundings, below 6 pi u, and cos and sin 4 ulp each, so an exponential
+      is within 32 u and a product of two within 64 u.  The complex product
+      amp @ ek.T adds sqrt(2) gamma_(K+1) times each row's sum of |mu_hat|,
+      the real one gamma_(2K) S (Higham, Accuracy and Stability, ch. 3).
+      The margin is below S wherever mu_minus > 0, so summing it over the
+      modes and widening by it round by under (M + 10) u S.  The total,
+      (3.5 K + M + 76) u S with the terms of order u^2, is below
+      (4 K + M + 80) u S.
     """
     if grid_points_per_dim is None:
         grid_points_per_dim = DEFAULT_POSITIVITY_GRID[coeff.dimension]
-    if grid_points_per_dim < 16:
-        raise ValueError("positivity grid needs at least 16 points per coordinate")
+    check_positivity_grid(grid_points_per_dim, coeff.dimension)
 
     _check_map_symmetries(coeff)
 
-    lip = 0.0
+    curvature = total = 0.0
     for (k, l), amp in coeff.modes.items():
-        lip += 2.0 * math.pi * (sum(map(abs, k)) + sum(map(abs, l))) * abs(amp)
+        curvature += (2.0 * math.pi) ** 2 * (sum(v * v for v in k + l)) * abs(amp)
+        total += abs(amp)
 
     lo, hi = _grid_min_max(coeff, grid_points_per_dim)
     h = 1.0 / grid_points_per_dim
-    margin = lip * h * math.sqrt(2 * coeff.dimension) / 2.0
+    kinds = len({k for (k, _) in coeff.modes})
+    rounding = (4 * kinds + len(coeff.modes) + 80) * UNIT_ROUNDOFF * total
+    margin = float(curvature * h * h / 8.0 + rounding)
     mu_minus = lo - margin
     if mu_minus <= 0.0:
         raise PositivityUncertified(
             f"certified lower bound {mu_minus:.6g} is not positive "
-            f"(grid min {lo:.6g}, Lipschitz margin {margin:.3g})"
+            f"(grid min {lo:.6g}, second-order margin {margin:.3g})"
         )
     return replace(coeff, mu_minus=mu_minus, mu_plus=hi + margin)
 

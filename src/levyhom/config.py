@@ -24,7 +24,8 @@ except ImportError:
 import numpy as np
 
 from .coefficient import (DEFAULT_POSITIVITY_GRID, DEFAULT_TRUNCATION,
-                          PeriodicCoefficient, coefficient_from_records)
+                          PeriodicCoefficient, check_positivity_grid,
+                          coefficient_from_records)
 
 
 def _is_int(value) -> bool:
@@ -193,10 +194,10 @@ class StudyConfig:
         if not self.coefficient:
             raise ValueError("coefficient mode list must not be empty")
         for name, value, least in (("truncation", self.resolved_truncation, 1),
-                                   ("positivity_grid", self.resolved_positivity_grid, 16),
                                    ("seed", self.seed, 0)):
             if not _is_int(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
+        check_positivity_grid(self.resolved_positivity_grid, self.dimension)
         if not (isinstance(self.output, str) and self.output):
             raise ValueError("output must be a non-empty string")
         self.xi_grid.validate()

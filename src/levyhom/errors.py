@@ -7,6 +7,8 @@ and usage problems (exit 1).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class LevyhomError(Exception):
     """Base class for all verification-level failures."""
@@ -34,3 +36,13 @@ class ConvergenceFailure(LevyhomError):
 
 class DegenerateFit(LevyhomError):
     """Not enough positive, distinct points for a log-log slope fit."""
+
+
+@contextmanager
+def at_quasimomentum(xi):
+    """Put xi in front of a ConvergenceFailure's message."""
+    try:
+        yield
+    except ConvergenceFailure as exc:
+        where = ", ".join(repr(float(v)) for v in xi)
+        raise ConvergenceFailure(f"at xi = ({where}): {exc}") from exc

@@ -17,6 +17,7 @@ import numpy as np
 from ._util import UNIT_ROUNDOFF, hermitian_norm, parallel_map
 from .coefficient import ModelParams, PeriodicCoefficient, effective_mu
 from .config import _validate_epsilons
+from .errors import at_quasimomentum
 from .fiber import (ModeSet, _assembly_plan, assemble_effective_fiber,
                     assemble_fiber_matrix)
 from .spectral import eig_hermitian
@@ -286,9 +287,10 @@ def _sup_over_points(coeff, params, modes, points, shifts, workers, seeds=()):
     masks = np.zeros(values.shape, dtype=bool)
 
     def per_point(i):
-        symbol = assemble_effective_fiber(params, mu0, modes, points[i])
-        return _resolvent_diffs(coeff, params, modes, points[i], symbol,
-                                shifts, floors)
+        with at_quasimomentum(points[i]):
+            symbol = assemble_effective_fiber(params, mu0, modes, points[i])
+            return _resolvent_diffs(coeff, params, modes, points[i], symbol,
+                                    shifts, floors)
 
     for wave in waves:
         floors = values.max(axis=0)     # unsolved rows are 0, norms are >= 0

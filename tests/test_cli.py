@@ -157,7 +157,8 @@ def test_degenerate_rate_fit_prints_its_report(tmp_path, capsys, monkeypatch):
 def test_unmeasurable_ladder_point_is_one_report_verdict(tmp_path, capsys,
                                                          monkeypatch):
     # a ladder point that cannot be measured ends the run like any other
-    # LevyhomError: no verdict of thresholds' own, and no partial CSV
+    # LevyhomError: no verdict of thresholds' own, and no partial CSV.  The
+    # detail names the point
     import levyhom.spectral as spectral
     from levyhom import ConvergenceFailure
     real = spectral.threshold_report
@@ -173,8 +174,32 @@ def test_unmeasurable_ladder_point_is_one_report_verdict(tmp_path, capsys,
     out_dir = tmp_path / "art"
     assert main(["thresholds", "--config", str(REPO / "configs" / "t2_alpha05.json"),
                  "--out", str(out_dir), "--workers", "1"]) == 2
-    _assert_one_measurement_failure(capsys, "ConvergenceFailure")
+    lines = _assert_one_measurement_failure(capsys, "ConvergenceFailure")
+    assert (f"[ConvergenceFailure: at xi = ({float(calls[2][0])!r}): eigh did not "
+            f"converge]") in "\n".join(lines)
     assert not (out_dir / "thresholds.csv").exists()
+
+
+def test_unmeasurable_grid_point_names_its_xi(tmp_path, capsys, monkeypatch):
+    # the same for a rate-study grid point: the sweep's fifth point fails
+    import levyhom.homogenization as hom
+    from levyhom import ConvergenceFailure
+    real = hom._resolvent_diffs
+    calls = []
+
+    def fails_fifth(coeff, params, modes, xi, *args):
+        calls.append(xi)
+        if len(calls) == 5:
+            raise ConvergenceFailure("eigh did not converge")
+        return real(coeff, params, modes, xi, *args)
+
+    monkeypatch.setattr(hom, "_resolvent_diffs", fails_fifth)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    assert main(["rate-study", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "art"), "--workers", "1"]) == 2
+    lines = _assert_one_measurement_failure(capsys, "ConvergenceFailure")
+    assert f"at xi = ({float(calls[4][0])!r}): eigh" in "\n".join(lines)
 
 
 def test_degenerate_ladder_fit_is_one_report_verdict(tmp_path, capsys, monkeypatch):
@@ -914,6 +939,18 @@ def assert_one_line_config_error(capsys, field=""):
     assert field in err, err
 
 
+@pytest.mark.parametrize("dimension,grid", [(1, 7), (2, 64), (3, 16)])
+def test_positivity_grid_outside_its_range_exits_1(tmp_path, capsys, dimension, grid):
+    # at least 8 points per coordinate, at most 1024 on the x torus: the
+    # config check reads the rule certify reads
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, dimension=dimension, positivity_grid=grid,
+                 coefficient=_lifted_t2(dimension))
+    assert main(["validate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "art")]) == 1
+    assert_one_line_config_error(capsys, "positivity_grid")
+
+
 def _scaled(records, factor):
     return [dict(rec, k=[v * factor for v in rec["k"]], l=[v * factor for v in rec["l"]])
             for rec in records]
@@ -1195,7 +1232,7 @@ COARSE_GRID = {"points_per_dim": 2, "radial_min_exp": -4.0,
 @pytest.mark.parametrize("kind", sorted(D2_COEFFICIENTS))
 def test_thresholds_d2(tmp_path, capsys, kind):
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, dimension=2, truncation=2, positivity_grid=64,
+    write_config(cfg_path, dimension=2, truncation=2, positivity_grid=16,
                  coefficient=D2_COEFFICIENTS[kind])
     out_dir = tmp_path / "art"
     assert main(["thresholds", "--config", str(cfg_path),
@@ -1215,7 +1252,7 @@ def test_rate_study_d2(tmp_path, capsys, kind, truncation, workers,
                        threads_at_any_order):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, dimension=2, truncation=truncation,
-                 positivity_grid=64, xi_grid=COARSE_GRID,
+                 positivity_grid=16, xi_grid=COARSE_GRID,
                  coefficient=D2_COEFFICIENTS[kind])
     outs = []
     for count in workers:
@@ -1231,9 +1268,9 @@ def test_rate_study_d2(tmp_path, capsys, kind, truncation, workers,
 
 def test_thresholds_d3_smoke(tmp_path, capsys):
     # T2 at half strength keeps the certified ball wide enough on the
-    # coarsest positivity grid: delta0 is about 0.04
+    # coarsest positivity grid: delta0 is about 0.11
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, dimension=3, truncation=2, positivity_grid=16,
+    write_config(cfg_path, dimension=3, truncation=2, positivity_grid=8,
                  coefficient=_lifted_t2(3, amplitude=0.0625))
     out_dir = tmp_path / "art"
     assert main(["thresholds", "--config", str(cfg_path),
@@ -1247,7 +1284,7 @@ def test_thresholds_d3_smoke(tmp_path, capsys):
 def test_rate_study_d3(tmp_path, capsys, threads_at_any_order):
     # the d = 3 smoke coefficient through the whole sweep, N = 2 doubled to 4
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, dimension=3, truncation=2, positivity_grid=16,
+    write_config(cfg_path, dimension=3, truncation=2, positivity_grid=8,
                  xi_grid=COARSE_GRID, coefficient=_lifted_t2(3, amplitude=0.0625))
     outs = []
     for count in ("1", "2"):
@@ -1266,7 +1303,7 @@ def test_oracle_check_beyond_d1(tmp_path, capsys, dimension):
     # c0's quadrature and the form-difference bound hold at every d; the
     # form-element oracle is d = 1 only, so its CSV keeps just the header
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, dimension=dimension, truncation=2, positivity_grid=16,
+    write_config(cfg_path, dimension=dimension, truncation=2, positivity_grid=8,
                  coefficient=_lifted_t2(dimension))
     out_dir = tmp_path / "art"
     assert main(["oracle-check", "--config", str(cfg_path),

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as scipy_gamma
 
 from levyhom import (ModelParams, PeriodicCoefficient, PositivityUncertified,
@@ -11,9 +12,11 @@ from levyhom import (ModelParams, PeriodicCoefficient, PositivityUncertified,
                      constant_coefficient, effective_mu, oracle_c0,
                      oracle_form_element, rate_function, theory_constants, v_alpha)
 from levyhom import coefficient
+from levyhom._util import UNIT_ROUNDOFF
 from levyhom.coefficient import (ORACLE_ABS_TOL, ORACLE_LIMIT, ORACLE_REL_TOL, _gamma,
                                  _grid_min_max, _quad, _quadpack)
-from conftest import make_t1, make_t2, random_band_limited
+from levyhom.config import StudyConfig
+from conftest import CONFIGS, bench_module, make_t1, make_t2, random_band_limited
 
 
 class TestC0:
@@ -203,10 +206,11 @@ class TestEffectiveMu:
 
 class TestValidation:
     def test_constant_exact(self):
-        # a zero Lipschitz margin leaves the grid extremes untouched
+        # a zero curvature leaves the grid extremes widened by the rounding
+        # allowance alone, (4 K + M + 80) u S with K = M = 1 and S = 1
         coeff = certify(constant_coefficient(1, 1.0))
-        assert coeff.mu_minus == 1.0
-        assert coeff.mu_plus == 1.0
+        assert coeff.mu_minus == 1.0 - 85 * UNIT_ROUNDOFF
+        assert coeff.mu_plus == 1.0 + 85 * UNIT_ROUNDOFF
 
     def test_t1_bounds(self):
         coeff = certify(make_t1())
@@ -238,8 +242,18 @@ class TestValidation:
             certify(bad)
 
     def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            certify(constant_coefficient(1, 1.0), grid_points_per_dim=8)
+        with pytest.raises(ValueError, match="positivity_grid"):
+            certify(constant_coefficient(1, 1.0), grid_points_per_dim=7)
+
+    @pytest.mark.parametrize("dimension,grid", [(1, 1025), (2, 33), (3, 11)])
+    def test_grid_above_the_cap_rejected(self, dimension, grid):
+        with pytest.raises(ValueError, match="positivity_grid"):
+            certify(constant_coefficient(dimension, 1.0), grid_points_per_dim=grid)
+
+    @pytest.mark.parametrize("dimension,grid", [(1, 8), (1, 1024), (2, 32), (3, 10)])
+    def test_grid_at_the_edges_of_the_admitted_range(self, dimension, grid):
+        assert certify(constant_coefficient(dimension, 1.0),
+                       grid_points_per_dim=grid).mu_minus > 0.0
 
     def test_certified_random_mu_eff_in_bounds(self):
         rng = np.random.default_rng(7)
@@ -253,12 +267,12 @@ class TestValidation:
         assert coeff.mu_minus > 0.0
         assert coeff.mu_plus < 2.0
 
-    @pytest.mark.parametrize("dimension,grid", [(1, 64), (2, 32), (3, 12)],
+    @pytest.mark.parametrize("dimension,grid", [(1, 64), (2, 32), (3, 10)],
                              ids=["d1", "d2", "d3"])
     @pytest.mark.parametrize("draw", ["t2", "random"])
     def test_grid_extremes_match_pointwise_mu(self, draw, dimension, grid):
-        # grid^d points make a grid^d x grid^d (x, y) grid, several chunks of
-        # the separable product at d = 2 and 3; here mu is summed term by term
+        # grid^d points make a grid^d x grid^d (x, y) grid, one product of
+        # the separable phase matrices; here mu is summed term by term
         coeff = (make_t2(dimension) if draw == "t2"
                  else random_band_limited(np.random.default_rng(3), dimension))
         axis = np.arange(grid) / grid
@@ -272,43 +286,78 @@ class TestValidation:
         assert lo == pytest.approx(mu.min(), rel=0.0, abs=1e-14)
         assert hi == pytest.approx(mu.max(), rel=0.0, abs=1e-14)
 
-    @pytest.mark.parametrize("dimension,grid", [(1, 64), (2, 32), (3, 12)],
-                             ids=["d1", "d2", "d3"])
-    @pytest.mark.parametrize("draw", ["t2", "random"])
-    def test_grid_extremes_do_not_depend_on_the_block(self, draw, dimension, grid,
-                                                      monkeypatch):
-        # the fewest rows a block may hold, and the whole grid in one block,
-        # give the default's min and max bit for bit
-        coeff = (make_t2(dimension) if draw == "t2"
-                 else random_band_limited(np.random.default_rng(3), dimension))
-        default = _grid_min_max(coeff, grid)
-        for floats in (1, grid ** (2 * dimension)):
-            monkeypatch.setattr(coefficient, "GRID_BLOCK_FLOATS", floats)
-            assert _grid_min_max(coeff, grid) == default
 
-    def test_grid_extremes_in_one_chunk_each_d3(self):
-        # mu = 1 + c (g(x) + g(y)), g(x) = sum_j s(x_j), on a 10^3 point
-        # grid, with s(t) = sum_{n <= 4} sin(2 pi n t) / n odd: on the grid
-        # its max is at t = 0.1 only and its min at t = 0.9 only.  The 1 MB
-        # block holds 131 rows, so 8 row chunks, the last from row 917.  The
-        # max sits only at x = y = (0.1, 0.1, 0.1) (row 111, first chunk)
-        # and the min only at x = y = (0.9, 0.9, 0.9) (row 999, last chunk),
-        # both on the diagonal, so no chunk and no diagonal block can be
-        # skipped
-        assert 111 < coefficient.GRID_BLOCK_FLOATS // 1000 < 1000
-        c = 0.05
-        modes = {((0, 0, 0), (0, 0, 0)): complex(1.0)}
-        for j in range(3):
-            for n in range(1, 5):
-                e = tuple(n * int(i == j) for i in range(3))
-                ne = tuple(-v for v in e)
-                # sin(2 pi n t) / n = (e^(2 pi i n t) - e^(-2 pi i n t)) / (2 i n)
-                modes[(e, (0, 0, 0))] = modes[((0, 0, 0), e)] = c / (2j * n)
-                modes[(ne, (0, 0, 0))] = modes[((0, 0, 0), ne)] = -c / (2j * n)
-        peak = sum(math.sin(0.2 * math.pi * n) / n for n in range(1, 5))
-        lo, hi = _grid_min_max(PeriodicCoefficient(3, modes), 10)
-        assert lo == pytest.approx(1.0 - 6 * c * peak, rel=0.0, abs=1e-14)
-        assert hi == pytest.approx(1.0 + 6 * c * peak, rel=0.0, abs=1e-14)
+@st.composite
+def certified_draws(draw):
+    """(coefficient, grid): a random band-limited real coefficient at
+    d = 1, 2 or 3 and a positivity grid of the admitted range."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    grid = draw(st.sampled_from({1: [8, 16, 64, 256], 2: [8, 16, 32], 3: [8, 10]}[d]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_band_limited(rng, d, max_index=2 if d < 3 else 1), grid
+
+
+def _mu_on_product(coeff, x, y):
+    """mu at every pair of the points x (n, d) and y (m, d), term by term."""
+    out = np.zeros((len(x), len(y)))
+    for (k, l), amp in coeff.modes.items():
+        out += (amp * np.outer(np.exp(2j * np.pi * (x @ np.array(k))),
+                               np.exp(2j * np.pi * (y @ np.array(l))))).real
+    return out
+
+
+def _lattice(axis, d):
+    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d)
+
+
+# mu-, mu+ of the first-order (Lipschitz) certificate this one replaced
+FIRST_ORDER_BOUNDS = {
+    "t1_alpha1": (0.48264498852281873, 1.5173550114771817),
+    "t2_alpha05": (0.4826449885228189, 1.5173550114771812),
+    "t2_d2": (0.40182522957531897, 1.5981747704246811),
+    "t2_d3": (0.5095219068446505, 1.4904780931553494),
+    "blocks-1": (0.41378872498381236, 1.5862112750161876),
+    "blocks-2": (0.41378872498381236, 1.5862112750161876),
+    "blocks-7": (0.4137887249838125, 1.5862112750161876),
+    "dense-1": (0.6705475688725959, 1.3294524311274045),
+    "dense-2": (0.6705475688725958, 1.3294524311274045),
+    "dense-7": (0.6705475688725959, 1.329452431127404),
+}
+
+
+class TestCertifiedBounds:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(certified_draws())
+    def test_mu_lies_within_the_bounds(self, draw):
+        # mu on the 8x finer grid over the certificate grid cells around its
+        # argmin and argmax, and at 4000 random points: a margin a quarter
+        # of (h^2 / 8) sum (2 pi)^2 (|k|^2 + |l|^2) |mu_hat| fails here
+        coeff, grid = draw
+        d = coeff.dimension
+        cert = certify(coeff, grid)
+        coarse = _lattice(np.arange(grid) / grid, d)
+        on_grid = _mu_on_product(coeff, coarse, coarse)
+        box = _lattice(np.arange(-4, 5) / (8 * grid), d)
+        for flat in (on_grid.argmin(), on_grid.argmax()):
+            i, j = np.unravel_index(flat, on_grid.shape)
+            fine = _mu_on_product(coeff, coarse[i] + box, coarse[j] + box)
+            assert cert.mu_minus <= fine.min() and fine.max() <= cert.mu_plus
+        rng = np.random.default_rng(grid)
+        x, y = rng.random((2, 4000, d))
+        at_random = sum((amp * np.exp(2j * np.pi * (x @ np.array(k) + y @ np.array(l)))).real
+                        for (k, l), amp in coeff.modes.items())
+        assert cert.mu_minus <= at_random.min() and at_random.max() <= cert.mu_plus
+
+    @pytest.mark.parametrize("name", sorted(FIRST_ORDER_BOUNDS))
+    def test_no_looser_than_the_first_order_margin(self, name):
+        if "-" in name:
+            kind, seed = name.split("-")
+            cfg = StudyConfig.from_dict(bench_module("workloads").d2_config(kind, int(seed)))
+        else:
+            cfg = StudyConfig.load(CONFIGS / f"{name}.json")
+        coeff = certify(cfg.build_coefficient(), cfg.resolved_positivity_grid)
+        lo, hi = FIRST_ORDER_BOUNDS[name]
+        assert coeff.mu_minus >= lo and coeff.mu_plus <= hi
 
 
 class TestGapConstants:
