@@ -208,27 +208,23 @@ def _quadpack_module():
     return module
 
 
-def _quadpack(f, lo: float, hi: float, *, points=None, weight=None, wvar=None,
-              epsabs=1.49e-8, epsrel=1.49e-8, limit=50, limlst=50,
-              maxp1=50) -> tuple[float, float, int]:
+def _quadpack(f, lo: float, hi: float, *, points=None, wvar=None,
+              epsabs=1.49e-8, epsrel=1.49e-8, limit=50,
+              limlst=50) -> tuple[float, float, int]:
     """(value, error estimate, ier) of QUADPACK on f over [lo, hi].
 
     The argument handling of `scipy.integrate.quad`, with its defaults, for
-    the three forms the package uses: QAGS on a finite interval, QAGP with
-    break `points`, and QAWF with `weight` "cos" or "sin" times
-    wvar from lo to infinity (QAWF takes no epsrel).
+    the three forms the oracles make: QAGS on a finite interval, QAGP with
+    the sorted interior break `points`, and, given `wvar`, QAWF of
+    f(z) cos(wvar z) from lo to infinity (QAWF takes no epsrel, and its
+    maxp1 is scipy's 50).
     """
     ext = _quadpack_module()
-    if weight is not None:
-        if hi != math.inf or points is not None:
-            raise ValueError("QAWF integrates from lo to infinity, without break points")
-        integr = {"cos": 1, "sin": 2}[weight]
-        return ext._qawfe(f, lo, wvar, integr, (), 0, epsabs, limlst, limit, maxp1)
+    if wvar is not None:
+        return ext._qawfe(f, lo, wvar, 1, (), 0, epsabs, limlst, limit, 50)
     if points is None:
         return ext._qagse(f, lo, hi, (), 0, epsabs, epsrel, limit)
-    # duplicates would force evaluations at the break points
-    inner = [p for p in sorted(set(map(float, points))) if lo < p < hi]
-    return ext._qagpe(f, lo, hi, np.array([*inner, 0.0, 0.0]), (), 0,
+    return ext._qagpe(f, lo, hi, np.array([*points, 0.0, 0.0]), (), 0,
                       epsabs, epsrel, limit)
 
 
@@ -278,8 +274,8 @@ def _tail_cos(omega: float, z_cut: float, alpha: float) -> float:
     """
     if omega == 0.0:
         return 2.0 * z_cut ** (-alpha) / alpha
-    return 2.0 * _quad(lambda z: z ** (-1.0 - alpha), z_cut, np.inf, weight="cos",
-                       wvar=abs(omega), label=f"tail quadrature at frequency {omega}")
+    return 2.0 * _quad(lambda z: z ** (-1.0 - alpha), z_cut, np.inf, wvar=abs(omega),
+                       label=f"tail quadrature at frequency {omega}")
 
 
 # The quadrature oracles integrate the core [-ORACLE_Z_CUTOFF, ORACLE_Z_CUTOFF]

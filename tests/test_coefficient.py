@@ -13,8 +13,8 @@ from levyhom import (ModelParams, PeriodicCoefficient, PositivityUncertified,
                      oracle_form_element, rate_function, theory_constants, v_alpha)
 from levyhom import coefficient
 from levyhom._util import UNIT_ROUNDOFF
-from levyhom.coefficient import (ORACLE_ABS_TOL, ORACLE_LIMIT, ORACLE_REL_TOL, _gamma,
-                                 _grid_min_max, _quad, _quadpack)
+from levyhom.coefficient import (ORACLE_LIMIT, _gamma, _grid_min_max, _oracle_tol,
+                                 _quad, _quadpack)
 from levyhom.config import StudyConfig
 from conftest import CONFIGS, bench_module, make_t1, make_t2, random_band_limited
 
@@ -102,8 +102,8 @@ class TestQuadpack:
 
     ALPHA = 0.5
 
-    def _mid(self, z):
-        return (1.0 - math.cos(z)) / z ** (1 + self.ALPHA)
+    def _transverse(self, p):
+        return math.sin(p) * math.cos(p) ** self.ALPHA
 
     def _core(self, z):
         # scaled to |value| ~ 90, where epsabs and epsrel set different
@@ -114,38 +114,46 @@ class TestQuadpack:
     def _tail(self, z):
         return z ** (-1 - self.ALPHA)
 
-    @pytest.mark.parametrize("form", ["qags", "qagp", "qawf-cos", "qawf-sin"])
-    def test_bitwise_scipy_quad(self, form):
+    @staticmethod
+    def _scipy_quad(f, lo, hi, **kwargs):
+        """`scipy.integrate.quad`'s full output for `_quadpack`'s keywords;
+        scipy selects QAWF by its cosine weight, `_quadpack` by wvar alone."""
         from scipy.integrate import quad
-        tol = (ORACLE_ABS_TOL / 16.0, ORACLE_REL_TOL / 16.0)
+        if "wvar" in kwargs:
+            kwargs["weight"] = "cos"
+        return quad(f, lo, hi, full_output=1, **kwargs)
+
+    @pytest.mark.parametrize("form", ["qags", "qagp", "qagp-retry", "qawf-cos"])
+    def test_bitwise_scipy_quad(self, form):
+        # the oracles' four calls: the transverse factor (limit 50, the
+        # default), the core pass and its retry, and a tail at the defaults
+        epsabs, epsrel = _oracle_tol()
+        core = dict(limit=ORACLE_LIMIT, epsabs=epsabs, epsrel=epsrel)
         f, lo, hi, kwargs = {
-            "qags": (self._mid, 1.0, 50.0, dict(limit=400)),
-            "qagp": (self._core, -40.0, 40.0,
-                     dict(points=[0.0], limit=ORACLE_LIMIT, epsabs=tol[0],
-                          epsrel=tol[1])),
-            "qawf-cos": (self._tail, 50.0, np.inf, dict(weight="cos", wvar=1.0)),
-            "qawf-sin": (self._tail, 50.0, np.inf, dict(weight="sin", wvar=1.0)),
+            "qags": (self._transverse, 0.0, 0.5 * math.pi,
+                     dict(epsabs=epsabs, epsrel=epsrel)),
+            "qagp": (self._core, -40.0, 40.0, dict(points=[0.0], **core)),
+            "qagp-retry": (self._core, -40.0, 40.0, dict(points=[-1.0, 0.0, 1.0], **core)),
+            "qawf-cos": (self._tail, 50.0, np.inf, dict(wvar=1.0)),
         }[form]
-        val, err, _ = quad(f, lo, hi, full_output=1, **kwargs)  # 3 items: ier = 0
+        val, err, _ = self._scipy_quad(f, lo, hi, **kwargs)  # 3 items: ier = 0
         assert _quadpack(f, lo, hi, **kwargs) == (val, err, 0)
         assert _quad(f, lo, hi, **kwargs) == val
 
     def test_starved_limit_raises_with_label(self):
-        from scipy.integrate import quad
         kwargs = dict(points=[0.0], limit=2)
-        val, err, _, message = quad(self._core, -40.0, 40.0, full_output=1, **kwargs)
+        val, err, _, message = self._scipy_quad(self._core, -40.0, 40.0, **kwargs)
         assert "subdivisions (2)" in message
         assert _quadpack(self._core, -40.0, 40.0, **kwargs) == (val, err, 1)
         with pytest.raises(QuadratureNotConverged, match=r"starved core over .*ier = 1"):
             _quad(self._core, -40.0, 40.0, label="starved core", **kwargs)
 
     @pytest.mark.parametrize("kwargs", [dict(epsabs=0.0, epsrel=1e-20),
-                                        dict(weight="cos", wvar=1.0, limlst=2)])
+                                        dict(wvar=1.0, limlst=2)])
     def test_invalid_input_is_value_error(self, kwargs):
-        from scipy.integrate import quad
-        hi = np.inf if "weight" in kwargs else 50.0
+        hi = np.inf if "wvar" in kwargs else 50.0
         with pytest.raises(ValueError):
-            quad(self._tail, 1.0, hi, **kwargs)
+            self._scipy_quad(self._tail, 1.0, hi, **kwargs)
         with pytest.raises(ValueError, match="ier = 6"):
             _quad(self._tail, 1.0, hi, **kwargs)
 

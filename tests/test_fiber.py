@@ -245,7 +245,7 @@ class TestOracle:
         real_quadpack = coefficient._quadpack
 
         def few_cycles(func, *args, **kwargs):
-            if "weight" in kwargs:
+            if "wvar" in kwargs:
                 kwargs["limlst"] = 3
             return real_quadpack(func, *args, **kwargs)
 

@@ -8,7 +8,9 @@ e^{i (2 pi m + xi) . tau}, which commutes with the effective fiber and with
 the zero mode's projector, so every discrepancy and threshold quantity is
 invariant.  Scaling mu by c scales A(xi) by c: the discrepancy at
 eps c^(1/alpha) is the base's at eps, and for c = 2 every threshold
-eigenvalue quantity doubles bit for bit.
+eigenvalue quantity doubles bit for bit.  An axis flip g that keeps every
+amplitude, amp(gk, gl) = amp(k, l), makes A(g xi) the matrix A(xi) with its
+modes permuted by m -> g m.
 """
 
 import cmath
@@ -18,11 +20,11 @@ import numpy as np
 import pytest
 
 from levyhom import (ModeSet, ModelParams, StudyConfig, assemble_fiber_matrix,
-                     certify, discrepancy_study, theory_constants,
-                     threshold_report)
+                     certify, coefficient_from_records, discrepancy_study,
+                     theory_constants, threshold_report)
 from levyhom._util import UNIT_ROUNDOFF, hermitian_norm
 
-from conftest import CONFIGS
+from conftest import CONFIGS, bench_module
 
 # quantities that translation keeps to 1e-12 relative: lambda2 >= d0 is far
 # above its absolute rounding, and rho reads only the k = -l amplitudes,
@@ -117,3 +119,56 @@ def test_scaling_by_two_doubles_every_threshold_quantity():
                 (quantity, rep.xi)
         assert rep_scaled.f_minus_p == rep.f_minus_p
         assert rep_scaled.xi_norm == rep.xi_norm
+
+
+# the axis flips of d = 2: x1 -> -x1, x2 -> -x2, and both (x -> -x)
+AXIS_FLIPS = (np.array([-1, 1]), np.array([1, -1]), np.array([-1, -1]))
+
+
+def _d2_config(name):
+    if name == "t2_d2":
+        return StudyConfig.load(CONFIGS / "t2_d2.json")
+    kind, seed = name.split("-")
+    return StudyConfig.from_dict(bench_module("workloads").d2_config(kind, int(seed)))
+
+
+def _flip_keeps_fibers(coeff, params, modes, g, points):
+    """Whether A(g xi) is A(xi) with its modes permuted by m -> g m, bit for
+    bit, at every xi of `points`."""
+    perm = modes._ravel(modes.modes * g)
+    cell = np.ix_(perm, perm)
+    return [np.array_equal(assemble_fiber_matrix(coeff, params, modes, g * xi).entries[cell],
+                           assemble_fiber_matrix(coeff, params, modes, xi).entries)
+            for xi in points]
+
+
+@pytest.mark.parametrize("factor", [1, 2], ids=["N", "2N"])
+@pytest.mark.parametrize("name", ["t2_d2", "blocks-1", "blocks-2", "blocks-7",
+                                  "dense-1", "dense-2", "dense-7"])
+def test_axis_flips_permute_the_fiber(name, factor):
+    cfg = _d2_config(name)
+    coeff = certify(cfg.build_coefficient(), cfg.resolved_positivity_grid)
+    params = ModelParams(2, cfg.alpha)
+    modes = ModeSet(2, factor * cfg.resolved_truncation)
+    points = np.random.default_rng(cfg.seed).uniform(-math.pi, math.pi, (3, 2))
+    for g in AXIS_FLIPS:
+        assert all(coeff.modes.get((tuple(g * k), tuple(g * l))) == amp
+                   for (k, l), amp in coeff.modes.items())
+        assert all(_flip_keeps_fibers(coeff, params, modes, g, points)), g
+
+
+def test_a_coupling_that_breaks_the_x_flip_breaks_the_permutation():
+    cfg = _d2_config("t2_d2")
+    records = cfg.to_dict()["coefficient"]
+    # 0.1 cos 2 pi (x1 + y2) + 0.1 cos 2 pi (x2 + y1): k + l = e1 + e2, whose
+    # x-flipped image -e1 + e2 carries nothing; x -> -x still keeps it
+    for k, l in (([1, 0], [0, 1]), ([0, 1], [1, 0]), ([-1, 0], [0, -1]),
+                 ([0, -1], [-1, 0])):
+        records.append({"k": k, "l": l, "re": 0.05, "im": 0.0})
+    coeff = certify(coefficient_from_records(2, records), cfg.resolved_positivity_grid)
+    params = ModelParams(2, cfg.alpha)
+    modes = ModeSet(2, cfg.resolved_truncation)
+    points = np.random.default_rng(cfg.seed).uniform(-math.pi, math.pi, (3, 2))
+    x_flip, _, both = AXIS_FLIPS
+    assert not any(_flip_keeps_fibers(coeff, params, modes, x_flip, points))
+    assert all(_flip_keeps_fibers(coeff, params, modes, both, points))
